@@ -20,7 +20,6 @@
 //	                  region, hot lines, page locality) and print the
 //	                  flat report; render later with `tracetool profile`
 //	-top N            hot lines to rank in the profile (default 10)
-//	-regions          coarse per-region reference counters (text report)
 //	-critpath o.json  write a critical-path analysis (barrier-delimited
 //	                  phases with per-PE breakdowns, barrier imbalance,
 //	                  lock contention, balanced-ideal speedup) and print
@@ -78,7 +77,6 @@ func main() {
 		size     = flag.String("size", "default", "problem size: test, default or paper")
 		line     = flag.Uint64("line", 64, "cache line bytes")
 		quantum  = flag.Int64("quantum", 0, "event-ordering slack in cycles (0 = exact)")
-		regions  = flag.Bool("regions", false, "attribute references to named allocations (coarse text report)")
 		sanitize = flag.Bool("sanitize", false, "cross-validate directory/cache state after every transaction (requires -quantum 0)")
 		org      = flag.String("org", "shared-cache", "cluster organization: shared-cache or shared-memory")
 
@@ -129,7 +127,6 @@ func main() {
 	cfg.CacheKBPerProc = *cacheKB
 	cfg.LineBytes = *line
 	cfg.Quantum = *quantum
-	cfg.ProfileRegions = *regions
 	cfg.Sanitize = *sanitize
 	switch *org {
 	case "shared-cache":
@@ -244,14 +241,18 @@ func main() {
 		}
 	}
 
+	// Every artifact names the configuration it came from.
+	hash, err := telemetry.HashConfig(cfg)
+	if err != nil {
+		fatal(err)
+	}
 	var profReport *profile.Report
 	if prof != nil {
 		profReport = prof.Report(*topLines)
-		profReport.App, profReport.Size = *app, sz.String()
-		if h, err := telemetry.HashConfig(cfg); err == nil {
-			profReport.ConfigHash = h
-		}
-		if err := writeProfile(*profOut, profReport); err != nil {
+		profReport.App, profReport.Size, profReport.ConfigHash = *app, sz.String(), hash
+		if err := telemetry.AtomicFile(*profOut, func(w io.Writer) error {
+			return profile.WriteReport(w, profReport)
+		}); err != nil {
 			fatal(err)
 		}
 		fmt.Fprintf(os.Stderr, "clustersim: wrote sharing profile to %s (render with `tracetool profile %s`)\n",
@@ -261,11 +262,10 @@ func main() {
 	var critReport *critpath.Report
 	if crit != nil {
 		critReport = crit.Report(0)
-		critReport.App, critReport.Size = *app, sz.String()
-		if h, err := telemetry.HashConfig(cfg); err == nil {
-			critReport.ConfigHash = h
-		}
-		if err := writeCritpath(*critOut, critReport); err != nil {
+		critReport.App, critReport.Size, critReport.ConfigHash = *app, sz.String(), hash
+		if err := telemetry.AtomicFile(*critOut, func(w io.Writer) error {
+			return critpath.WriteReport(w, critReport)
+		}); err != nil {
 			fatal(err)
 		}
 		fmt.Fprintf(os.Stderr, "clustersim: wrote critical-path analysis to %s (render with `tracetool critpath %s`)\n",
@@ -273,7 +273,11 @@ func main() {
 	}
 
 	if *traceOut != "" {
-		if err := writeTrace(*traceOut, col, *app, sz.String(), cfg); err != nil {
+		if err := telemetry.AtomicFile(*traceOut, func(w io.Writer) error {
+			return telemetry.WriteChromeTrace(w, col, map[string]string{
+				"app": *app, "size": sz.String(), "configHash": hash,
+			})
+		}); err != nil {
 			fatal(err)
 		}
 		fmt.Fprintf(os.Stderr, "clustersim: wrote trace to %s (open at ui.perfetto.dev)\n", *traceOut)
@@ -305,10 +309,6 @@ func main() {
 
 	fmt.Printf("%s (%s size)\n", w.Name, sz)
 	res.WriteSummary(os.Stdout)
-	if *regions {
-		fmt.Println("region profile:")
-		res.WriteRegionProfile(os.Stdout)
-	}
 	if profReport != nil {
 		fmt.Println()
 		profile.WriteFlat(os.Stdout, profReport)
@@ -317,30 +317,6 @@ func main() {
 		fmt.Println()
 		critpath.WriteFlat(os.Stdout, critReport)
 	}
-}
-
-func writeCritpath(path string, r *critpath.Report) error {
-	return telemetry.AtomicFile(path, func(w io.Writer) error {
-		return critpath.WriteReport(w, r)
-	})
-}
-
-func writeProfile(path string, r *profile.Report) error {
-	return telemetry.AtomicFile(path, func(w io.Writer) error {
-		return profile.WriteReport(w, r)
-	})
-}
-
-func writeTrace(path string, col *telemetry.Collector, app, size string, cfg core.Config) error {
-	hash, err := telemetry.HashConfig(cfg)
-	if err != nil {
-		return err
-	}
-	return telemetry.AtomicFile(path, func(w io.Writer) error {
-		return telemetry.WriteChromeTrace(w, col, map[string]string{
-			"app": app, "size": size, "configHash": hash,
-		})
-	})
 }
 
 // effectiveSampleInterval resolves the telemetry sampling grid from the

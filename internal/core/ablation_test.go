@@ -1,7 +1,6 @@
 package core
 
 import (
-	"strings"
 	"testing"
 
 	"clustersim/internal/memory"
@@ -119,58 +118,6 @@ func TestQuantumSpeedAccuracyTradeoff(t *testing.T) {
 	if diff < -0.2 || diff > 0.2 {
 		t.Errorf("quantum=200 skewed exec time by %.1f%% (exact %d, loose %d)",
 			100*diff, exact, loose)
-	}
-}
-
-// TestRegionProfile checks per-allocation attribution of references.
-func TestRegionProfile(t *testing.T) {
-	cfg := tiny(2, 1)
-	cfg.ProfileRegions = true
-	m := mustMachine(t, cfg)
-	hot := m.Alloc(4096, "hot")
-	cold := m.Alloc(4096, "cold")
-	res, err := m.Run(func(p *Proc) {
-		if p.ID() == 0 {
-			for i := 0; i < 32; i++ {
-				p.Read(hot + uint64(i)*64)
-			}
-			p.Write(cold)
-		}
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	h, ok := res.Regions["hot"]
-	if !ok || h.Reads != 32 || h.ReadMisses == 0 {
-		t.Fatalf("hot region profile = %+v (ok=%v)", h, ok)
-	}
-	c := res.Regions["cold"]
-	if c.Writes != 1 || c.Reads != 0 {
-		t.Fatalf("cold region profile = %+v", c)
-	}
-	var b strings.Builder
-	res.WriteRegionProfile(&b)
-	if !strings.Contains(b.String(), "hot") {
-		t.Errorf("profile output missing region name:\n%s", b.String())
-	}
-}
-
-// TestNoProfileByDefault: without the flag, Regions stays nil and no
-// lookup overhead is incurred.
-func TestNoProfileByDefault(t *testing.T) {
-	m := mustMachine(t, tiny(1, 1))
-	a := m.Alloc(64, "x")
-	res, err := m.Run(func(p *Proc) { p.Read(a) })
-	if err != nil {
-		t.Fatal(err)
-	}
-	if res.Regions != nil {
-		t.Fatal("Regions should be nil without profiling")
-	}
-	var b strings.Builder
-	res.WriteRegionProfile(&b)
-	if !strings.Contains(b.String(), "no region profile") {
-		t.Error("expected placeholder message")
 	}
 }
 

@@ -123,54 +123,38 @@ type Config struct {
 	// SharedMemory organisation (default 15).
 	BusCycles Clock
 
-	// ProfileRegions attributes every reference to the named allocation
-	// containing it (see Result.Regions). Costs one lookup per
-	// reference; off by default.
-	ProfileRegions bool
+	// The observer fields below attach the instruments NewMachine fans
+	// events out to (see Observer). Observers are read-only, so every
+	// one is excluded from the JSON manifest and the config hash, and an
+	// observed run's Result is byte-identical to an unobserved one.
 
-	// Tracer, when non-nil, receives the run's event stream (see the
-	// trace package). Attached at machine construction so allocations
-	// and synchronisation objects are announced. Excluded from the JSON
-	// manifest: it does not affect simulated behaviour.
+	// Tracer, when non-nil, is attached as an extra observer; the trace
+	// package's Collector records the event stream for replay there.
 	Tracer Tracer `json:"-"`
 
-	// Telemetry, when non-nil, receives the run's observability stream:
-	// per-processor execution-state slices, coherence events, sync
-	// episodes and scheduler self-metrics (see the telemetry package).
-	// Excluded from the JSON manifest and the config hash.
+	// Telemetry collects per-processor execution-state slices,
+	// coherence events, sync episodes and scheduler self-metrics (see
+	// the telemetry package).
 	Telemetry *telemetry.Collector `json:"-"`
 
-	// Profile, when non-nil, receives every memory reference and
-	// coherence protocol event for data-centric sharing analysis: misses
-	// classified cold / replacement / true-sharing / false-sharing and
-	// attributed to allocator regions, hot lines and page homes (see the
-	// profile package). Purely observational, so it is excluded from the
-	// JSON manifest and the config hash.
+	// Profile classifies misses cold / replacement / true-sharing /
+	// false-sharing and attributes them to allocator regions, hot lines
+	// and page homes (see the profile package).
 	Profile *profile.Collector `json:"-"`
 
-	// Perf, when non-nil, attaches the host-side performance monitor:
-	// wall-clock time attributed per phase (application compute, engine
-	// scheduling, coherence protocol), simulated-cycles-per-second
-	// throughput and Go runtime health (heap peak, GC pauses; see the
-	// perf package). It observes only the host, never simulated state,
-	// so it is excluded from the JSON manifest and the config hash and
-	// a monitored run's Result is byte-identical to an unmonitored one.
+	// Perf attributes host wall-clock time to application compute,
+	// engine scheduling and the coherence protocol, and reports
+	// throughput and Go runtime health (see the perf package).
 	Perf *perf.Monitor `json:"-"`
 
-	// Critpath, when non-nil, attaches the virtual-time critical-path
-	// analyzer: the run is segmented into barrier-delimited phases with
-	// per-processor breakdown deltas, barrier imbalance and lock
-	// contention are attributed per synchronisation object, and the
-	// chain of last arrivers across phases is reported as the run's
-	// critical path (see the critpath package). Purely observational, so
-	// it is excluded from the JSON manifest and the config hash and an
-	// analyzed run's Result is byte-identical to an unanalyzed one.
+	// Critpath segments the run into barrier-delimited phases and
+	// attributes barrier imbalance, lock contention and the critical
+	// path (see the critpath package).
 	Critpath *critpath.Analyzer `json:"-"`
 
 	// SampleEvery, when positive and Telemetry is attached, snapshots
 	// per-cluster counter deltas every SampleEvery simulated cycles
-	// into the collector's time series. Purely observational, so it is
-	// excluded from the config hash.
+	// into the collector's time series.
 	SampleEvery Clock `json:"-"`
 
 	// Sanitize attaches the runtime sanitizer: after every coherence
@@ -180,7 +164,6 @@ type Config struct {
 	// machine audit runs periodically and at the end of the run. A
 	// violation panics with a replayable transaction dump. Requires
 	// Quantum 0 (the global monotonicity guarantee quanta trade away).
-	// Purely observational, so it is excluded from the config hash.
 	Sanitize bool `json:"-"`
 
 	// BlockingWrites makes stores stall for their fetch latency —

@@ -322,6 +322,42 @@ func TestDeadlockSurfacesAsError(t *testing.T) {
 	}
 }
 
+// TestDeadlockReportNamesSyncObjects: sync objects format their block
+// reasons only when a deadlock report is written, and the report still
+// names the barrier with its arrival count, the lock with its holder,
+// and the flag.
+func TestDeadlockReportNamesSyncObjects(t *testing.T) {
+	m := mustMachine(t, tiny(4, 1))
+	gate := m.NewBarrierN("gate", 3)
+	lk := m.NewLock("tally")
+	never := m.NewFlag("never")
+	_, err := m.Run(func(p *Proc) {
+		switch p.ID() {
+		case 0:
+			lk.Acquire(p)
+			gate.Wait(p) // the only arrival: P1 and P2 never come
+		case 1:
+			p.Compute(10)
+			lk.Acquire(p) // P0 holds it forever
+		case 2:
+			never.Wait(p)
+		}
+	})
+	if err == nil {
+		t.Fatal("want deadlock error")
+	}
+	for _, want := range []string{
+		"deadlock",
+		"PE 0 at cycle 0: gate (1/3 arrived)",
+		"PE 1 at cycle 10: lock tally (held by P0)",
+		"PE 2 at cycle 0: flag never",
+	} {
+		if !strings.Contains(err.Error(), want) {
+			t.Errorf("deadlock report lacks %q:\n%v", want, err)
+		}
+	}
+}
+
 func TestUnallocatedAccessSurfacesAsError(t *testing.T) {
 	m := mustMachine(t, tiny(1, 1))
 	_, err := m.Run(func(p *Proc) { p.Read(0xfff000000) })

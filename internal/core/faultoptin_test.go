@@ -9,12 +9,13 @@ import (
 	"clustersim/internal/telemetry"
 )
 
-// baselineDefaultHash is the config hash of DefaultConfig() computed
-// before the fault layer existed. Pinning it proves the acceptance
-// criterion that fault injection is strictly opt-in: a nil Faults plan
-// (and any Label) must leave config hashes — and therefore every
-// journal key and manifest — byte-identical to pre-fault builds.
-const baselineDefaultHash = "sha256:e0dd439026d4cf9fcbe5d46a66c52dd57d54397964f45905b9bff3fd3c27b4dc"
+// baselineDefaultHash is the config hash of DefaultConfig(). Pinning it
+// proves the acceptance criterion that fault injection is strictly
+// opt-in: a nil Faults plan (and any Label) must leave config hashes —
+// and therefore every journal key and manifest — byte-identical to
+// builds without the fault layer. It changed once on purpose, when the
+// ProfileRegions field left Config.
+const baselineDefaultHash = "sha256:cba249fd376ac0feea918ef4ba9471acb603ec7ffe1d4606e7a37d69b5e7ace3"
 
 func TestConfigHashUnchangedWithoutFaults(t *testing.T) {
 	cfg := DefaultConfig()

@@ -4,15 +4,11 @@ import (
 	"fmt"
 
 	"clustersim/internal/coherence"
-	"clustersim/internal/critpath"
 	"clustersim/internal/engine"
 	"clustersim/internal/fault"
 	"clustersim/internal/memory"
-	"clustersim/internal/perf"
-	"clustersim/internal/profile"
 	"clustersim/internal/sanitizer"
 	"clustersim/internal/stats"
-	"clustersim/internal/telemetry"
 )
 
 // Machine is one simulated clustered multiprocessor. Allocate shared data
@@ -24,46 +20,21 @@ type Machine struct {
 	sys   coherence.MemoryModel
 	sched *engine.Scheduler
 	procs []*Proc
+	stats []stats.Proc // per-processor statistics, indexed by ID
 	ran   bool
 
 	// origin is the virtual time at which measurement began (see
 	// BeginMeasurement); ExecTime is reported relative to it.
 	origin Clock
 
-	// regionStats accumulates per-allocation reference profiles when
-	// profiling is enabled (see EnableRegionProfile).
-	regionStats map[string]*stats.Counters
+	// obs receives every event of the run (see Observer); nil when
+	// nothing is attached.
+	obs fanout
 
-	// tracer, when set, receives the event stream (see SetTracer).
-	tracer  Tracer
-	syncIDs int
-
-	// tel, when set, receives the observability stream (Config.Telemetry);
-	// nextSample is the next interval-sampler deadline.
-	tel        *telemetry.Collector
-	nextSample Clock
-
-	// prof, when set, receives every reference and protocol event
-	// (Config.Profile). Like tel and san, the hot paths gate on the nil
-	// check alone.
-	prof *profile.Collector
-
-	// san, when set, validates every coherence transaction
-	// (Config.Sanitize). The hot paths gate on the nil check alone, so a
-	// disabled sanitizer costs nothing.
-	san *sanitizer.Checker
-
-	// mon, when set, attributes host wall-clock time to execution
-	// phases (Config.Perf). Hot paths gate on the nil check alone.
-	mon *perf.Monitor
-
-	// crit, when set, receives synchronisation episodes for
-	// critical-path analysis (Config.Critpath). Hot paths gate on the
-	// nil check alone.
-	crit *critpath.Analyzer
-
-	// syncNames guards against two synchronisation objects registering
-	// the same name — indistinguishable in every report.
+	// syncIDs counts the synchronisation objects created; syncNames
+	// guards against two registering the same name —
+	// indistinguishable in every report.
+	syncIDs   int
 	syncNames map[string]int
 }
 
@@ -119,43 +90,17 @@ func NewMachine(cfg Config) (*Machine, error) {
 		sys = sc
 	}
 	m := &Machine{cfg: cfg, as: as, sys: sys}
-	if cfg.Sanitize {
-		// Global monotonicity is safe to assert because Validate rejects
-		// Sanitize with a nonzero Quantum.
-		m.san = sanitizer.New(sys, cfg.Procs, true)
-	}
-	if cfg.ProfileRegions {
-		m.EnableRegionProfile()
-	}
-	if cfg.Tracer != nil {
-		m.SetTracer(cfg.Tracer)
-	}
 	m.sched = engine.NewScheduler(cfg.Procs, cfg.Quantum)
 	m.sched.SetLabel(cfg.Label)
+	m.obs = m.observe(cfg)
+	m.stats = make([]stats.Proc, cfg.Procs)
 	m.procs = make([]*Proc, cfg.Procs)
 	for i, pe := range m.sched.PEs() {
-		m.procs[i] = &Proc{pe: pe, m: m, cluster: cfg.ClusterOf(i)}
+		m.procs[i] = &Proc{pe: pe, m: m, cluster: cfg.ClusterOf(i), stats: &m.stats[i]}
 	}
-	if cfg.Telemetry != nil {
-		m.tel = cfg.Telemetry
-		m.tel.Start(cfg.Procs, cfg.NumClusters())
-		m.sched.SetProbe(m.tel)
-		if cfg.SampleEvery > 0 {
-			m.nextSample = cfg.SampleEvery
-		}
-	}
-	if cfg.Profile != nil {
-		m.prof = cfg.Profile
-		m.prof.Start(as, cfg.NumClusters(), cfg.LineBytes)
-		sys.SetObserver(m.prof)
-	}
-	if cfg.Perf != nil {
-		m.mon = cfg.Perf
-		m.sched.SetTimer(m.mon)
-	}
-	if cfg.Critpath != nil {
-		m.crit = cfg.Critpath
-		m.crit.Start(cfg.Procs, cfg.NumClusters())
+	if m.obs != nil {
+		m.sys.SetObserver(m.obs)
+		m.obs.Attach(as, m.sys, m.stats)
 	}
 	return m, nil
 }
@@ -163,51 +108,26 @@ func NewMachine(cfg Config) (*Machine, error) {
 // Config returns the machine's configuration.
 func (m *Machine) Config() Config { return m.cfg }
 
-// EnableRegionProfile turns on per-allocation reference profiling: every
-// reference is attributed to the named region containing its address, so
-// results report which data structures miss — the style of analysis the
-// paper uses when it attributes Radix's merges to "the shared
-// histograms". Costs one region lookup per reference; off by default.
-func (m *Machine) EnableRegionProfile() {
-	m.regionStats = make(map[string]*stats.Counters)
-}
-
-// regionCounters returns the profile bucket for addr, or nil when
-// profiling is off.
-func (m *Machine) regionCounters(addr Addr) *stats.Counters {
-	if m.regionStats == nil {
-		return nil
-	}
-	r, ok := m.as.RegionOf(addr)
-	if !ok {
-		return nil
-	}
-	c := m.regionStats[r.Name]
-	if c == nil {
-		c = &stats.Counters{}
-		m.regionStats[r.Name] = c
-	}
-	return c
-}
-
 // Alloc reserves size bytes of shared memory; pages are homed round-robin
 // at first touch, as in the paper.
 func (m *Machine) Alloc(size uint64, name string) Addr {
-	if m.tracer != nil {
-		m.tracer.DefineRegion(name, size)
-	}
 	return m.as.Alloc(size, name)
 }
 
 // AllocLocal reserves size bytes homed at the given processor's cluster —
 // the paper's explicit placement and local "stack" allocation.
 func (m *Machine) AllocLocal(size uint64, name string, proc int) Addr {
-	return m.as.AllocLocal(size, name, m.cfg.ClusterOf(proc))
+	base := m.Alloc(size, name)
+	m.Place(base, size, proc)
+	return base
 }
 
 // Place pins [base, base+size) to the cluster of the given processor.
 func (m *Machine) Place(base Addr, size uint64, proc int) {
 	m.as.Place(base, size, m.cfg.ClusterOf(proc))
+	if m.obs != nil {
+		m.obs.Place(base, size, proc)
+	}
 }
 
 // AddressSpace exposes the allocator for diagnostics.
@@ -216,7 +136,14 @@ func (m *Machine) AddressSpace() *memory.AddressSpace { return m.as }
 // Sanitizer returns the attached runtime checker, or nil when
 // Config.Sanitize is off. Tests install an OnViolation handler through
 // it to collect violations instead of panicking.
-func (m *Machine) Sanitizer() *sanitizer.Checker { return m.san }
+func (m *Machine) Sanitizer() *sanitizer.Checker {
+	for _, o := range m.obs {
+		if c, ok := o.(*sanitizer.Checker); ok {
+			return c
+		}
+	}
+	return nil
+}
 
 // System exposes the memory system for inspection and invariant audits.
 func (m *Machine) System() coherence.MemoryModel { return m.sys }
@@ -229,55 +156,12 @@ func (m *Machine) System() coherence.MemoryModel { return m.sys }
 // cache and directory contents are deliberately left warm, as they would
 // be on a real machine after initialization.
 func (m *Machine) BeginMeasurement(p *Proc) {
-	for _, q := range m.procs {
-		q.stats = stats.Proc{}
-	}
+	clear(m.stats)
 	m.sys.ResetStats()
-	if m.regionStats != nil {
-		m.regionStats = make(map[string]*stats.Counters)
-	}
 	m.origin = p.Now()
-	if m.tel != nil {
-		m.tel.NoteStatsReset(m.origin)
+	if m.obs != nil {
+		m.obs.Reset(p.ID(), m.origin)
 	}
-	if m.prof != nil {
-		// Zero the profile counters but keep presence and last-writer
-		// state: caches stay warm, so lines fetched during init must not
-		// look cold in the measured phase.
-		m.prof.Reset()
-	}
-	if m.crit != nil {
-		// Phases and sync aggregates recorded during initialization are
-		// discarded so the analysis covers exactly the measured interval.
-		m.crit.NoteReset(m.origin)
-	}
-}
-
-// maybeSample feeds the telemetry interval sampler once the virtual
-// clock crosses the next SampleEvery boundary. Called from the
-// reference hot path, so the common case is two compares.
-func (m *Machine) maybeSample(now Clock) {
-	if m.nextSample == 0 || now < m.nextSample {
-		return
-	}
-	m.snapshotSample(now)
-	step := telemetry.SampleInterval(m.cfg.SampleEvery)
-	for m.nextSample <= now {
-		m.nextSample += step
-	}
-}
-
-// snapshotSample hands the cumulative per-cluster counters to the
-// collector, which stores the interval delta.
-func (m *Machine) snapshotSample(now Clock) {
-	cum := make([]telemetry.ClusterSample, m.cfg.NumClusters())
-	for _, p := range m.procs {
-		cum[p.cluster].Refs = cum[p.cluster].Refs.Plus(p.stats.Counters)
-	}
-	for c := range cum {
-		cum[c].Coh = m.sys.ClusterStats(c)
-	}
-	m.tel.Sample(now, cum)
 }
 
 // Run executes kernel once on every processor and returns the result.
@@ -287,61 +171,30 @@ func (m *Machine) Run(kernel func(*Proc)) (*Result, error) {
 		return nil, fmt.Errorf("core: Machine.Run called twice; build a new Machine per run")
 	}
 	m.ran = true
-	m.mon.Start() // nil-safe; opens the run's wall clock in the sched phase
 	err := m.sched.Run(func(pe *engine.PE) {
 		kernel(m.procs[pe.ID()])
 	})
 	if err != nil {
 		return nil, err
 	}
-	var last Clock // final virtual time: the slowest processor's clock
-	for _, p := range m.procs {
-		if t := p.pe.Now(); t > last {
-			last = t
-		}
-	}
-	m.mon.Stop(last)
-	if m.tel != nil {
-		for _, p := range m.procs {
-			m.tel.ClosePE(p.ID())
-		}
-		if m.cfg.SampleEvery > 0 {
-			m.snapshotSample(last) // close the final partial interval
-		}
-	}
-	if m.san != nil {
-		m.san.Final(last) // end-of-run full audit
+	clocks := m.sched.Times()
+	if m.obs != nil {
+		m.obs.End(clocks)
 	}
 	res := &Result{
 		Config:      m.cfg,
-		Procs:       make([]stats.Proc, m.cfg.Procs),
+		Procs:       append([]stats.Proc(nil), m.stats...),
 		Finish:      make([]Clock, m.cfg.Procs),
 		Clusters:    make([]coherence.Stats, m.cfg.NumClusters()),
 		Footprint:   m.as.FootprintBytes(),
 		Allocations: m.as.Regions(),
 	}
-	for i, p := range m.procs {
-		res.Procs[i] = p.stats
-		res.Finish[i] = p.pe.Now() - m.origin
-		if t := res.Finish[i]; t > res.ExecTime {
-			res.ExecTime = t
-		}
+	for i, t := range clocks {
+		res.Finish[i] = t - m.origin
+		res.ExecTime = max(res.ExecTime, res.Finish[i])
 	}
-	for c := 0; c < m.cfg.NumClusters(); c++ {
+	for c := range res.Clusters {
 		res.Clusters[c] = m.sys.ClusterStats(c)
-	}
-	if m.regionStats != nil {
-		res.Regions = make(map[string]stats.Counters, len(m.regionStats))
-		for name, c := range m.regionStats {
-			res.Regions[name] = *c
-		}
-	}
-	if m.crit != nil {
-		final := make([]stats.Breakdown, m.cfg.Procs)
-		for i, p := range m.procs {
-			final[i] = p.stats.Breakdown
-		}
-		m.crit.Finish(res.ExecTime, res.Finish, final)
 	}
 	return res, nil
 }

@@ -4,7 +4,6 @@ import (
 	"clustersim/internal/coherence"
 	"clustersim/internal/engine"
 	"clustersim/internal/stats"
-	"clustersim/internal/telemetry"
 )
 
 // Proc is one simulated processor, passed to the application kernel. All
@@ -13,7 +12,7 @@ type Proc struct {
 	pe      *engine.PE
 	m       *Machine
 	cluster int
-	stats   stats.Proc
+	stats   *stats.Proc // the machine's record for this processor
 }
 
 // ID returns the processor number in [0, NumProcs).
@@ -37,9 +36,8 @@ func (p *Proc) Compute(cycles Clock) {
 	start := p.pe.Now()
 	p.pe.Advance(cycles)
 	p.stats.CPU += cycles
-	p.m.traceEvent(p.ID(), EvCompute, uint64(cycles))
-	if p.m.tel != nil {
-		p.m.tel.Slice(p.ID(), telemetry.SliceCompute, start, cycles)
+	if p.m.obs != nil {
+		p.m.obs.Compute(p.ID(), start, cycles)
 	}
 }
 
@@ -49,57 +47,19 @@ func (p *Proc) Compute(cycles Clock) {
 // arrives, accounted separately as in the paper.
 func (p *Proc) Read(addr Addr) {
 	p.pe.Yield()
-	p.m.traceEvent(p.ID(), EvRead, addr)
 	issue := p.pe.Now()
-	if p.m.mon != nil {
-		p.m.mon.EnterCoherence()
-	}
 	acc := p.m.sys.Read(p.ID(), p.cluster, addr, issue)
-	if p.m.mon != nil {
-		p.m.mon.EnterApp()
-	}
-	if p.m.san != nil {
-		p.m.san.OnAccess(p.ID(), p.cluster, false, addr, issue, acc)
-	}
 	p.stats.CountRead(acc)
-	if rc := p.m.regionCounters(addr); rc != nil {
-		rc.CountRead(acc)
-	}
-	if p.m.prof != nil {
-		p.m.prof.OnAccess(p.ID(), p.cluster, false, addr, acc, acc.Stall, issue)
-	}
-	p.pe.Advance(1)
+	p.pe.Advance(1 + acc.Stall)
 	p.stats.CPU++
-	if acc.Stall > 0 {
-		p.pe.Advance(acc.Stall)
-		if acc.Class == coherence.MergeMiss {
-			p.stats.MergeStall += acc.Stall
-		} else {
-			p.stats.LoadStall += acc.Stall
-		}
+	if acc.Class == coherence.MergeMiss {
+		p.stats.MergeStall += acc.Stall
+	} else {
+		p.stats.LoadStall += acc.Stall
 	}
-	if p.m.tel != nil {
-		p.telemeter(issue, acc, acc.Class == coherence.MergeMiss)
+	if p.m.obs != nil {
+		p.m.obs.Ref(p.ID(), p.cluster, false, addr, issue, acc, acc.Stall)
 	}
-}
-
-// telemeter reports one reference's issue cycle, stall span and
-// coherence outcome to the attached collector, then gives the interval
-// sampler a chance to fire.
-func (p *Proc) telemeter(issue Clock, acc coherence.Access, merge bool) {
-	tel := p.m.tel
-	tel.Slice(p.ID(), telemetry.SliceCompute, issue, 1)
-	if acc.Stall > 0 {
-		kind := telemetry.SliceLoadStall
-		if merge {
-			kind = telemetry.SliceMergeStall
-		}
-		tel.Slice(p.ID(), kind, issue+1, acc.Stall)
-	}
-	if acc.Class != coherence.Hit {
-		tel.Coherence(p.cluster, acc.Class, acc.Hops, issue)
-	}
-	p.m.maybeSample(p.pe.Now())
 }
 
 // Write issues a store to addr. Stores never stall: the paper assumes
@@ -107,43 +67,18 @@ func (p *Proc) telemeter(issue Clock, acc coherence.Access, merge bool) {
 // relaxed consistency model.
 func (p *Proc) Write(addr Addr) {
 	p.pe.Yield()
-	p.m.traceEvent(p.ID(), EvWrite, addr)
 	issue := p.pe.Now()
-	if p.m.mon != nil {
-		p.m.mon.EnterCoherence()
-	}
 	acc := p.m.sys.Write(p.ID(), p.cluster, addr, issue)
-	if p.m.mon != nil {
-		p.m.mon.EnterApp()
-	}
-	if p.m.san != nil {
-		p.m.san.OnAccess(p.ID(), p.cluster, true, addr, issue, acc)
-	}
 	p.stats.CountWrite(acc)
-	if rc := p.m.regionCounters(addr); rc != nil {
-		rc.CountWrite(acc)
+	var stall Clock
+	if p.m.cfg.BlockingWrites {
+		stall = acc.Stall
 	}
-	if p.m.prof != nil {
-		// Stores only stall the processor under BlockingWrites; the
-		// profiler charges what the PE actually waited.
-		stall := Clock(0)
-		if p.m.cfg.BlockingWrites {
-			stall = acc.Stall
-		}
-		p.m.prof.OnAccess(p.ID(), p.cluster, true, addr, acc, stall, issue)
-	}
-	p.pe.Advance(1)
+	p.pe.Advance(1 + stall)
 	p.stats.CPU++
-	if p.m.cfg.BlockingWrites && acc.Stall > 0 {
-		p.pe.Advance(acc.Stall)
-		p.stats.LoadStall += acc.Stall
-	}
-	if p.m.tel != nil {
-		reported := acc
-		if !p.m.cfg.BlockingWrites {
-			reported.Stall = 0 // hidden by store buffers: the PE never stalled
-		}
-		p.telemeter(issue, reported, false)
+	p.stats.LoadStall += stall
+	if p.m.obs != nil {
+		p.m.obs.Ref(p.ID(), p.cluster, true, addr, issue, acc, stall)
 	}
 }
 
@@ -166,4 +101,4 @@ func (p *Proc) WriteRange(addr Addr, bytes uint64) {
 }
 
 // Stats returns a copy of the processor's accumulated statistics.
-func (p *Proc) Stats() stats.Proc { return p.stats }
+func (p *Proc) Stats() stats.Proc { return *p.stats }

@@ -45,10 +45,6 @@ func fixedResult() *Result {
 		Finish:    []Clock{12000, 12345},
 		Clusters:  []coherence.Stats{{InvalidationsSent: 321, InvalidationsReceived: 321, Writebacks: 12}},
 		Footprint: 65536,
-		Regions: map[string]stats.Counters{
-			"grid":  {Reads: 6000, Writes: 2500, ReadMisses: 250, Merges: 120, Upgrades: 100},
-			"tally": {Reads: 1000, Writes: 500, ReadMisses: 50, Merges: 30, Upgrades: 20},
-		},
 	}
 	return r
 }
@@ -70,29 +66,6 @@ func TestWriteSummaryGolden(t *testing.T) {
 	fixedResult().WriteSummary(&b)
 	if got := b.String(); got != wantSummary {
 		t.Errorf("summary mismatch:\n--- got ---\n%s--- want ---\n%s", got, wantSummary)
-	}
-}
-
-const wantRegionProfile = `  region                  reads       writes  rd misses     merges   upgrades
-  grid                     6000         2500        250        120        100
-  tally                    1000          500         50         30         20
-`
-
-func TestWriteRegionProfileGolden(t *testing.T) {
-	var b strings.Builder
-	fixedResult().WriteRegionProfile(&b)
-	if got := b.String(); got != wantRegionProfile {
-		t.Errorf("region profile mismatch:\n--- got ---\n%s--- want ---\n%s", got, wantRegionProfile)
-	}
-}
-
-func TestWriteRegionProfilePlaceholder(t *testing.T) {
-	r := fixedResult()
-	r.Regions = nil
-	var b strings.Builder
-	r.WriteRegionProfile(&b)
-	if !strings.Contains(b.String(), "no region profile") {
-		t.Errorf("placeholder missing: %q", b.String())
 	}
 }
 
@@ -148,8 +121,7 @@ func TestManifestWithRealResult(t *testing.T) {
 		t.Fatal(err)
 	}
 	if back.ExecTime != res.ExecTime || back.Footprint != res.Footprint ||
-		len(back.Procs) != len(res.Procs) || back.Procs[1] != res.Procs[1] ||
-		back.Regions["grid"] != res.Regions["grid"] {
+		len(back.Procs) != len(res.Procs) || back.Procs[1] != res.Procs[1] {
 		t.Errorf("result round-trip mismatch: %+v", back)
 	}
 

@@ -3,7 +3,6 @@ package core
 import (
 	"fmt"
 	"io"
-	"sort"
 
 	"clustersim/internal/coherence"
 	"clustersim/internal/memory"
@@ -24,10 +23,6 @@ type Result struct {
 	// in allocation order — the map from addresses back to the data
 	// structures the application declared.
 	Allocations []memory.Region `json:",omitempty"`
-
-	// Regions holds per-allocation reference profiles when the machine
-	// ran with EnableRegionProfile.
-	Regions map[string]stats.Counters
 }
 
 // MemoryReport builds the run manifest's address-space block from the
@@ -129,36 +124,6 @@ func (r *Result) WriteSummary(w io.Writer) {
 			nacks, acks, cycles, r.Config.Faults.Seed)
 	}
 	fmt.Fprintf(w, "  footprint       %12d bytes\n", r.Footprint)
-}
-
-// WriteRegionProfile prints the per-allocation reference profile,
-// ordered by read misses, if the run was profiled.
-func (r *Result) WriteRegionProfile(w io.Writer) {
-	if len(r.Regions) == 0 {
-		fmt.Fprintln(w, "  (no region profile; run with Config.ProfileRegions)")
-		return
-	}
-	names := make([]string, 0, len(r.Regions))
-	for name := range r.Regions {
-		names = append(names, name) //simlint:allow maprange
-	}
-	// (sorted below with a deterministic tie-break, so iteration order
-	// never reaches the report)
-	sort.Slice(names, func(i, j int) bool {
-		a, b := r.Regions[names[i]], r.Regions[names[j]]
-		am, bm := a.ReadMisses+a.Merges, b.ReadMisses+b.Merges
-		if am != bm {
-			return am > bm
-		}
-		return names[i] < names[j]
-	})
-	fmt.Fprintf(w, "  %-16s %12s %12s %10s %10s %10s\n",
-		"region", "reads", "writes", "rd misses", "merges", "upgrades")
-	for _, name := range names {
-		c := r.Regions[name]
-		fmt.Fprintf(w, "  %-16s %12d %12d %10d %10d %10d\n",
-			name, c.Reads, c.Writes, c.ReadMisses, c.Merges, c.Upgrades)
-	}
 }
 
 func cacheLabel(kb int) string {

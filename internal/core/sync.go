@@ -3,7 +3,6 @@ package core
 import (
 	"fmt"
 
-	"clustersim/internal/critpath"
 	"clustersim/internal/stats"
 )
 
@@ -12,6 +11,25 @@ import (
 type waiter struct {
 	p       *Proc
 	arrival Clock
+}
+
+// defineSync hands out the identity of a new barrier, lock or flag and
+// announces the object to the observers.
+func (m *Machine) defineSync(kind stats.SyncKind, participants int, name string) int {
+	id := m.syncIDs
+	if prev, dup := m.syncNames[name]; dup {
+		panic(fmt.Sprintf("core: sync object %q registered twice (sync IDs %d and %d); "+
+			"give every barrier, lock and flag a distinct name", name, prev, id))
+	}
+	m.syncIDs++
+	if m.syncNames == nil {
+		m.syncNames = make(map[string]int)
+	}
+	m.syncNames[name] = id
+	if m.obs != nil {
+		m.obs.DefineSync(id, kind, name, participants)
+	}
+	return id
 }
 
 // Barrier synchronises a fixed set of processors. Every participant's
@@ -33,72 +51,49 @@ func (m *Machine) NewBarrierN(name string, n int) *Barrier {
 	if n <= 0 || n > m.cfg.Procs {
 		panic(fmt.Sprintf("core: barrier over %d of %d processors", n, m.cfg.Procs))
 	}
-	b := &Barrier{name: name, id: m.nextSyncID(), m: m, need: n}
-	m.defineSync(EvBarrier, b.id, n, name)
-	return b
+	return &Barrier{name: name, id: m.defineSync(stats.SyncBarrier, n, name), m: m, need: n}
+}
+
+// String describes the barrier for deadlock reports.
+func (b *Barrier) String() string {
+	return fmt.Sprintf("%s (%d/%d arrived)", b.name, len(b.waiting), b.need)
 }
 
 // Wait blocks p until all participants have arrived. All participants
 // resume at the virtual time of the last arrival.
 func (b *Barrier) Wait(p *Proc) {
 	p.pe.Yield()
-	b.m.traceEvent(p.ID(), EvBarrier, uint64(b.id))
 	arrival := p.pe.Now()
+	obs := b.m.obs
+	if obs != nil {
+		obs.Sync(p.ID(), b.id, false, arrival)
+	}
 	if len(b.waiting) < b.need-1 {
 		b.waiting = append(b.waiting, waiter{p, arrival})
-		p.pe.Block(fmt.Sprintf("%s (%d/%d arrived)", b.name, len(b.waiting), b.need))
+		p.pe.Block(b)
 		return
 	}
 	// Last arrival: release everyone at the max arrival time.
 	release := arrival
 	for _, w := range b.waiting {
-		if w.arrival > release {
-			release = w.arrival
-		}
-	}
-	var arrivals []critpath.Arrival
-	if b.m.crit != nil {
-		// Engine arrival order, releasing processor last — the analyzer
-		// breaks virtual-time ties toward the end of this slice.
-		arrivals = make([]critpath.Arrival, 0, b.need)
-		for _, w := range b.waiting {
-			arrivals = append(arrivals, critpath.Arrival{PE: w.p.ID(), At: w.arrival})
-		}
-		arrivals = append(arrivals, critpath.Arrival{PE: p.ID(), At: arrival})
+		release = max(release, w.arrival)
 	}
 	for _, w := range b.waiting {
 		w.p.stats.SyncWait += release - w.arrival
-		b.m.telSyncWait(w.p.ID(), b.id, w.arrival, release)
 		p.pe.Unblock(w.p.pe, release)
 	}
-	b.waiting = b.waiting[:0]
 	p.stats.SyncWait += release - arrival
-	b.m.telSyncWait(p.ID(), b.id, arrival, release)
-	// After every participant's wait is charged: at a machine-wide
-	// barrier each processor's cumulative breakdown now totals exactly
-	// release - origin, the tiling property the analyzer's phases rest on.
-	b.m.critBarrierRelease(b, arrivals, release)
-	p.pe.SetTime(release)
-}
-
-// critBarrierRelease feeds one barrier release episode to the
-// critical-path analyzer. Machine-wide barriers also snapshot every
-// processor's cumulative breakdown — they delimit phases — and a closed
-// phase is marked on the telemetry timeline.
-func (m *Machine) critBarrierRelease(b *Barrier, arrivals []critpath.Arrival, release Clock) {
-	if m.crit == nil {
-		return
-	}
-	var breakdowns []stats.Breakdown
-	if b.need == m.cfg.Procs {
-		breakdowns = make([]stats.Breakdown, m.cfg.Procs)
-		for i, p := range m.procs {
-			breakdowns[i] = p.stats.Breakdown
+	// Every wait is charged before any is reported, so while observers
+	// hear of them each participant's statistics total release -
+	// origin: the tiling the critical-path analyzer's phases rest on.
+	if obs != nil {
+		for _, w := range b.waiting {
+			obs.SyncWait(w.p.ID(), b.id, w.arrival, release)
 		}
+		obs.SyncWait(p.ID(), b.id, arrival, release)
 	}
-	if name := m.crit.BarrierRelease(b.id, arrivals, release, breakdowns); name != "" && m.tel != nil {
-		m.tel.MarkInstant("phase "+name, release)
-	}
+	b.waiting = b.waiting[:0]
+	p.pe.SetTime(release)
 }
 
 // Lock is a FIFO queueing mutex. Waiting time is charged to
@@ -113,27 +108,26 @@ type Lock struct {
 
 // NewLock creates a named lock.
 func (m *Machine) NewLock(name string) *Lock {
-	l := &Lock{name: name, id: m.nextSyncID(), m: m}
-	m.defineSync(EvAcquire, l.id, 0, name)
-	return l
+	return &Lock{name: name, id: m.defineSync(stats.SyncLock, 0, name), m: m}
+}
+
+// String describes the lock for deadlock reports.
+func (l *Lock) String() string {
+	return fmt.Sprintf("lock %s (held by P%v)", l.name, holderID(l.holder))
 }
 
 // Acquire takes the lock, blocking while another processor holds it.
 func (l *Lock) Acquire(p *Proc) {
 	p.pe.Yield()
-	l.m.traceEvent(p.ID(), EvAcquire, uint64(l.id))
+	if l.m.obs != nil {
+		l.m.obs.Sync(p.ID(), l.id, false, p.pe.Now())
+	}
 	if l.holder == nil {
 		l.holder = p
-		if l.m.crit != nil {
-			l.m.crit.LockAcquired(l.id, p.ID(), p.pe.Now())
-		}
 		return
 	}
 	l.queue = append(l.queue, waiter{p, p.pe.Now()})
-	if l.m.crit != nil {
-		l.m.crit.LockBlocked(l.id, p.ID(), p.pe.Now(), len(l.queue))
-	}
-	p.pe.Block(fmt.Sprintf("lock %s (held by P%d)", l.name, l.holder.ID()))
+	p.pe.Block(l)
 }
 
 // Release hands the lock to the longest-waiting processor, if any.
@@ -142,25 +136,21 @@ func (l *Lock) Release(p *Proc) {
 		panic(fmt.Sprintf("core: P%d released lock %s held by %v", p.ID(), l.name, holderID(l.holder)))
 	}
 	p.pe.Yield()
-	l.m.traceEvent(p.ID(), EvRelease, uint64(l.id))
+	now := p.pe.Now()
+	obs := l.m.obs
+	if obs != nil {
+		obs.Sync(p.ID(), l.id, true, now)
+	}
 	if len(l.queue) == 0 {
-		if l.m.crit != nil {
-			l.m.crit.LockReleased(l.id, p.ID(), p.pe.Now())
-		}
 		l.holder = nil
 		return
 	}
 	w := l.queue[0]
 	l.queue = l.queue[1:]
-	now := p.pe.Now()
-	release := now
-	if w.arrival > release {
-		release = w.arrival
-	}
+	release := max(now, w.arrival)
 	w.p.stats.SyncWait += release - w.arrival
-	l.m.telSyncWait(w.p.ID(), l.id, w.arrival, release)
-	if l.m.crit != nil {
-		l.m.crit.LockHandoff(l.id, p.ID(), w.p.ID(), w.arrival, now, release)
+	if obs != nil {
+		obs.SyncWait(w.p.ID(), l.id, w.arrival, release)
 	}
 	l.holder = w.p
 	p.pe.Unblock(w.p.pe, release)
@@ -185,24 +175,27 @@ type Flag struct {
 
 // NewFlag creates a named, initially clear flag.
 func (m *Machine) NewFlag(name string) *Flag {
-	f := &Flag{name: name, id: m.nextSyncID(), m: m}
-	m.defineSync(EvFlagSet, f.id, 0, name)
-	return f
+	return &Flag{name: name, id: m.defineSync(stats.SyncFlag, 0, name), m: m}
 }
+
+// String describes the flag for deadlock reports.
+func (f *Flag) String() string { return "flag " + f.name }
 
 // Set raises the flag, releasing all current waiters at the setter's time.
 func (f *Flag) Set(p *Proc) {
 	p.pe.Yield()
-	f.m.traceEvent(p.ID(), EvFlagSet, uint64(f.id))
-	f.set = true
 	now := p.pe.Now()
+	obs := f.m.obs
+	if obs != nil {
+		obs.Sync(p.ID(), f.id, true, now)
+	}
+	f.set = true
 	for _, w := range f.waiting {
-		release := now
-		if w.arrival > release {
-			release = w.arrival
-		}
+		release := max(now, w.arrival)
 		w.p.stats.SyncWait += release - w.arrival
-		f.m.telSyncWait(w.p.ID(), f.id, w.arrival, release)
+		if obs != nil {
+			obs.SyncWait(w.p.ID(), f.id, w.arrival, release)
+		}
 		p.pe.Unblock(w.p.pe, release)
 	}
 	f.waiting = nil
@@ -211,10 +204,12 @@ func (f *Flag) Set(p *Proc) {
 // Wait blocks p until the flag is set.
 func (f *Flag) Wait(p *Proc) {
 	p.pe.Yield()
-	f.m.traceEvent(p.ID(), EvFlagWait, uint64(f.id))
+	if f.m.obs != nil {
+		f.m.obs.Sync(p.ID(), f.id, false, p.pe.Now())
+	}
 	if f.set {
 		return
 	}
 	f.waiting = append(f.waiting, waiter{p, p.pe.Now()})
-	p.pe.Block(fmt.Sprintf("flag %s", f.name))
+	p.pe.Block(f)
 }

@@ -31,49 +31,26 @@
 //     evenly over the processors) yields the ideal execution time and
 //     the speedup headroom pure load balancing could buy.
 //
-// Everything is called from the goroutine holding the engine's
-// execution token, so the analyzer is lock-free; a nil *Analyzer
-// disables every hook at the cost of one branch, exactly like the
-// telemetry and profile collectors. The analyzer is read-only: it is
-// excluded from the config hash and an analyzed run's Result JSON is
-// byte-identical to an unanalyzed one.
+// The Analyzer is a read-only core.Observer, called from the goroutine
+// holding the engine's execution token, so it is lock-free; an analyzed
+// run's Result JSON is byte-identical to an unanalyzed one.
 package critpath
 
 import (
 	"fmt"
 
+	"clustersim/internal/coherence"
+	"clustersim/internal/memory"
 	"clustersim/internal/stats"
 )
 
 // Clock counts simulated cycles (mirrors engine.Clock; both are int64).
 type Clock = int64
 
-// Kind classifies a synchronisation object.
-type Kind uint8
-
-const (
-	KindBarrier Kind = iota
-	KindLock
-	KindFlag
-)
-
-// String names the kind as it appears in reports.
-func (k Kind) String() string {
-	switch k {
-	case KindBarrier:
-		return "barrier"
-	case KindLock:
-		return "lock"
-	case KindFlag:
-		return "flag"
-	}
-	return fmt.Sprintf("Kind(%d)", uint8(k))
-}
-
 // SyncObject describes one registered barrier, lock or flag.
 type SyncObject struct {
 	ID           int
-	Kind         Kind
+	Kind         stats.SyncKind
 	Name         string
 	Participants int // barrier width; 0 for locks and flags
 }
@@ -132,24 +109,32 @@ type lockAccum struct {
 	holder    int // current holder PE, -1 when free
 	holdStart Clock
 	pairs     map[pairKey]int64 // wait cycles charged holder→waiter
+
+	// The machine's queue, mirrored from its Sync events: how many
+	// processors wait, and when the pending handoff's release began.
+	queued    int
+	releaseAt Clock
 }
 
 func (l *lockAccum) reset(at Clock) {
-	held := l.holder
-	*l = lockAccum{holder: held}
-	if held >= 0 {
+	*l = lockAccum{holder: l.holder, queued: l.queued}
+	if l.holder >= 0 {
 		l.holdStart = at
 	}
 }
 
 // Analyzer gathers one run's critical-path profile. Create one with
 // New, attach it via core.Config.Critpath, and call Report after the
-// run. All hook methods are driven by the core package.
+// run. It implements core.Observer.
 type Analyzer struct {
 	procs    int
 	clusters int
 	started  bool
 	finished bool
+
+	view     []stats.Proc // the machine's live statistics (read only)
+	arrivals []Arrival    // the open barrier episode, in arrival order
+	onPhase  func(name string, at Clock)
 
 	origin     Clock // virtual time of the last stats reset
 	phaseStart Clock // origin-relative start of the open phase
@@ -172,29 +157,36 @@ func New() *Analyzer {
 	}
 }
 
-// Start sizes the analyzer for a machine; core.NewMachine calls it
-// before any synchronisation object exists.
-func (a *Analyzer) Start(procs, clusters int) {
+// Attach implements core.Observer: the analyzer sizes itself for the
+// machine, before any synchronisation object exists, and keeps its
+// statistics, whose breakdowns delimit phases.
+func (a *Analyzer) Attach(as *memory.AddressSpace, _ coherence.MemoryModel, procs []stats.Proc) {
 	if a.started {
 		panic("critpath: Analyzer reused across runs; create one per run")
 	}
 	a.started = true
-	a.procs = procs
-	a.clusters = clusters
-	a.base = make([]stats.Breakdown, procs)
+	a.view = procs
+	a.procs = len(procs)
+	a.clusters = as.NumClusters()
+	a.base = make([]stats.Breakdown, a.procs)
 }
+
+// OnPhase registers fn to hear of every phase the analyzer closes at a
+// barrier release: its name and release time. core.NewMachine uses it
+// to mark phases on the telemetry timeline.
+func (a *Analyzer) OnPhase(fn func(name string, at Clock)) { a.onPhase = fn }
 
 // DefineSync announces a synchronisation object before any episode
 // references it.
-func (a *Analyzer) DefineSync(id int, kind Kind, name string, participants int) {
+func (a *Analyzer) DefineSync(id int, kind stats.SyncKind, name string, participants int) {
 	for len(a.syncs) <= id {
 		a.syncs = append(a.syncs, SyncObject{ID: len(a.syncs)})
 	}
 	a.syncs[id] = SyncObject{ID: id, Kind: kind, Name: name, Participants: participants}
 	switch kind {
-	case KindBarrier:
+	case stats.SyncBarrier:
 		a.barriers[id] = &barrierAccum{lastBy: make([]uint64, a.procs)}
-	case KindLock:
+	case stats.SyncLock:
 		a.locks[id] = &lockAccum{holder: -1}
 	}
 }
@@ -207,11 +199,63 @@ func (a *Analyzer) syncName(id int) string {
 	return fmt.Sprintf("sync%d", id)
 }
 
-// NoteReset rebaselines the analyzer at a statistics reset
-// (core.Machine.BeginMeasurement): phases and sync aggregates recorded
-// during initialization are discarded so the report covers exactly the
-// measured interval the Result covers.
-func (a *Analyzer) NoteReset(at Clock) {
+// Sync implements core.Observer. Only locks matter here: mirroring the
+// machine's holder and queue, an acquire is either taken at once or
+// queued, and a release either frees the lock or — when a waiter is
+// queued — opens the handoff its SyncWait completes.
+func (a *Analyzer) Sync(pe, id int, release bool, at Clock) {
+	if a.syncs[id].Kind != stats.SyncLock {
+		return
+	}
+	l := a.locks[id]
+	switch {
+	case release && l.queued > 0:
+		l.releaseAt = at
+	case release:
+		a.LockReleased(id, pe, at)
+	case l.holder < 0:
+		a.LockAcquired(id, pe, at)
+	default:
+		l.queued++
+		a.LockBlocked(id, pe, at, l.queued)
+	}
+}
+
+// SyncWait implements core.Observer. A barrier's waits arrive in
+// engine arrival order and the last participant's closes the episode
+// — a phase, when every processor takes part, snapshotted from the
+// machine's statistics once all the waits are charged. A lock's wait
+// is the handoff from the holder to the longest waiter.
+func (a *Analyzer) SyncWait(pe, id int, arrival, release Clock) {
+	switch s := a.syncs[id]; s.Kind {
+	case stats.SyncBarrier:
+		a.arrivals = append(a.arrivals, Arrival{PE: pe, At: arrival})
+		if len(a.arrivals) < s.Participants {
+			return
+		}
+		var breakdowns []stats.Breakdown
+		if s.Participants == a.procs {
+			breakdowns = make([]stats.Breakdown, a.procs)
+			for i := range breakdowns {
+				breakdowns[i] = a.view[i].Breakdown
+			}
+		}
+		if name := a.BarrierRelease(id, a.arrivals, release, breakdowns); name != "" && a.onPhase != nil {
+			a.onPhase(name, release)
+		}
+		a.arrivals = a.arrivals[:0]
+	case stats.SyncLock:
+		l := a.locks[id]
+		l.queued--
+		a.LockHandoff(id, l.holder, pe, arrival, l.releaseAt, release)
+	}
+}
+
+// Reset implements core.Observer, rebaselining the analyzer at a
+// statistics reset (core.Machine.BeginMeasurement): phases and sync
+// aggregates recorded during initialization are discarded so the
+// report covers exactly the measured interval the Result covers.
+func (a *Analyzer) Reset(_ int, at Clock) {
 	a.origin = at
 	a.phaseStart = 0
 	a.phases = nil
@@ -234,15 +278,9 @@ func (a *Analyzer) rel(at Clock) Clock { return at - a.origin }
 // last); release is the episode's release time. breakdowns, non-nil
 // only for machine-wide barriers, is each processor's cumulative
 // Breakdown at the release instant and closes the open phase. The
-// returned name is the closed phase's name ("" when no phase closed),
-// which the machine forwards to the telemetry timeline as a phase
-// marker.
+// returned name is the closed phase's name ("" when no phase closed).
 func (a *Analyzer) BarrierRelease(id int, arrivals []Arrival, release Clock, breakdowns []stats.Breakdown) string {
 	b := a.barriers[id]
-	if b == nil { // defensive: undeclared sync object
-		b = &barrierAccum{lastBy: make([]uint64, a.procs)}
-		a.barriers[id] = b
-	}
 	b.episodes++
 	last := arrivals[0]
 	var imbalance int64
@@ -286,20 +324,10 @@ func (a *Analyzer) BarrierRelease(id int, arrivals []Arrival, release Clock, bre
 	return name
 }
 
-// lock returns the accumulator for lock id.
-func (a *Analyzer) lock(id int) *lockAccum {
-	l := a.locks[id]
-	if l == nil { // defensive: undeclared sync object
-		l = &lockAccum{holder: -1}
-		a.locks[id] = l
-	}
-	return l
-}
-
 // LockAcquired records an uncontended acquire: pe took the free lock
 // at virtual time at.
 func (a *Analyzer) LockAcquired(id, pe int, at Clock) {
-	l := a.lock(id)
+	l := a.locks[id]
 	l.acquisitions++
 	l.holder = pe
 	l.holdStart = a.rel(at)
@@ -308,7 +336,7 @@ func (a *Analyzer) LockAcquired(id, pe int, at Clock) {
 // LockBlocked records a contended acquire: pe queued at virtual time
 // at behind depth waiters (itself included).
 func (a *Analyzer) LockBlocked(id, pe int, at Clock, depth int) {
-	l := a.lock(id)
+	l := a.locks[id]
 	l.contended++
 	if depth > l.maxQueue {
 		l.maxQueue = depth
@@ -320,7 +348,7 @@ func (a *Analyzer) LockBlocked(id, pe int, at Clock, depth int) {
 // having arrived at arrival — runs from grant. The waiter's whole wait
 // is attributed to from, the holder whose release finally granted it.
 func (a *Analyzer) LockHandoff(id, from, to int, arrival, releaseAt, grant Clock) {
-	l := a.lock(id)
+	l := a.locks[id]
 	a.closeHold(l, releaseAt)
 	wait := grant - arrival
 	l.waitCycles += wait
@@ -338,7 +366,7 @@ func (a *Analyzer) LockHandoff(id, from, to int, arrival, releaseAt, grant Clock
 
 // LockReleased records a release with an empty queue.
 func (a *Analyzer) LockReleased(id, pe int, at Clock) {
-	l := a.lock(id)
+	l := a.locks[id]
 	a.closeHold(l, at)
 	l.holder = -1
 }
@@ -352,10 +380,25 @@ func (a *Analyzer) closeHold(l *lockAccum, at Clock) {
 	}
 }
 
+// End implements core.Observer: clocks are the processors' final
+// virtual times, from which Finish gets the Result's origin-relative
+// values.
+func (a *Analyzer) End(clocks []Clock) {
+	finish := make([]Clock, len(clocks))
+	final := make([]stats.Breakdown, len(clocks))
+	var execTime Clock
+	for i, t := range clocks {
+		finish[i] = t - a.origin
+		execTime = max(execTime, finish[i])
+		final[i] = a.view[i].Breakdown
+	}
+	a.view = nil // the run is over; let go of the machine's statistics
+	a.Finish(execTime, finish, final)
+}
+
 // Finish closes the run: the trailing phase spans from the last
 // barrier boundary to each processor's completion. execTime, finish
-// and final are the Result's origin-relative values; core.Machine.Run
-// calls this once after the engine drains.
+// and final are the Result's origin-relative values.
 func (a *Analyzer) Finish(execTime Clock, finish []Clock, final []stats.Breakdown) {
 	if a.finished {
 		panic("critpath: Finish called twice")
@@ -396,3 +439,11 @@ func (a *Analyzer) Finish(execTime Clock, finish []Clock, final []stats.Breakdow
 		last: last, imbalance: imbalance, perPE: perPE,
 	})
 }
+
+// The analyzer works from synchronisation alone; it ignores the other
+// core.Observer events.
+func (a *Analyzer) Place(memory.Addr, uint64, int)                                  {}
+func (a *Analyzer) Ref(int, int, bool, memory.Addr, Clock, coherence.Access, Clock) {}
+func (a *Analyzer) Compute(int, Clock, Clock)                                       {}
+func (a *Analyzer) Invalidated(uint64, int, int, int, Clock)                        {}
+func (a *Analyzer) Evicted(uint64, int, Clock)                                      {}

@@ -5,17 +5,25 @@ import (
 	"strings"
 	"testing"
 
+	"clustersim/internal/memory"
 	"clustersim/internal/stats"
 )
+
+// attach sizes a for procs processors in clusters clusters, as a
+// machine attaching it would.
+func attach(a *Analyzer, procs, clusters int) {
+	as, _ := memory.New(4096, clusters)
+	a.Attach(as, nil, make([]stats.Proc, procs))
+}
 
 // driveAnalyzer replays a small hand-built run: 2 PEs, one barrier
 // closing two phases, one contended lock.
 func driveAnalyzer() *Analyzer {
 	a := New()
-	a.Start(2, 1)
-	a.DefineSync(0, KindBarrier, "main", 2)
-	a.DefineSync(1, KindLock, "tally", 0)
-	a.NoteReset(0)
+	attach(a, 2, 1)
+	a.DefineSync(0, stats.SyncBarrier, "main", 2)
+	a.DefineSync(1, stats.SyncLock, "tally", 0)
+	a.Reset(0, 0)
 
 	// Phase 1: PE0 computes 100, PE1 computes 60 then waits 40.
 	a.BarrierRelease(0,
@@ -151,9 +159,9 @@ func TestAnalyzerCriticalPath(t *testing.T) {
 // — the processor that actually performed the release.
 func TestLastArriverTieBreak(t *testing.T) {
 	a := New()
-	a.Start(3, 1)
-	a.DefineSync(0, KindBarrier, "b", 3)
-	a.NoteReset(0)
+	attach(a, 3, 1)
+	a.DefineSync(0, stats.SyncBarrier, "b", 3)
+	a.Reset(0, 0)
 	a.BarrierRelease(0,
 		[]Arrival{{PE: 2, At: 50}, {PE: 0, At: 50}, {PE: 1, At: 50}}, 50,
 		[]stats.Breakdown{{CPU: 50}, {CPU: 50}, {CPU: 50}})
@@ -164,15 +172,15 @@ func TestLastArriverTieBreak(t *testing.T) {
 	}
 }
 
-// NoteReset discards everything recorded during initialization.
+// Reset discards everything recorded during initialization.
 func TestNoteResetDiscardsPrefix(t *testing.T) {
 	a := New()
-	a.Start(2, 1)
-	a.DefineSync(0, KindBarrier, "b", 2)
+	attach(a, 2, 1)
+	a.DefineSync(0, stats.SyncBarrier, "b", 2)
 	a.BarrierRelease(0,
 		[]Arrival{{PE: 1, At: 10}, {PE: 0, At: 30}}, 30,
 		[]stats.Breakdown{{CPU: 30}, {CPU: 10, SyncWait: 20}})
-	a.NoteReset(30)
+	a.Reset(0, 30)
 	a.BarrierRelease(0,
 		[]Arrival{{PE: 0, At: 70}, {PE: 1, At: 80}}, 80,
 		[]stats.Breakdown{{CPU: 40, SyncWait: 10}, {CPU: 50}})
@@ -192,9 +200,9 @@ func TestNoteResetDiscardsPrefix(t *testing.T) {
 // Subset barriers record imbalance episodes but never cut phases.
 func TestSubsetBarrierIsNotAPhaseBoundary(t *testing.T) {
 	a := New()
-	a.Start(4, 1)
-	a.DefineSync(0, KindBarrier, "pair", 2)
-	a.NoteReset(0)
+	attach(a, 4, 1)
+	a.DefineSync(0, stats.SyncBarrier, "pair", 2)
+	a.Reset(0, 0)
 	if name := a.BarrierRelease(0, []Arrival{{PE: 0, At: 10}, {PE: 1, At: 20}}, 20, nil); name != "" {
 		t.Errorf("subset barrier closed phase %q", name)
 	}
@@ -243,17 +251,17 @@ func TestReportRoundTripAndRenderers(t *testing.T) {
 
 func TestAnalyzerReusePanics(t *testing.T) {
 	a := New()
-	a.Start(1, 1)
+	attach(a, 1, 1)
 	defer func() {
 		if recover() == nil {
-			t.Fatal("second Start did not panic")
+			t.Fatal("second Attach did not panic")
 		}
 	}()
-	a.Start(1, 1)
+	attach(a, 1, 1)
 }
 
 func TestKindString(t *testing.T) {
-	if KindBarrier.String() != "barrier" || KindLock.String() != "lock" || KindFlag.String() != "flag" {
+	if stats.SyncBarrier.String() != "barrier" || stats.SyncLock.String() != "lock" || stats.SyncFlag.String() != "flag" {
 		t.Error("kind names wrong")
 	}
 }

@@ -54,7 +54,8 @@ type Probe interface {
 // half of the perf monitor. EnterSched fires when the running goroutine
 // begins token-handoff machinery (heap maintenance, the channel send
 // and the goroutine switch it triggers); EnterApp fires when a PE
-// resumes application execution after receiving the token. Exactly one
+// resumes application execution after receiving the token. The first
+// EnterSched opens Run, before any processor goroutine starts. Exactly one
 // goroutine executes at a time, so calls arrive strictly ordered and
 // implementations need no locking. A nil timer costs one predictable
 // branch per handoff.
@@ -76,7 +77,7 @@ type PE struct {
 	state   runState
 	token   chan tokenMsg
 	heapIdx int
-	reason  string // why blocked, for deadlock reports
+	reason  fmt.Stringer // why blocked, formatted only for deadlock reports
 }
 
 // ID returns the processor number, in [0, NumPE).
@@ -125,14 +126,16 @@ func (pe *PE) Yield() {
 }
 
 // Block parks the processor until another processor calls Unblock on it.
-// The reason string appears in deadlock reports. Time accounting for the
-// wait is the caller's responsibility (see Unblock).
-func (pe *PE) Block(reason string) {
+// The reason is formatted only if a deadlock report names it, so a
+// synchronisation object can pass itself and parking costs no
+// formatting. Time accounting for the wait is the caller's
+// responsibility (see Unblock).
+func (pe *PE) Block(reason fmt.Stringer) {
 	pe.state = stateBlocked
 	pe.reason = reason
 	pe.sched.dispatchNext(pe)
 	pe.wait()
-	pe.reason = ""
+	pe.reason = nil
 }
 
 // Unblock resumes target, which must be blocked, setting its clock to at
@@ -226,6 +229,9 @@ func (s *Scheduler) labelOrDefault() string {
 // returns when every kernel has finished or the simulation has failed.
 // It returns the first error (kernel panic, deadlock, or Fail call).
 func (s *Scheduler) Run(kernel func(*PE)) error {
+	if s.timer != nil {
+		s.timer.EnterSched() // the run opens in scheduling work
+	}
 	var wg sync.WaitGroup
 	for _, pe := range s.pes {
 		pe.state = stateReady
@@ -252,9 +258,6 @@ func (s *Scheduler) Run(kernel func(*PE)) error {
 			kernel(pe)
 			s.finish(pe)
 		}(pe)
-	}
-	if s.timer != nil {
-		s.timer.EnterSched() // initial dispatch is scheduling work
 	}
 	first := s.heapPopMin()
 	first.state = stateRunning

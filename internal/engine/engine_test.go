@@ -11,6 +11,11 @@ import (
 	"testing/quick"
 )
 
+// reason is a fixed block reason for tests.
+type reason string
+
+func (r reason) String() string { return string(r) }
+
 func TestSinglePERunsToCompletion(t *testing.T) {
 	s := NewScheduler(1, 0)
 	err := s.Run(func(pe *PE) {
@@ -113,7 +118,7 @@ func TestBlockUnblock(t *testing.T) {
 	err := s.Run(func(pe *PE) {
 		if pe.ID() == 0 {
 			order = append(order, "block0")
-			pe.Block("waiting for PE 1")
+			pe.Block(reason("waiting for PE 1"))
 			order = append(order, "resumed0")
 			if pe.Now() != 500 {
 				t.Errorf("PE0 resumed at %d, want 500", pe.Now())
@@ -141,7 +146,7 @@ func TestUnblockNeverMovesClockBackward(t *testing.T) {
 		if pe.ID() == 0 {
 			pe.Advance(1000) // blocked PE already ahead of the release time
 			pe.Yield()
-			pe.Block("wait")
+			pe.Block(reason("wait"))
 			if pe.Now() != 1000 {
 				t.Errorf("clock moved backward to %d", pe.Now())
 			}
@@ -159,7 +164,7 @@ func TestUnblockNeverMovesClockBackward(t *testing.T) {
 func TestDeadlockDetected(t *testing.T) {
 	s := NewScheduler(3, 0)
 	err := s.Run(func(pe *PE) {
-		pe.Block(fmt.Sprintf("lock L%d", pe.ID()))
+		pe.Block(reason(fmt.Sprintf("lock L%d", pe.ID())))
 	})
 	if err == nil {
 		t.Fatal("expected deadlock error")
@@ -177,7 +182,7 @@ func TestPartialFinishThenDeadlock(t *testing.T) {
 		if pe.ID() == 0 {
 			return // finishes immediately
 		}
-		pe.Block("never released")
+		pe.Block(reason("never released"))
 	})
 	if err == nil || !strings.Contains(err.Error(), "deadlock") {
 		t.Fatalf("want deadlock error, got %v", err)
@@ -192,7 +197,7 @@ func TestKernelPanicPropagates(t *testing.T) {
 		}
 		pe.Advance(10)
 		pe.Yield()
-		pe.Block("will be aborted")
+		pe.Block(reason("will be aborted"))
 	})
 	if err == nil || !strings.Contains(err.Error(), "boom") {
 		t.Fatalf("want panic error, got %v", err)
@@ -215,7 +220,7 @@ func TestKernelPanicAnnotated(t *testing.T) {
 		if pe.ID() == 3 {
 			panic("boom")
 		}
-		pe.Block("will be aborted")
+		pe.Block(reason("will be aborted"))
 	})
 	if err == nil {
 		t.Fatal("want panic error")
@@ -244,7 +249,7 @@ func TestFailAborts(t *testing.T) {
 		if pe.ID() == 1 {
 			pe.Fail(sentinel)
 		}
-		pe.Block("parked")
+		pe.Block(reason("parked"))
 	})
 	if !errors.Is(err, sentinel) {
 		t.Fatalf("want sentinel error, got %v", err)

@@ -68,7 +68,7 @@ func TestProbeObservesBlockHandoffs(t *testing.T) {
 	err := s.Run(func(pe *PE) {
 		if pe.ID() == 0 {
 			pe.Advance(5)
-			pe.Block("waiting for P1")
+			pe.Block(reason("waiting for P1"))
 		} else {
 			pe.Advance(50)
 			pe.Yield()

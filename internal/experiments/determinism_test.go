@@ -8,8 +8,11 @@ import (
 	"clustersim/internal/apps"
 	"clustersim/internal/apps/registry"
 	"clustersim/internal/core"
+	"clustersim/internal/critpath"
+	"clustersim/internal/perf"
 	"clustersim/internal/profile"
 	"clustersim/internal/telemetry"
+	"clustersim/internal/trace"
 )
 
 // detConfig is the small clustered machine every registered application
@@ -25,19 +28,25 @@ func detConfig() core.Config {
 
 // TestCrossRunDeterminism replays every registered application twice
 // under an identical configuration and requires byte-identical JSON
-// results (every counter, finish time and region profile) and equal
-// config hashes — the simulator's bit-reproducibility guarantee, end to
-// end. A third run with the sanitizer attached must also be
-// byte-identical: the checker is read-only and must not perturb the
-// simulation it watches.
+// results (every counter and finish time) and equal config hashes —
+// the simulator's bit-reproducibility guarantee, end to end. A third
+// run attaches every observer at once — sanitizer, tracer, telemetry
+// with interval sampling, sharing profiler, critical-path analyzer and
+// performance monitor — and must also be byte-identical: observers are
+// read-only and must not perturb the simulation they watch. The
+// profile and critical-path reports of that run must in turn be
+// byte-identical to runs with each attached alone, so no observer's
+// output depends on which others share the machine.
 func TestCrossRunDeterminism(t *testing.T) {
 	for _, w := range registry.All() {
 		w := w
 		t.Run(w.Name, func(t *testing.T) {
-			run := func(sanitize bool) ([]byte, string) {
+			run := func(attach func(*core.Config)) ([]byte, string) {
 				t.Helper()
 				cfg := detConfig()
-				cfg.Sanitize = sanitize
+				if attach != nil {
+					attach(&cfg)
+				}
 				res, err := w.Run(cfg, apps.SizeTest)
 				if err != nil {
 					t.Fatal(err)
@@ -52,8 +61,8 @@ func TestCrossRunDeterminism(t *testing.T) {
 				}
 				return blob, hash
 			}
-			first, hash1 := run(false)
-			second, hash2 := run(false)
+			first, hash1 := run(nil)
+			second, hash2 := run(nil)
 			if hash1 != hash2 {
 				t.Errorf("config hash differs across runs: %s vs %s", hash1, hash2)
 			}
@@ -61,13 +70,48 @@ func TestCrossRunDeterminism(t *testing.T) {
 				t.Errorf("results differ across identical runs:\n run 1: %s\n run 2: %s",
 					diffHint(first, second), diffHint(second, first))
 			}
-			sanitized, hash3 := run(true)
+			prof, crit := profile.New(), critpath.New()
+			composed, hash3 := run(func(cfg *core.Config) {
+				cfg.Sanitize = true
+				cfg.Tracer = trace.NewCollector(cfg.Procs)
+				cfg.Telemetry = telemetry.New()
+				cfg.SampleEvery = 5000
+				cfg.Profile = prof
+				cfg.Critpath = crit
+				cfg.Perf = perf.New()
+			})
 			if hash3 != hash1 {
-				t.Errorf("Sanitize changed the config hash: %s vs %s", hash3, hash1)
+				t.Errorf("attaching every observer changed the config hash: %s vs %s", hash3, hash1)
 			}
-			if !bytes.Equal(first, sanitized) {
-				t.Errorf("sanitizer perturbed the run:\n plain:     %s\n sanitized: %s",
-					diffHint(first, sanitized), diffHint(sanitized, first))
+			if !bytes.Equal(first, composed) {
+				t.Errorf("observers perturbed the run:\n plain:    %s\n observed: %s",
+					diffHint(first, composed), diffHint(composed, first))
+			}
+			aloneProf, aloneCrit := profile.New(), critpath.New()
+			run(func(cfg *core.Config) { cfg.Profile = aloneProf })
+			run(func(cfg *core.Config) { cfg.Critpath = aloneCrit })
+			var got, want bytes.Buffer
+			if err := profile.WriteReport(&got, prof.Report(10)); err != nil {
+				t.Fatal(err)
+			}
+			if err := profile.WriteReport(&want, aloneProf.Report(10)); err != nil {
+				t.Fatal(err)
+			}
+			if !bytes.Equal(got.Bytes(), want.Bytes()) {
+				t.Errorf("profile report depends on the other observers:\n composed: %s\n alone:    %s",
+					diffHint(got.Bytes(), want.Bytes()), diffHint(want.Bytes(), got.Bytes()))
+			}
+			got.Reset()
+			want.Reset()
+			if err := critpath.WriteReport(&got, crit.Report(0)); err != nil {
+				t.Fatal(err)
+			}
+			if err := critpath.WriteReport(&want, aloneCrit.Report(0)); err != nil {
+				t.Fatal(err)
+			}
+			if !bytes.Equal(got.Bytes(), want.Bytes()) {
+				t.Errorf("critpath report depends on the other observers:\n composed: %s\n alone:    %s",
+					diffHint(got.Bytes(), want.Bytes()), diffHint(want.Bytes(), got.Bytes()))
 			}
 		})
 	}

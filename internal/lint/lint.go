@@ -41,8 +41,8 @@
 //	              silently change the hash contract or leak into Result
 //	              JSON.
 //	readonly    — observer packages (internal/telemetry, internal/profile,
-//	              internal/perf, internal/critpath) must not mutate core
-//	              simulation state: no assignments through pointers to
+//	              internal/perf, internal/critpath, internal/sanitizer)
+//	              must not mutate core simulation state: no assignments through pointers to
 //	              state-package types, and no calls to their mutating
 //	              (pointer-receiver, non-accessor) methods. Mutating
 //	              methods are computed by a fixed point over method
@@ -180,7 +180,7 @@ var simulationPackages = []string{
 // what makes "observed runs are byte-identical to unobserved ones" a
 // checkable contract rather than a convention.
 var observerPackages = []string{
-	"telemetry", "profile", "perf", "critpath", "obs", "obs/fleet",
+	"telemetry", "profile", "perf", "critpath", "sanitizer", "obs", "obs/fleet",
 }
 
 func pathInSet(path string, segs []string) bool {

@@ -191,7 +191,7 @@ func TestTreeClean(t *testing.T) {
 // finding. Every package in the observer set is seeded in turn, so a
 // package silently dropping out of the set fails the test.
 func TestSeededObserverMutation(t *testing.T) {
-	for _, pkg := range []string{"perf", "obs"} {
+	for _, pkg := range []string{"perf", "obs", "sanitizer"} {
 		t.Run(pkg, func(t *testing.T) {
 			root := t.TempDir()
 			if err := os.WriteFile(filepath.Join(root, "go.mod"), []byte("module clustersim\n\ngo 1.21\n"), 0o644); err != nil {
@@ -282,6 +282,7 @@ func TestIsObserverPackage(t *testing.T) {
 		"clustersim/internal/perf":          true,
 		"clustersim/internal/critpath":      true,
 		"clustersim/internal/critpath/sub":  true,
+		"clustersim/internal/sanitizer":     true,
 		"clustersim/internal/obs":           true,
 		"clustersim/internal/core":          false,
 		"clustersim/internal/telemetryfake": false,

@@ -45,15 +45,9 @@ var hostGaugeNames = []string{
 }
 
 // ReadHostGauges samples the current live-heap bytes and goroutine
-// count; the obs /status endpoint reports them as the host's live
-// health figures between the monitor's peak snapshots.
+// count through runtime/metrics: the monitor tracks their peaks, and
+// the obs /status endpoint reports them as live health figures.
 func ReadHostGauges() (heapBytes uint64, goroutines int) {
-	return readHostGauges()
-}
-
-// readHostGauges samples the current live-heap bytes and goroutine
-// count through runtime/metrics.
-func readHostGauges() (heapBytes uint64, goroutines int) {
 	samples := make([]metrics.Sample, len(hostGaugeNames))
 	for i, n := range hostGaugeNames {
 		samples[i].Name = n

@@ -5,11 +5,11 @@
 // (simulated cycles and engine events per wall second), and Go runtime
 // health (heap peak, GC pauses, goroutine count).
 //
-// A Monitor attaches to a core.Machine via Config.Perf. It is purely
-// observational: it never reads or writes simulated state, touches no
-// virtual clock, and is excluded from the config hash, so a monitored
-// run produces a Result byte-identical to an unmonitored one (pinned by
-// test across all nine applications).
+// A Monitor attaches to a core.Machine via Config.Perf as one of its
+// observers. It is purely observational: it never reads or writes
+// simulated state, touches no virtual clock, and is excluded from the
+// config hash, so a monitored run produces a Result byte-identical to
+// an unmonitored one (pinned by test across all nine applications).
 //
 // Phase attribution exploits the engine's token discipline: exactly one
 // goroutine executes at any instant, so a single global phase register
@@ -23,7 +23,12 @@ package perf
 
 import (
 	"runtime"
+	"slices"
 	"time"
+
+	"clustersim/internal/coherence"
+	"clustersim/internal/memory"
+	"clustersim/internal/stats"
 )
 
 // Phase classifies one span of the simulator's host execution.
@@ -94,8 +99,8 @@ type Monitor struct {
 func New() *Monitor { return &Monitor{} }
 
 // Start begins the run clock in PhaseSched (the engine dispatches the
-// first token before any kernel instruction runs). The machine calls it
-// at the top of Run.
+// first token before any kernel instruction runs). An attached monitor
+// starts on the engine's first EnterSched, at the top of its Run.
 func (m *Monitor) Start() {
 	if m == nil || m.running {
 		return
@@ -134,21 +139,72 @@ func (m *Monitor) Transition(p Phase) {
 }
 
 // EnterSched marks the start of engine token-handoff work. The engine
-// calls it through its Timer interface.
-func (m *Monitor) EnterSched() { m.Transition(PhaseSched) }
+// calls it through its Timer interface; its first call, at the top of
+// the engine's Run, opens the run clock unless Start already did.
+func (m *Monitor) EnterSched() {
+	if m != nil && m.base.IsZero() {
+		m.Start()
+	}
+	m.Transition(PhaseSched)
+}
 
 // EnterApp marks a processor resuming application execution (engine
 // Timer interface).
 func (m *Monitor) EnterApp() { m.Transition(PhaseApp) }
 
-// EnterCoherence marks entry into the memory-system model; the core
-// reference path brackets every system call with
+// EnterCoherence marks entry into the memory-system model; the system
+// Wrap returns brackets every Read and Write with
 // EnterCoherence/EnterApp.
 func (m *Monitor) EnterCoherence() { m.Transition(PhaseCoherence) }
 
+// Wrap returns sys with every Read and Write bracketed by the
+// coherence phase: exactly one EnterCoherence per memory-system call,
+// the count Report gives as Refs. core.NewMachine installs it when
+// Config.Perf is set, so an unmonitored machine's references never
+// pass through it.
+func (m *Monitor) Wrap(sys coherence.MemoryModel) coherence.MemoryModel {
+	return timedSystem{sys, m}
+}
+
+type timedSystem struct {
+	coherence.MemoryModel
+	m *Monitor
+}
+
+func (t timedSystem) Read(proc, cluster int, addr memory.Addr, now int64) coherence.Access {
+	t.m.EnterCoherence()
+	acc := t.MemoryModel.Read(proc, cluster, addr, now)
+	t.m.EnterApp()
+	return acc
+}
+
+func (t timedSystem) Write(proc, cluster int, addr memory.Addr, now int64) coherence.Access {
+	t.m.EnterCoherence()
+	acc := t.MemoryModel.Write(proc, cluster, addr, now)
+	t.m.EnterApp()
+	return acc
+}
+
+// End implements core.Observer: the run's final virtual time stops the
+// clock.
+func (m *Monitor) End(clocks []int64) { m.Stop(slices.Max(clocks)) }
+
+// The monitor watches the host, not the simulation, so it ignores the
+// other core.Observer events.
+func (m *Monitor) Attach(*memory.AddressSpace, coherence.MemoryModel, []stats.Proc) {}
+func (m *Monitor) Place(memory.Addr, uint64, int)                                   {}
+func (m *Monitor) Ref(int, int, bool, memory.Addr, int64, coherence.Access, int64)  {}
+func (m *Monitor) Compute(int, int64, int64)                                        {}
+func (m *Monitor) DefineSync(int, stats.SyncKind, string, int)                      {}
+func (m *Monitor) Sync(int, int, bool, int64)                                       {}
+func (m *Monitor) SyncWait(int, int, int64, int64)                                  {}
+func (m *Monitor) Invalidated(uint64, int, int, int, int64)                         {}
+func (m *Monitor) Evicted(uint64, int, int64)                                       {}
+func (m *Monitor) Reset(int, int64)                                                 {}
+
 // sampleHost snapshots the runtime gauges whose peaks the report keeps.
 func (m *Monitor) sampleHost() {
-	heap, goroutines := readHostGauges()
+	heap, goroutines := ReadHostGauges()
 	if heap > m.heapPeak {
 		m.heapPeak = heap
 	}
@@ -158,8 +214,8 @@ func (m *Monitor) sampleHost() {
 }
 
 // Stop closes the run clock. simCycles is the run's final virtual time
-// (the simulated work accomplished); the machine passes the maximum
-// final processor clock. Stop is idempotent.
+// (the simulated work accomplished); End passes the maximum final
+// processor clock. Stop is idempotent.
 func (m *Monitor) Stop(simCycles int64) {
 	if m == nil || !m.running {
 		return
@@ -228,9 +284,3 @@ func (m *Monitor) Report() *Report {
 	}
 	return r
 }
-
-// PhaseNS returns the accumulated wall nanoseconds of one phase.
-func (m *Monitor) PhaseNS(p Phase) int64 { return m.phaseNS[p] }
-
-// Transitions returns how many times phase p was entered.
-func (m *Monitor) Transitions(p Phase) uint64 { return m.transitions[p] }

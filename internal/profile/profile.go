@@ -31,15 +31,14 @@
 // reported as true sharing — the simulator's references are word-sized,
 // so the distinction cannot arise from the apps' access streams.
 //
-// Everything is called from the goroutine holding the engine's
-// execution token, so the collector is lock-free; a nil *Collector
-// disables every hook at the cost of one branch, exactly like the
-// telemetry collector.
+// The Collector is a core.Observer, called from the goroutine holding
+// the engine's execution token, so it is lock-free.
 package profile
 
 import (
 	"clustersim/internal/coherence"
 	"clustersim/internal/memory"
+	"clustersim/internal/stats"
 )
 
 // Clock counts simulated cycles (mirrors engine.Clock; both are int64).
@@ -211,20 +210,20 @@ type Collector struct {
 // New creates an empty collector.
 func New() *Collector { return &Collector{} }
 
-// Start sizes the collector for a machine; core.NewMachine calls it
-// before any simulated reference is issued.
-func (c *Collector) Start(as *memory.AddressSpace, clusters int, lineBytes uint64) {
+// Attach implements core.Observer: the collector sizes itself for the
+// machine before any simulated reference is issued.
+func (c *Collector) Attach(as *memory.AddressSpace, sys coherence.MemoryModel, _ []stats.Proc) {
 	if c.started {
 		panic("profile: Collector reused across runs; create one per run")
 	}
 	c.started = true
 	c.as = as
-	c.clusters = clusters
-	c.lineBytes = lineBytes
-	for 1<<c.lineShift < lineBytes {
+	c.clusters = as.NumClusters()
+	c.lineBytes = sys.LineBytes()
+	for 1<<c.lineShift < c.lineBytes {
 		c.lineShift++
 	}
-	c.wordsPerLine = int(lineBytes / WordBytes)
+	c.wordsPerLine = int(c.lineBytes / WordBytes)
 	if c.wordsPerLine < 1 {
 		c.wordsPerLine = 1
 	}
@@ -268,10 +267,11 @@ func (c *Collector) wordIndex(addr memory.Addr) int {
 	return int((addr / WordBytes) & c.wordMask)
 }
 
-// OnAccess records the outcome of one memory reference. stall is the
-// cycles the issuing processor actually stalled (0 for hits, hidden
-// writes, and store-buffered write misses).
-func (c *Collector) OnAccess(proc, cluster int, write bool, addr memory.Addr, acc coherence.Access, stall, now Clock) {
+// Ref implements core.Observer, recording the outcome of one memory
+// reference issued at now. stall is the cycles the issuing processor
+// actually stalled (0 for hits, hidden writes, and store-buffered
+// write misses).
+func (c *Collector) Ref(proc, cluster int, write bool, addr memory.Addr, now Clock, acc coherence.Access, stall Clock) {
 	num := addr >> c.lineShift
 	st := c.line(num, addr)
 	r := c.region(st.region)
@@ -352,11 +352,11 @@ func (c *Collector) Evicted(line uint64, cluster int, now Clock) {
 	}
 }
 
-// Reset zeroes every counter while keeping the presence and last-writer
-// state — caches stay warm across core.Machine.BeginMeasurement, so a
-// line fetched during initialization and kept must not look cold in the
-// measured phase.
-func (c *Collector) Reset() {
+// Reset implements core.Observer: every counter is zeroed while the
+// presence and last-writer state is kept — caches stay warm across
+// core.Machine.BeginMeasurement, so a line fetched during
+// initialization and kept must not look cold in the measured phase.
+func (c *Collector) Reset(int, Clock) {
 	for i := range c.regions {
 		c.regions[i] = regionAccum{}
 	}
@@ -368,3 +368,12 @@ func (c *Collector) Reset() {
 		st.pairs = nil
 	}
 }
+
+// The profiler attributes memory traffic only; it ignores the other
+// core.Observer events.
+func (c *Collector) Place(memory.Addr, uint64, int)              {}
+func (c *Collector) Compute(int, Clock, Clock)                   {}
+func (c *Collector) DefineSync(int, stats.SyncKind, string, int) {}
+func (c *Collector) Sync(int, int, bool, Clock)                  {}
+func (c *Collector) SyncWait(int, int, Clock, Clock)             {}
+func (c *Collector) End([]Clock)                                 {}

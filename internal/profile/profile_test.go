@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"testing"
 
+	"clustersim/internal/cache"
 	"clustersim/internal/coherence"
 	"clustersim/internal/memory"
 )
@@ -19,8 +20,19 @@ func newCollector(t *testing.T) (*Collector, memory.Addr, memory.Addr) {
 	a := as.Alloc(8000, "grid") // 8000 of 8192 reserved: leaves alignment padding
 	b := as.Alloc(4096, "histogram")
 	c := New()
-	c.Start(as, 2, 64)
+	attach(t, c, as)
 	return c, a, b
+}
+
+// attach sizes c for a two-cluster machine with 64-byte lines over as,
+// as the machine would.
+func attach(t *testing.T, c *Collector, as *memory.AddressSpace) {
+	t.Helper()
+	sys, err := coherence.NewSystem(as, 2, 0, 64, coherence.DefaultLatencies(), cache.LRU)
+	if err != nil {
+		t.Fatal(err)
+	}
+	c.Attach(as, sys, nil)
 }
 
 func readMiss(stall Clock) coherence.Access {
@@ -39,25 +51,25 @@ func TestMissClassification(t *testing.T) {
 	line := grid >> 6
 
 	// Cluster 0 reads word 0: cold.
-	c.OnAccess(0, 0, false, grid, readMiss(30), 30, 10)
+	c.Ref(0, 0, false, grid, 10, readMiss(30), 30)
 	// PE 4 (cluster 1) writes word 1 of the same line: cold for cluster
 	// 1, and the write stamps word 1's last writer.
-	c.OnAccess(4, 1, true, grid+8, writeMiss(), 0, 20)
+	c.Ref(4, 1, true, grid+8, 20, writeMiss(), 0)
 	c.Invalidated(line, 4, 1, 0, 20)
 
 	// Cluster 0 refetches word 0 — never written since the loss: false.
-	c.OnAccess(0, 0, false, grid, readMiss(30), 30, 30)
+	c.Ref(0, 0, false, grid, 30, readMiss(30), 30)
 
 	// Cluster 0's refetch made the line shared again, so cluster 1's
 	// next write is an upgrade; it invalidates cluster 0 once more.
 	// Refetching the word cluster 1 wrote: true sharing.
-	c.OnAccess(4, 1, true, grid+8, coherence.Access{Class: coherence.Upgrade}, 0, 40)
+	c.Ref(4, 1, true, grid+8, 40, coherence.Access{Class: coherence.Upgrade}, 0)
 	c.Invalidated(line, 4, 1, 0, 40)
-	c.OnAccess(0, 0, false, grid+8, readMiss(100), 100, 50)
+	c.Ref(0, 0, false, grid+8, 50, readMiss(100), 100)
 
 	// Eviction, then refetch: replacement.
 	c.Evicted(line, 0, 60)
-	c.OnAccess(0, 0, false, grid, readMiss(30), 30, 70)
+	c.Ref(0, 0, false, grid, 70, readMiss(30), 30)
 
 	r := c.Report(10)
 	if len(r.Regions) != 1 || r.Regions[0].Name != "grid" {
@@ -85,10 +97,10 @@ func TestMissClassification(t *testing.T) {
 func TestSameCycleWriteIsTrueSharing(t *testing.T) {
 	c, grid, _ := newCollector(t)
 	line := grid >> 6
-	c.OnAccess(0, 0, false, grid, readMiss(30), 30, 5)
-	c.OnAccess(4, 1, true, grid, writeMiss(), 0, 9)
+	c.Ref(0, 0, false, grid, 5, readMiss(30), 30)
+	c.Ref(4, 1, true, grid, 9, writeMiss(), 0)
 	c.Invalidated(line, 4, 1, 0, 9)
-	c.OnAccess(0, 0, false, grid, readMiss(30), 30, 12)
+	c.Ref(0, 0, false, grid, 12, readMiss(30), 30)
 	r := c.Report(0)
 	if m := r.Regions[0].Misses; m.TrueSharing != 1 || m.FalseSharing != 0 {
 		t.Errorf("misses = %+v, want 1 true-sharing refetch", m)
@@ -99,9 +111,9 @@ func TestSameCycleWriteIsTrueSharing(t *testing.T) {
 // home vs. inside the cluster.
 func TestPlacementAttribution(t *testing.T) {
 	c, grid, _ := newCollector(t)
-	c.OnAccess(0, 0, false, grid, readMiss(30), 30, 1)
-	c.OnAccess(0, 0, false, grid+64, coherence.Access{Class: coherence.ReadMiss, Hops: coherence.HopRemoteDirty, Stall: 150}, 150, 2)
-	c.OnAccess(0, 0, false, grid+128, coherence.Access{Class: coherence.ReadMiss, Hops: coherence.HopIntraCluster, Stall: 15}, 15, 3)
+	c.Ref(0, 0, false, grid, 1, readMiss(30), 30)
+	c.Ref(0, 0, false, grid+64, 2, coherence.Access{Class: coherence.ReadMiss, Hops: coherence.HopRemoteDirty, Stall: 150}, 150)
+	c.Ref(0, 0, false, grid+128, 3, coherence.Access{Class: coherence.ReadMiss, Hops: coherence.HopIntraCluster, Stall: 15}, 15)
 	reg := c.Report(0).Regions[0]
 	if reg.LocalHome != 1 || reg.RemoteHome != 1 || reg.IntraCluster != 1 {
 		t.Errorf("placement = local %d remote %d intra %d, want 1/1/1",
@@ -118,13 +130,13 @@ func TestPlacementAttribution(t *testing.T) {
 func TestResetKeepsWarmState(t *testing.T) {
 	c, grid, _ := newCollector(t)
 	line := grid >> 6
-	c.OnAccess(0, 0, false, grid, readMiss(30), 30, 1)
-	c.OnAccess(4, 1, true, grid+8, writeMiss(), 0, 2)
+	c.Ref(0, 0, false, grid, 1, readMiss(30), 30)
+	c.Ref(4, 1, true, grid+8, 2, writeMiss(), 0)
 	c.Invalidated(line, 4, 1, 0, 2)
 
-	c.Reset()
+	c.Reset(0, 0)
 
-	c.OnAccess(0, 0, false, grid+8, readMiss(100), 100, 10)
+	c.Ref(0, 0, false, grid+8, 10, readMiss(100), 100)
 	r := c.Report(0)
 	m := r.Regions[0].Misses
 	if m != (ClassCounts{TrueSharing: 1}) {
@@ -135,20 +147,51 @@ func TestResetKeepsWarmState(t *testing.T) {
 	}
 }
 
-// Accesses outside every named region land in the (unattributed) spill
-// bucket; regions never touched are omitted.
+// Every access is attributed to the named region containing it; one
+// outside every named region lands in the (unattributed) spill bucket,
+// and regions never touched are omitted.
 func TestSpillAndOmittedRegions(t *testing.T) {
-	c, grid, _ := newCollector(t)
-	_ = grid
-	as := c.as
-	pad := as.Regions()[0].End() // alignment padding past "grid"
-	if _, ok := as.RegionOf(pad); ok {
-		t.Fatalf("address %#x unexpectedly inside a region", pad)
+	type region struct {
+		name          string
+		reads, writes uint64
+		misses        uint64
 	}
-	c.OnAccess(0, 0, false, pad, readMiss(30), 30, 1)
-	r := c.Report(0)
-	if len(r.Regions) != 1 || r.Regions[0].Name != "(unattributed)" {
-		t.Fatalf("regions = %+v, want only the spill bucket", r.Regions)
+	for _, tc := range []struct {
+		name string
+		refs func(c *Collector, grid, hist memory.Addr)
+		want []region
+	}{
+		{"spill", func(c *Collector, _, _ memory.Addr) {
+			pad := c.as.Regions()[0].End() // alignment padding past "grid"
+			if _, ok := c.as.RegionOf(pad); ok {
+				t.Fatalf("address %#x unexpectedly inside a region", pad)
+			}
+			c.Ref(0, 0, false, pad, 1, readMiss(30), 30)
+		}, []region{{"(unattributed)", 1, 0, 1}}},
+		// A hot region read 32 times, every read a miss, and a cold one
+		// written once and never read.
+		{"hot and cold", func(c *Collector, hot, cold memory.Addr) {
+			for i := 0; i < 32; i++ {
+				c.Ref(0, 0, false, hot+uint64(i)*64, Clock(i), readMiss(30), 30)
+			}
+			c.Ref(4, 1, true, cold, 40, writeMiss(), 0)
+		}, []region{{"grid", 32, 0, 32}, {"histogram", 0, 1, 1}}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			c, grid, hist := newCollector(t)
+			tc.refs(c, grid, hist)
+			r := c.Report(0)
+			if len(r.Regions) != len(tc.want) {
+				t.Fatalf("regions = %+v, want %+v", r.Regions, tc.want)
+			}
+			for i, w := range tc.want {
+				got := r.Regions[i]
+				if got.Name != w.name || got.Reads != w.reads || got.Writes != w.writes || got.Misses.Total() != w.misses {
+					t.Errorf("region %d = %s: %d reads, %d writes, %d misses; want %+v",
+						i, got.Name, got.Reads, got.Writes, got.Misses.Total(), w)
+				}
+			}
+		})
 	}
 }
 
@@ -158,11 +201,11 @@ func TestReportRoundTripAndDeterminism(t *testing.T) {
 	build := func() *bytes.Buffer {
 		c, grid, hist := newCollector(t)
 		line := grid >> 6
-		c.OnAccess(0, 0, false, grid, readMiss(30), 30, 1)
-		c.OnAccess(4, 1, true, grid, writeMiss(), 0, 2)
+		c.Ref(0, 0, false, grid, 1, readMiss(30), 30)
+		c.Ref(4, 1, true, grid, 2, writeMiss(), 0)
 		c.Invalidated(line, 4, 1, 0, 2)
-		c.OnAccess(0, 0, false, grid, readMiss(100), 100, 3)
-		c.OnAccess(3, 0, false, hist, readMiss(30), 30, 4)
+		c.Ref(0, 0, false, grid, 3, readMiss(100), 100)
+		c.Ref(3, 0, false, hist, 4, readMiss(30), 30)
 		r := c.Report(4)
 		r.App, r.Size = "mp3d", "small"
 		var buf bytes.Buffer
@@ -207,7 +250,7 @@ func TestReportRoundTripAndDeterminism(t *testing.T) {
 // The manifest summary keeps the per-region class split.
 func TestSummary(t *testing.T) {
 	c, grid, _ := newCollector(t)
-	c.OnAccess(0, 0, false, grid, readMiss(30), 30, 1)
+	c.Ref(0, 0, false, grid, 1, readMiss(30), 30)
 	s := c.Report(0).Summary()
 	if s.ClassifiedMisses != 1 || len(s.Regions) != 1 || s.Regions[0].Misses.Cold != 1 {
 		t.Errorf("summary = %+v, want 1 cold miss in grid", s)
@@ -220,8 +263,8 @@ func TestStartPanicsOnReuse(t *testing.T) {
 	c, _, _ := newCollector(t)
 	defer func() {
 		if recover() == nil {
-			t.Error("second Start did not panic")
+			t.Error("second Attach did not panic")
 		}
 	}()
-	c.Start(c.as, 2, 64)
+	attach(t, c, c.as)
 }

@@ -20,10 +20,12 @@ package sanitizer
 
 import (
 	"fmt"
+	"slices"
 	"strings"
 
 	"clustersim/internal/coherence"
 	"clustersim/internal/memory"
+	"clustersim/internal/stats"
 )
 
 // Clock mirrors engine.Clock.
@@ -141,11 +143,11 @@ func (c *Checker) violate(err error) {
 	c.OnViolation(v)
 }
 
-// OnAccess records and validates one memory transaction: monotonicity of
-// the issue time, the touched line's directory/cache agreement when the
-// transaction changed protocol state, and periodically the whole
-// machine.
-func (c *Checker) OnAccess(proc, cluster int, write bool, addr memory.Addr, now Clock, acc coherence.Access) {
+// Ref implements core.Observer, recording and validating one memory
+// transaction: monotonicity of the issue time, the touched line's
+// directory/cache agreement when the transaction changed protocol
+// state, and periodically the whole machine.
+func (c *Checker) Ref(proc, cluster int, write bool, addr memory.Addr, now Clock, acc coherence.Access, _ Clock) {
 	c.ring[c.seq%ringCap] = Event{
 		Seq: c.seq, Proc: proc, Cluster: cluster,
 		Write: write, Addr: addr, Time: now, Class: acc.Class,
@@ -186,3 +188,18 @@ func (c *Checker) Final(now Clock) {
 		c.violate(err)
 	}
 }
+
+// End implements core.Observer with the final audit.
+func (c *Checker) End(clocks []Clock) { c.Final(slices.Max(clocks)) }
+
+// The checker validates memory transactions only; it ignores the
+// other core.Observer events.
+func (c *Checker) Attach(*memory.AddressSpace, coherence.MemoryModel, []stats.Proc) {}
+func (c *Checker) Place(memory.Addr, uint64, int)                                   {}
+func (c *Checker) Compute(int, Clock, Clock)                                        {}
+func (c *Checker) DefineSync(int, stats.SyncKind, string, int)                      {}
+func (c *Checker) Sync(int, int, bool, Clock)                                       {}
+func (c *Checker) SyncWait(int, int, Clock, Clock)                                  {}
+func (c *Checker) Invalidated(uint64, int, int, int, Clock)                         {}
+func (c *Checker) Evicted(uint64, int, Clock)                                       {}
+func (c *Checker) Reset(int, Clock)                                                 {}

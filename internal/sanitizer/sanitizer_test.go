@@ -111,8 +111,8 @@ func TestMonotonicityViolation(t *testing.T) {
 	c.OnViolation = func(v sanitizer.Violation) { got = append(got, v) }
 
 	acc := coherence.Access{Class: coherence.Hit} // Hit skips the line check
-	c.OnAccess(0, 0, false, base, 10, acc)
-	c.OnAccess(0, 0, false, base, 5, acc)
+	c.Ref(0, 0, false, base, 10, acc, 0)
+	c.Ref(0, 0, false, base, 5, acc, 0)
 	if len(got) != 2 {
 		t.Fatalf("expected per-PE and global violations, got %d: %v", len(got), got)
 	}
@@ -134,8 +134,8 @@ func TestGlobalMonotonicityAcrossPEs(t *testing.T) {
 		c := sanitizer.New(sys, 2, global)
 		n := 0
 		c.OnViolation = func(sanitizer.Violation) { n++ }
-		c.OnAccess(0, 0, false, base, 10, acc)
-		c.OnAccess(1, 1, false, base, 5, acc) // fine per-PE, backwards globally
+		c.Ref(0, 0, false, base, 10, acc, 0)
+		c.Ref(1, 1, false, base, 5, acc, 0) // fine per-PE, backwards globally
 		want := 0
 		if global {
 			want = 1
@@ -156,7 +156,7 @@ func TestDirectoryCorruption(t *testing.T) {
 	c.OnViolation = func(v sanitizer.Violation) { got = append(got, v) }
 
 	acc := sys.Read(0, 0, base, 1)
-	c.OnAccess(0, 0, false, base, 1, acc)
+	c.Ref(0, 0, false, base, 1, acc, 0)
 	if len(got) != 0 {
 		t.Fatalf("healthy read flagged: %v", got)
 	}
@@ -164,7 +164,7 @@ func TestDirectoryCorruption(t *testing.T) {
 	sys.Directory().AddSharer(sys.LineOf(base), 1)
 	acc2 := sys.Read(0, 0, base+8, 2) // same line: a merge, so force the class
 	acc2.Class = coherence.ReadMiss
-	c.OnAccess(0, 0, false, base+8, 2, acc2)
+	c.Ref(0, 0, false, base+8, 2, acc2, 0)
 	if len(got) != 1 {
 		t.Fatalf("stale sharer bit not caught: %d violations", len(got))
 	}
@@ -182,7 +182,7 @@ func TestFinalAudit(t *testing.T) {
 	c.OnViolation = func(sanitizer.Violation) { n++ }
 
 	acc := sys.Write(0, 0, base, 1)
-	c.OnAccess(0, 0, true, base, 1, acc)
+	c.Ref(0, 0, true, base, 1, acc, 0)
 	sys.Directory().AddSharer(sys.LineOf(base)+1, 1) // orphan directory entry
 	c.Final(10)
 	if n != 1 {
@@ -196,7 +196,7 @@ func TestDefaultPanics(t *testing.T) {
 	sys, base := newSystem(t)
 	c := sanitizer.New(sys, 1, true)
 	acc := coherence.Access{Class: coherence.Hit}
-	c.OnAccess(0, 0, false, base, 10, acc)
+	c.Ref(0, 0, false, base, 10, acc, 0)
 	defer func() {
 		r := recover()
 		if r == nil {
@@ -207,5 +207,5 @@ func TestDefaultPanics(t *testing.T) {
 			t.Errorf("panic message lacks replay dump: %v", r)
 		}
 	}()
-	c.OnAccess(0, 0, false, base, 5, acc)
+	c.Ref(0, 0, false, base, 5, acc, 0)
 }

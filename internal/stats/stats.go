@@ -5,7 +5,11 @@
 // already prefetched), and synchronization wait time.
 package stats
 
-import "clustersim/internal/coherence"
+import (
+	"fmt"
+
+	"clustersim/internal/coherence"
+)
 
 // Breakdown is one processor's execution-time decomposition, in cycles.
 type Breakdown struct {
@@ -40,6 +44,29 @@ func (b Breakdown) Minus(o Breakdown) Breakdown {
 		MergeStall: b.MergeStall - o.MergeStall,
 		SyncWait:   b.SyncWait - o.SyncWait,
 	}
+}
+
+// SyncKind classifies a synchronisation object. Waits on all three
+// kinds are charged alike to SyncWait; observers report them apart.
+type SyncKind uint8
+
+const (
+	SyncBarrier SyncKind = iota
+	SyncLock
+	SyncFlag
+)
+
+// String names the kind as reports print it.
+func (k SyncKind) String() string {
+	switch k {
+	case SyncBarrier:
+		return "barrier"
+	case SyncLock:
+		return "lock"
+	case SyncFlag:
+		return "flag"
+	}
+	return fmt.Sprintf("SyncKind(%d)", uint8(k))
 }
 
 // Counters tallies memory references by outcome.

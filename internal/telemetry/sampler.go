@@ -63,9 +63,30 @@ func (s Sample) Total() ClusterSample {
 	return t
 }
 
+// SetSampleEvery turns on interval sampling: per-cluster counter
+// deltas every `every` simulated cycles (0 leaves sampling off).
+// core.NewMachine passes Config.SampleEvery.
+func (c *Collector) SetSampleEvery(every Clock) {
+	c.every, c.next = every, every
+}
+
+// snapshot sums the machine's cumulative per-cluster counters at
+// simulated time at and hands them to Sample.
+func (c *Collector) snapshot(at Clock) {
+	cum := make([]ClusterSample, c.clusters)
+	per := len(c.view) / c.clusters
+	for pe := range c.view {
+		cum[pe/per].Refs = cum[pe/per].Refs.Plus(c.view[pe].Counters)
+	}
+	for cl := range cum {
+		cum[cl].Coh = c.sys.ClusterStats(cl)
+	}
+	c.Sample(at, cum)
+}
+
 // Sample snapshots the *cumulative* per-cluster counters at simulated
 // time at; the collector stores the delta against the previous
-// snapshot. The machine drives this on its Config.SampleEvery grid.
+// snapshot. The collector drives this on its SetSampleEvery grid.
 func (c *Collector) Sample(at Clock, cumulative []ClusterSample) {
 	s := Sample{At: at, Clusters: make([]ClusterSample, len(cumulative))}
 	for i, cur := range cumulative {
@@ -86,10 +107,10 @@ func (c *Collector) Sample(at Clock, cumulative []ClusterSample) {
 	}
 }
 
-// NoteStatsReset tells the sampler the machine's counters were zeroed
-// (BeginMeasurement), so the next delta baselines at zero instead of
-// underflowing.
-func (c *Collector) NoteStatsReset(at Clock) {
+// Reset implements core.Observer: the machine's counters were zeroed
+// (BeginMeasurement), so the sampler's next delta baselines at zero
+// instead of underflowing, and the instant is marked.
+func (c *Collector) Reset(_ int, at Clock) {
 	for i := range c.prev {
 		c.prev[i] = ClusterSample{}
 	}

@@ -34,7 +34,7 @@ func TestSampleIntervalGuardsDegenerateRequests(t *testing.T) {
 // counters), in order, at the sample's simulated instant.
 func TestOnSampleObservesDeltas(t *testing.T) {
 	c := New()
-	c.Start(2, 2)
+	attach(c, 2, 2)
 	type seen struct {
 		at   Clock
 		refs uint64

@@ -1,5 +1,5 @@
 // Package telemetry is the simulator's observability layer. A Collector
-// attached to a core.Machine (via Config.Telemetry) receives typed
+// attached to a core.Machine (via Config.Telemetry) observes typed
 // events from every layer of the stack — per-processor execution-state
 // slices, coherence outcomes, synchronisation episodes, and the
 // engine's own scheduling metrics — and an interval sampler snapshots
@@ -15,16 +15,18 @@
 // over virtual time instead of summed at end of run, so phase behaviour
 // (a transpose, a tree build, a barrier convoy) is visible directly.
 //
-// Everything here is called from the goroutine holding the engine's
-// execution token, so the collector is deliberately lock-free; a nil
-// *Collector disables every hook at the cost of one branch.
+// The Collector is a core.Observer, called from the goroutine holding
+// the engine's execution token, so it is deliberately lock-free.
 package telemetry
 
 import (
 	"fmt"
 	"io"
+	"slices"
 
 	"clustersim/internal/coherence"
+	"clustersim/internal/memory"
+	"clustersim/internal/stats"
 )
 
 // Clock counts simulated cycles (mirrors engine.Clock without importing
@@ -74,32 +76,10 @@ type Slice struct {
 	Dur   Clock
 }
 
-// SyncKind classifies a synchronisation object.
-type SyncKind uint8
-
-const (
-	SyncBarrier SyncKind = iota
-	SyncLock
-	SyncFlag
-)
-
-// String names the sync kind.
-func (k SyncKind) String() string {
-	switch k {
-	case SyncBarrier:
-		return "barrier"
-	case SyncLock:
-		return "lock"
-	case SyncFlag:
-		return "flag"
-	}
-	return fmt.Sprintf("SyncKind(%d)", uint8(k))
-}
-
 // SyncObject describes one barrier, lock or flag.
 type SyncObject struct {
 	ID           int
-	Kind         SyncKind
+	Kind         stats.SyncKind
 	Name         string
 	Participants int // barrier width; 0 for locks and flags
 }
@@ -166,10 +146,15 @@ func (t *peTrack) flush() {
 
 // Collector gathers one run's telemetry. Create one per run with New,
 // hand it to the machine via Config.Telemetry, and export after Run
-// returns. It implements engine.Probe.
+// returns. It implements core.Observer and engine.Probe.
 type Collector struct {
 	pes      []peTrack
 	clusters int
+
+	// The machine's memory system and live per-processor statistics,
+	// read (never written) by the interval sampler.
+	sys  coherence.MemoryModel
+	view []stats.Proc
 
 	syncs    []SyncObject
 	episodes []SyncEpisode
@@ -181,8 +166,9 @@ type Collector struct {
 	sched SchedMetrics
 
 	// interval sampler state (see sampler.go)
-	samples []Sample
-	prev    []ClusterSample // cumulative snapshot at the previous sample
+	every, next Clock // sampling period and next deadline; 0 = off
+	samples     []Sample
+	prev        []ClusterSample // cumulative snapshot at the previous sample
 
 	progress io.Writer
 	label    string
@@ -215,16 +201,18 @@ func (c *Collector) SetOnSample(fn func(at Clock, total ClusterSample)) {
 	c.onSample = fn
 }
 
-// Start sizes the collector for a machine; core.NewMachine calls it.
-func (c *Collector) Start(procs, clusters int) {
+// Attach implements core.Observer: it sizes the collector for the
+// machine and keeps what the interval sampler reads.
+func (c *Collector) Attach(as *memory.AddressSpace, sys coherence.MemoryModel, procs []stats.Proc) {
 	if c.started {
 		panic("telemetry: Collector reused across runs; create one per run")
 	}
 	c.started = true
-	c.pes = make([]peTrack, procs)
-	c.clusters = clusters
-	c.missCounts = make([][int(coherence.WriteMerge) + 1][int(coherence.HopIntraCluster) + 1]uint64, clusters)
-	c.prev = make([]ClusterSample, clusters)
+	c.sys, c.view = sys, procs
+	c.pes = make([]peTrack, len(procs))
+	c.clusters = as.NumClusters()
+	c.missCounts = make([][int(coherence.WriteMerge) + 1][int(coherence.HopIntraCluster) + 1]uint64, c.clusters)
+	c.prev = make([]ClusterSample, c.clusters)
 }
 
 // Slice records dur cycles of processor pe in the given state starting
@@ -236,7 +224,7 @@ func (c *Collector) Slice(pe int, kind SliceKind, start, dur Clock) {
 
 // DefineSync announces a synchronisation object before any episode
 // references it.
-func (c *Collector) DefineSync(id int, kind SyncKind, name string, participants int) {
+func (c *Collector) DefineSync(id int, kind stats.SyncKind, name string, participants int) {
 	c.syncs = append(c.syncs, SyncObject{ID: id, Kind: kind, Name: name, Participants: participants})
 }
 
@@ -259,9 +247,56 @@ func (c *Collector) MarkInstant(name string, at Clock) {
 	c.marks = append(c.marks, Mark{Name: name, At: at})
 }
 
-// ClosePE flushes processor pe's open slice; the machine calls it once
-// per processor when the run completes.
+// ClosePE flushes processor pe's open slice; End calls it once per
+// processor when the run completes.
 func (c *Collector) ClosePE(pe int) { c.pes[pe].flush() }
+
+// Ref implements core.Observer: the issue cycle and the stall span go
+// on pe's track, a miss-class outcome is tallied for its cluster, and
+// the interval sampler fires once the clock crosses its next deadline.
+func (c *Collector) Ref(pe, cluster int, _ bool, _ memory.Addr, issue Clock, acc coherence.Access, stall Clock) {
+	c.Slice(pe, SliceCompute, issue, 1)
+	if stall > 0 {
+		kind := SliceLoadStall
+		if acc.Class == coherence.MergeMiss {
+			kind = SliceMergeStall
+		}
+		c.Slice(pe, kind, issue+1, stall)
+	}
+	if acc.Class != coherence.Hit {
+		c.Coherence(cluster, acc.Class, acc.Hops, issue)
+	}
+	if now := issue + 1 + stall; c.next > 0 && now >= c.next {
+		c.snapshot(now)
+		for c.next <= now {
+			c.next += c.every
+		}
+	}
+}
+
+// Compute implements core.Observer.
+func (c *Collector) Compute(pe int, start, cycles Clock) { c.Slice(pe, SliceCompute, start, cycles) }
+
+// End implements core.Observer: every track is closed and, when
+// sampling, the final partial interval is snapshotted. The collector
+// then lets go of the machine, which a kept Result's Config would
+// otherwise hold alive through it.
+func (c *Collector) End(clocks []Clock) {
+	for pe := range c.pes {
+		c.ClosePE(pe)
+	}
+	if c.every > 0 {
+		c.snapshot(slices.Max(clocks))
+	}
+	c.sys, c.view = nil, nil
+}
+
+// The timeline needs no placements, sync entries or copy losses; the
+// collector ignores these core.Observer events.
+func (c *Collector) Place(memory.Addr, uint64, int)           {}
+func (c *Collector) Sync(int, int, bool, Clock)               {}
+func (c *Collector) Invalidated(uint64, int, int, int, Clock) {}
+func (c *Collector) Evicted(uint64, int, Clock)               {}
 
 // Handoff implements engine.Probe.
 func (c *Collector) Handoff(from, to int, fromTime, toTime Clock, readyDepth int) {

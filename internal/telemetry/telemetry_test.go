@@ -7,12 +7,20 @@ import (
 	"testing"
 
 	"clustersim/internal/coherence"
+	"clustersim/internal/memory"
 	"clustersim/internal/stats"
 )
 
+// attach sizes c for procs processors in clusters clusters, as a
+// machine attaching it would.
+func attach(c *Collector, procs, clusters int) {
+	as, _ := memory.New(4096, clusters)
+	c.Attach(as, nil, make([]stats.Proc, procs))
+}
+
 func TestSliceCoalescing(t *testing.T) {
 	c := New()
-	c.Start(1, 1)
+	attach(c, 1, 1)
 	c.Slice(0, SliceCompute, 0, 10)
 	c.Slice(0, SliceCompute, 10, 5) // adjacent same kind: coalesces
 	c.Slice(0, SliceLoadStall, 15, 30)
@@ -44,18 +52,18 @@ func TestSliceCoalescing(t *testing.T) {
 
 func TestCollectorRejectsReuse(t *testing.T) {
 	c := New()
-	c.Start(1, 1)
+	attach(c, 1, 1)
 	defer func() {
 		if recover() == nil {
-			t.Fatal("second Start should panic")
+			t.Fatal("second Attach should panic")
 		}
 	}()
-	c.Start(1, 1)
+	attach(c, 1, 1)
 }
 
 func TestSamplerDeltas(t *testing.T) {
 	c := New()
-	c.Start(2, 1)
+	attach(c, 2, 1)
 	cum := func(reads, inval uint64) []ClusterSample {
 		return []ClusterSample{{
 			Refs: stats.Counters{Reads: reads, ReadMisses: reads / 10},
@@ -78,7 +86,7 @@ func TestSamplerDeltas(t *testing.T) {
 
 	// A stats reset rebaselines the next delta at zero instead of
 	// underflowing the unsigned counters.
-	c.NoteStatsReset(200)
+	c.Reset(0, 200)
 	c.Sample(300, cum(10, 1))
 	s = c.Samples()
 	if got := s[2].Clusters[0].Refs.Reads; got != 10 {
@@ -91,7 +99,7 @@ func TestSamplerDeltas(t *testing.T) {
 
 func TestHandoffMetrics(t *testing.T) {
 	c := New()
-	c.Start(2, 1)
+	attach(c, 2, 1)
 	c.Handoff(-1, 0, 0, 0, 1)
 	c.Handoff(0, 1, 25, 10, 3)
 	c.Handoff(1, 0, 12, 12, 2)
@@ -107,8 +115,8 @@ func TestHandoffMetrics(t *testing.T) {
 // buildCollector fabricates a small finished collection.
 func buildCollector() *Collector {
 	c := New()
-	c.Start(2, 1)
-	c.DefineSync(0, SyncBarrier, "main", 2)
+	attach(c, 2, 1)
+	c.DefineSync(0, stats.SyncBarrier, "main", 2)
 	c.Slice(0, SliceCompute, 0, 100)
 	c.Slice(0, SliceLoadStall, 100, 50)
 	c.Slice(1, SliceCompute, 0, 120)

@@ -1,4 +1,4 @@
-package trace
+package trace_test
 
 import (
 	"bytes"
@@ -6,26 +6,45 @@ import (
 	"testing"
 	"testing/quick"
 
+	"clustersim/internal/apps"
+	"clustersim/internal/apps/registry"
 	"clustersim/internal/core"
+	"clustersim/internal/trace"
 )
 
 // record runs a small synthetic workload under a collector.
-func record(t *testing.T, procs, clusterSize int) *Trace {
+func record(t *testing.T, procs, clusterSize int) *trace.Trace {
 	t.Helper()
 	cfg := core.DefaultConfig()
 	cfg.Procs = procs
 	cfg.ClusterSize = clusterSize
-	c := NewCollector(procs)
+	c := trace.NewCollector(procs)
 	cfg.Tracer = c
+	synthetic(t, cfg)
+	return c.Finish()
+}
+
+// synthetic runs a small workload exercising every traced operation:
+// references, compute, a placement, a barrier, a lock and a flag, with
+// the measured phase starting after initialization.
+func synthetic(t *testing.T, cfg core.Config) *core.Result {
+	t.Helper()
 	m, err := core.NewMachine(cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
 	data := m.Alloc(1<<14, "data")
+	m.Place(data, 4096, cfg.Procs-1)
 	bar := m.NewBarrier()
 	lock := m.NewLock("l")
 	flag := m.NewFlag("f")
-	_, err = m.Run(func(p *core.Proc) {
+	res, err := m.Run(func(p *core.Proc) {
+		p.Write(data + uint64(p.ID())*64)
+		bar.Wait(p)
+		if p.ID() == 0 {
+			m.BeginMeasurement(p)
+		}
+		bar.Wait(p)
 		for i := 0; i < 40; i++ {
 			off := uint64((p.ID()*101+i*7)%256) * 64
 			if i%5 == 0 {
@@ -49,7 +68,7 @@ func record(t *testing.T, procs, clusterSize int) *Trace {
 	if err != nil {
 		t.Fatal(err)
 	}
-	return c.Finish()
+	return res
 }
 
 func TestCollectorCaptures(t *testing.T) {
@@ -63,28 +82,34 @@ func TestCollectorCaptures(t *testing.T) {
 	if len(tr.Syncs) != 3 {
 		t.Fatalf("syncs = %+v", tr.Syncs)
 	}
-	kinds := map[core.EventKind]int{}
+	kinds := map[trace.EventKind]int{}
 	for _, ev := range tr.Events {
 		kinds[ev.Kind]++
 	}
-	if kinds[core.EvRead] != 4*32+0 { // 32 reads per proc in the loop
-		t.Errorf("reads = %d", kinds[core.EvRead])
+	if kinds[trace.EvRead] != 4*32+0 { // 32 reads per proc in the loop
+		t.Errorf("reads = %d", kinds[trace.EvRead])
 	}
-	if kinds[core.EvBarrier] != 8 || kinds[core.EvAcquire] != 4 || kinds[core.EvRelease] != 4 {
+	if kinds[trace.EvBarrier] != 4*4 || kinds[trace.EvAcquire] != 4 || kinds[trace.EvRelease] != 4 {
 		t.Errorf("sync events = %v", kinds)
 	}
-	if kinds[core.EvFlagSet] != 1 || kinds[core.EvFlagWait] != 3 {
+	if kinds[trace.EvFlagSet] != 1 || kinds[trace.EvFlagWait] != 3 {
 		t.Errorf("flag events = %v", kinds)
+	}
+	if kinds[trace.EvBegin] != 1 {
+		t.Errorf("measurement starts = %d, want 1", kinds[trace.EvBegin])
+	}
+	if len(tr.Placements) != 1 || tr.Placements[0] != (trace.Placement{Base: 4096, Size: 4096, Proc: 3}) {
+		t.Errorf("placements = %+v", tr.Placements)
 	}
 }
 
 func TestSerializationRoundTrip(t *testing.T) {
 	tr := record(t, 4, 2)
 	var buf bytes.Buffer
-	if err := Write(&buf, tr); err != nil {
+	if err := trace.Write(&buf, tr); err != nil {
 		t.Fatal(err)
 	}
-	got, err := Read(&buf)
+	got, err := trace.Read(&buf)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -102,40 +127,83 @@ func TestSerializationRoundTrip(t *testing.T) {
 			t.Fatalf("region %d mismatch", i)
 		}
 	}
+	if len(got.Placements) != 1 || got.Placements[0] != tr.Placements[0] {
+		t.Fatalf("placements %+v, want %+v", got.Placements, tr.Placements)
+	}
+	for i := range tr.Syncs {
+		if got.Syncs[i] != tr.Syncs[i] {
+			t.Fatalf("sync %d: %+v != %+v", i, got.Syncs[i], tr.Syncs[i])
+		}
+	}
 }
 
 func TestReadRejectsGarbage(t *testing.T) {
-	if _, err := Read(strings.NewReader("not a trace")); err == nil {
+	if _, err := trace.Read(strings.NewReader("not a trace")); err == nil {
 		t.Fatal("want bad-magic error")
 	}
-	if _, err := Read(strings.NewReader("")); err == nil {
+	// A version-1 trace lacks placement and measured-phase records.
+	if _, err := trace.Read(strings.NewReader("CSTR\x01\x04\x00\x00\x00")); err == nil ||
+		!strings.Contains(err.Error(), "format version 1") {
+		t.Fatalf("version-1 trace: got %v, want a format-version error", err)
+	}
+	if _, err := trace.Read(strings.NewReader("")); err == nil {
 		t.Fatal("want EOF error")
 	}
 }
 
+// TestReplayMatchesOriginalConfig: replayed at the configuration it was
+// recorded on, a trace reproduces the run exactly — execution time,
+// every processor's statistics and every cluster's protocol counters —
+// for the synthetic workload and for every registered application.
+// That needs the recorded placements and the start of the measured
+// phase, not just the references.
 func TestReplayMatchesOriginalConfig(t *testing.T) {
-	// Replaying a trace through the same configuration must visit the
-	// same references, hence produce identical reference counts.
-	cfg := core.DefaultConfig()
-	cfg.Procs = 4
-	cfg.ClusterSize = 2
-	tr := record(t, 4, 2)
-	res, err := Replay(cfg, tr)
-	if err != nil {
-		t.Fatal(err)
-	}
-	agg := res.Aggregate()
-	var reads, writes uint64
-	for _, ev := range tr.Events {
-		switch ev.Kind {
-		case core.EvRead:
-			reads++
-		case core.EvWrite:
-			writes++
+	check := func(t *testing.T, cfg core.Config, run func(core.Config) (*core.Result, error)) {
+		t.Helper()
+		col := trace.NewCollector(cfg.Procs)
+		cfg.Tracer = col
+		orig, err := run(cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		cfg.Tracer = nil
+		res, err := trace.Replay(cfg, col.Finish())
+		if err != nil {
+			t.Fatal(err)
+		}
+		if res.ExecTime != orig.ExecTime {
+			t.Errorf("replay exec time %d, recorded run %d", res.ExecTime, orig.ExecTime)
+		}
+		for i := range orig.Procs {
+			if res.Procs[i] != orig.Procs[i] {
+				t.Errorf("P%d: replay %+v\n recorded %+v", i, res.Procs[i], orig.Procs[i])
+			}
+		}
+		for c := range orig.Clusters {
+			if res.Clusters[c] != orig.Clusters[c] {
+				t.Errorf("cluster %d: replay %+v\n recorded %+v", c, res.Clusters[c], orig.Clusters[c])
+			}
 		}
 	}
-	if agg.Reads != reads || agg.Writes != writes {
-		t.Fatalf("replay refs %d/%d, trace has %d/%d", agg.Reads, agg.Writes, reads, writes)
+	t.Run("synthetic", func(t *testing.T) {
+		cfg := core.DefaultConfig()
+		cfg.Procs = 4
+		cfg.ClusterSize = 2
+		check(t, cfg, func(cfg core.Config) (*core.Result, error) {
+			return synthetic(t, cfg), nil
+		})
+	})
+	for _, w := range registry.All() {
+		w := w
+		t.Run(w.Name, func(t *testing.T) {
+			cfg := core.DefaultConfig()
+			cfg.Procs = 16
+			cfg.ClusterSize = 4
+			cfg.CacheKBPerProc = 4
+			check(t, cfg, func(cfg core.Config) (*core.Result, error) {
+				return w.Run(cfg, apps.SizeTest)
+			})
+		})
 	}
 }
 
@@ -149,7 +217,7 @@ func TestReplayAcrossConfigurations(t *testing.T) {
 			cfg.Procs = 4
 			cfg.ClusterSize = cs
 			cfg.CacheKBPerProc = kb
-			res, err := Replay(cfg, tr)
+			res, err := trace.Replay(cfg, tr)
 			if err != nil {
 				t.Fatalf("cluster=%d cache=%d: %v", cs, kb, err)
 			}
@@ -164,7 +232,7 @@ func TestReplayRejectsProcMismatch(t *testing.T) {
 	tr := record(t, 4, 1)
 	cfg := core.DefaultConfig()
 	cfg.Procs = 8
-	if _, err := Replay(cfg, tr); err == nil {
+	if _, err := trace.Replay(cfg, tr); err == nil {
 		t.Fatal("want processor-count mismatch error")
 	}
 }
@@ -174,11 +242,11 @@ func TestReplayDeterministic(t *testing.T) {
 	cfg := core.DefaultConfig()
 	cfg.Procs = 4
 	cfg.ClusterSize = 2
-	a, err := Replay(cfg, tr)
+	a, err := trace.Replay(cfg, tr)
 	if err != nil {
 		t.Fatal(err)
 	}
-	b, err := Replay(cfg, tr)
+	b, err := trace.Replay(cfg, tr)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -194,19 +262,19 @@ func TestRoundTripProperty(t *testing.T) {
 		Kind uint8
 		Arg  uint32
 	}) bool {
-		tr := &Trace{Procs: int(procsSeed%16) + 1}
+		tr := &trace.Trace{Procs: int(procsSeed%16) + 1}
 		for _, e := range events {
-			tr.Events = append(tr.Events, core.Event{
+			tr.Events = append(tr.Events, trace.Event{
 				Proc: int32(e.Proc),
-				Kind: core.EventKind(e.Kind % 8),
+				Kind: trace.EventKind(e.Kind % 8),
 				Arg:  uint64(e.Arg),
 			})
 		}
 		var buf bytes.Buffer
-		if err := Write(&buf, tr); err != nil {
+		if err := trace.Write(&buf, tr); err != nil {
 			return false
 		}
-		got, err := Read(&buf)
+		got, err := trace.Read(&buf)
 		if err != nil || got.Procs != tr.Procs || len(got.Events) != len(tr.Events) {
 			return false
 		}
