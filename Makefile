@@ -2,7 +2,7 @@
 
 GO ?= go
 
-.PHONY: all build vet lint simlint sarif sanitize-suite profile-suite profile-golden critpath-suite critpath-golden fault-suite resume-suite obs-suite fabric-suite fleet-suite test test-short race bench bench-go bench-gate bench-baseline experiments paper examples clean
+.PHONY: all build vet lint simlint sarif sanitize-suite profile-suite profile-golden critpath-suite critpath-golden fault-suite resume-suite obs-suite fabric-suite test test-short race bench bench-go bench-gate bench-baseline experiments paper examples clean
 
 all: build lint test
 
@@ -119,28 +119,35 @@ obs-suite: build
 	@echo "obs-suite: /metrics valid, /status done, run-event log renders"
 
 # Distributed-sweep fabric suite, two halves. First the hermetic chaos
-# matrix under the race detector: every fabric test runs on the
-# simulated network with seed-deterministic message drop, duplication,
-# delay, partitions and scripted worker crashes — including the
-# keystone proof that a distributed sweep under chaos renders tables
-# byte-identical to a local run. Then a real end-to-end smoke over
-# localhost TCP: a coordinator and two worker processes sweep table7,
-# the distributed tables are diffed against a plain local run, and the
-# coordinator's run-event log must carry the fabric lifecycle
-# (join/result/drain). The event log is left in $(FABRIC_OUT) for CI
-# to archive.
+# matrix under the race detector: every fabric and fleet-view test runs
+# on the simulated network with seed-deterministic message drop,
+# duplication, delay, partitions and scripted worker crashes —
+# including the keystone proofs that a distributed sweep under chaos
+# renders tables byte-identical to a local run and leaves every point
+# with exactly one terminal state in the coordinator's timeline. Then a
+# real end-to-end smoke over localhost TCP: a coordinator (-serve
+# -events -linger) and two worker processes sweep table7; worker w2 is
+# sent SIGINT once it is computing and must exit 3 after at most one
+# more point; the distributed tables are diffed against a plain local
+# run; the coordinator's event log must carry the fabric lifecycle and
+# render per point; and GET /fleet and /fleet/trace are scraped and
+# validated with tracetool, which also exports the Chrome trace. The
+# artifacts are left in $(FABRIC_OUT) for CI to archive.
 FABRIC_OUT ?= /tmp/clustersim-fabric
 FABRIC_PORT ?= 17600
+FABRIC_OBS ?= 127.0.0.1:19100
 fabric-suite: build
-	$(GO) test -race -run 'TestFabric|TestChaos|TestSimnet|TestWire|TestConn|TestCoordinator|TestDistributedSweepByteIdentical' \
-		./internal/fabric/ ./internal/experiments/
+	$(GO) test -race -run 'TestFabric|TestChaos|TestSimnet|TestWire|TestConn|TestCoordinator|TestDistributedSweepByteIdentical|TestFleet|TestView|TestLogMirror' \
+		./internal/fabric/ ./internal/obs/fleet/ ./internal/experiments/
 	@rm -rf $(FABRIC_OUT) && mkdir -p $(FABRIC_OUT)
 	$(GO) build -o $(FABRIC_OUT)/experiments ./cmd/experiments
+	$(GO) build -o $(FABRIC_OUT)/tracetool ./cmd/tracetool
 	$(FABRIC_OUT)/experiments -procs 16 -size test table7 > $(FABRIC_OUT)/local.txt
 	@$(FABRIC_OUT)/experiments -procs 16 -size test -state $(FABRIC_OUT)/coord \
-		-coordinator 127.0.0.1:$(FABRIC_PORT) \
-		-events $(FABRIC_OUT)/fabric.events.jsonl table7 \
+		-coordinator 127.0.0.1:$(FABRIC_PORT) -serve $(FABRIC_OBS) \
+		-events $(FABRIC_OUT)/fabric.events.jsonl -linger 30s table7 \
 		> $(FABRIC_OUT)/dist.txt 2> $(FABRIC_OUT)/coord.log & cpid=$$!; \
+	trap "kill $$cpid 2>/dev/null" EXIT; \
 	sleep 1; \
 	$(FABRIC_OUT)/experiments -procs 16 -size test -worker w1 \
 		-connect 127.0.0.1:$(FABRIC_PORT) -state $(FABRIC_OUT)/w1 \
@@ -148,81 +155,41 @@ fabric-suite: build
 	$(FABRIC_OUT)/experiments -procs 16 -size test -worker w2 \
 		-connect 127.0.0.1:$(FABRIC_PORT) -state $(FABRIC_OUT)/w2 \
 		> /dev/null 2> $(FABRIC_OUT)/w2.log & w2=$$!; \
-	wait $$cpid; code=$$?; \
-	wait $$w1 $$w2 2>/dev/null; \
-	if [ $$code -ne 0 ]; then \
-		echo "fabric-suite: coordinator exited $$code"; \
-		cat $(FABRIC_OUT)/coord.log; exit 1; fi
+	for i in $$(seq 1 500); do grep -q ': running ' $(FABRIC_OUT)/w2.log && break; sleep 0.02; done; \
+	ran=$$(grep -c ': running ' $(FABRIC_OUT)/w2.log); \
+	kill -INT $$w2; wait $$w2; w2code=$$?; \
+	wait $$w1; w1code=$$?; \
+	after=$$(grep -c ': running ' $(FABRIC_OUT)/w2.log); \
+	if [ $$w2code -ne 3 ] || [ $$after -gt $$((ran + 1)) ]; then \
+		echo "fabric-suite: SIGINT worker exited $$w2code after starting $$((after - ran)) more points (want 3, at most 1)"; \
+		cat $(FABRIC_OUT)/w2.log; exit 1; fi; \
+	if [ $$w1code -ne 0 ]; then \
+		echo "fabric-suite: worker w1 exited $$w1code"; \
+		cat $(FABRIC_OUT)/w1.log; exit 1; fi; \
+	state=; for i in $$(seq 1 150); do \
+		state=$$(curl -sf http://$(FABRIC_OBS)/status \
+			| sed -n 's/.*"state": "\([a-z]*\)".*/\1/p' | head -n 1); \
+		if [ "$$state" = "done" ] || [ "$$state" = "failed" ]; then break; fi; \
+		sleep 0.2; \
+	done; \
+	if [ "$$state" != "done" ]; then \
+		echo "fabric-suite: coordinator never reached done (state=$$state)"; \
+		cat $(FABRIC_OUT)/coord.log; exit 1; fi; \
+	curl -sf http://$(FABRIC_OBS)/fleet > $(FABRIC_OUT)/fleet.json; \
+	curl -sf "http://$(FABRIC_OBS)/fleet/trace?point=ocean-c4-inf" > $(FABRIC_OUT)/fleet.trace.json; \
+	kill $$cpid 2>/dev/null; wait $$cpid 2>/dev/null; true
 	diff -u $(FABRIC_OUT)/local.txt $(FABRIC_OUT)/dist.txt
 	grep -q '"kind":"fabric-result"' $(FABRIC_OUT)/fabric.events.jsonl
 	grep -q '"kind":"fabric-drain"' $(FABRIC_OUT)/fabric.events.jsonl
-	@echo "fabric-suite: chaos matrix race-clean; distributed tables byte-identical to local run"
-
-# Fleet observability suite, two halves. First the keystone chaos
-# proof under the race detector: the fleet view, span buffer, trace
-# IDs and metrics federation unit tests, plus the merged-timeline
-# completeness test — a chaotic distributed sweep (drops, duplicates,
-# delays, a worker crash with journal restart, and a network
-# partition) must leave every assigned point with exactly one terminal
-# state in the merged timeline and render tables byte-identical to a
-# local run. Then a real two-process TCP sweep with the fleet plane
-# mounted: a coordinator (-serve -events) and two workers (-serve,
-# their obs addresses advertised on Hello) sweep table7; GET /fleet,
-# /fleet/trace and /fleet/metrics are scraped during -linger and
-# validated with tracetool (fleet doc schema, per-point timeline,
-# federated exposition), the merged event log must carry worker-origin
-# spans, and the distributed tables are diffed against a plain local
-# run. Artifacts (fleet.json, the merged log, the Chrome export) are
-# left in $(FLEET_OUT) for CI to archive.
-FLEET_OUT ?= /tmp/clustersim-fleet
-FLEET_PORT ?= 17610
-FLEET_OBS ?= 127.0.0.1:19110
-fleet-suite: build
-	$(GO) test -race -run 'TestFleet|TestView|TestFederator|TestSpanBuffer|TestTraceID|TestLogMirror' \
-		./internal/obs/fleet/ ./internal/experiments/
-	@rm -rf $(FLEET_OUT) && mkdir -p $(FLEET_OUT)
-	$(GO) build -o $(FLEET_OUT)/experiments ./cmd/experiments
-	$(GO) build -o $(FLEET_OUT)/tracetool ./cmd/tracetool
-	$(FLEET_OUT)/experiments -procs 16 -size test table7 > $(FLEET_OUT)/local.txt
-	@$(FLEET_OUT)/experiments -procs 16 -size test -state $(FLEET_OUT)/coord \
-		-coordinator 127.0.0.1:$(FLEET_PORT) -serve $(FLEET_OBS) \
-		-events $(FLEET_OUT)/fleet.events.jsonl -linger 30s table7 \
-		> $(FLEET_OUT)/dist.txt 2> $(FLEET_OUT)/coord.log & cpid=$$!; \
-	trap "kill $$cpid 2>/dev/null" EXIT; \
-	sleep 1; \
-	$(FLEET_OUT)/experiments -procs 16 -size test -worker w1 \
-		-connect 127.0.0.1:$(FLEET_PORT) -state $(FLEET_OUT)/w1 -serve 127.0.0.1:19111 \
-		> /dev/null 2> $(FLEET_OUT)/w1.log & w1=$$!; \
-	$(FLEET_OUT)/experiments -procs 16 -size test -worker w2 \
-		-connect 127.0.0.1:$(FLEET_PORT) -state $(FLEET_OUT)/w2 -serve 127.0.0.1:19112 \
-		> /dev/null 2> $(FLEET_OUT)/w2.log & w2=$$!; \
-	wait $$w1 $$w2; wcode=$$?; \
-	if [ $$wcode -ne 0 ]; then \
-		echo "fleet-suite: worker exited $$wcode"; \
-		cat $(FLEET_OUT)/w1.log $(FLEET_OUT)/w2.log; exit 1; fi; \
-	ok=; for i in $$(seq 1 100); do \
-		if curl -sf http://$(FLEET_OBS)/fleet > $(FLEET_OUT)/fleet.json 2>/dev/null \
-			&& grep -q '"points": 8' $(FLEET_OUT)/fleet.json; then ok=1; break; fi; \
-		sleep 0.2; \
-	done; \
-	if [ -z "$$ok" ]; then \
-		echo "fleet-suite: /fleet never showed the full sweep"; \
-		cat $(FLEET_OUT)/fleet.json $(FLEET_OUT)/coord.log; exit 1; fi; \
-	curl -sf "http://$(FLEET_OBS)/fleet/trace?point=ocean-c4-inf" > $(FLEET_OUT)/fleet.trace.json; \
-	curl -sf http://$(FLEET_OBS)/fleet/metrics > $(FLEET_OUT)/fleet.metrics.txt; \
-	kill $$cpid 2>/dev/null; wait $$cpid 2>/dev/null; true
-	diff -u $(FLEET_OUT)/local.txt $(FLEET_OUT)/dist.txt
-	$(FLEET_OUT)/tracetool fleet $(FLEET_OUT)/fleet.json
-	grep -q '"schema": "clustersim/fleet/v1"' $(FLEET_OUT)/fleet.json
-	grep -q '"workers": 2' $(FLEET_OUT)/fleet.json
-	grep -q '"schema": "clustersim/fleettrace/v1"' $(FLEET_OUT)/fleet.trace.json
-	$(FLEET_OUT)/tracetool metrics $(FLEET_OUT)/fleet.metrics.txt
-	grep -q 'worker="w1"' $(FLEET_OUT)/fleet.metrics.txt
-	grep -q '"run":"worker-w1"' $(FLEET_OUT)/fleet.events.jsonl
-	$(FLEET_OUT)/tracetool fleet -timeline ocean-c4-inf $(FLEET_OUT)/fleet.events.jsonl > $(FLEET_OUT)/timeline.txt
-	test -s $(FLEET_OUT)/timeline.txt
-	$(FLEET_OUT)/tracetool fleet -chrome $(FLEET_OUT)/fleet.chrome.json $(FLEET_OUT)/fleet.events.jsonl
-	@echo "fleet-suite: merged timeline complete under chaos; /fleet, /fleet/trace and federated /metrics valid over real TCP"
+	$(FABRIC_OUT)/tracetool fleet $(FABRIC_OUT)/fleet.json
+	grep -q '"schema": "clustersim/fleet/v1"' $(FABRIC_OUT)/fleet.json
+	grep -q '"workers": 2' $(FABRIC_OUT)/fleet.json
+	grep -q '"points": 8' $(FABRIC_OUT)/fleet.json
+	grep -q '"schema": "clustersim/fleettrace/v1"' $(FABRIC_OUT)/fleet.trace.json
+	$(FABRIC_OUT)/tracetool events -point ocean-c4-inf $(FABRIC_OUT)/fabric.events.jsonl > $(FABRIC_OUT)/ocean-c4-inf.events.txt
+	test -s $(FABRIC_OUT)/ocean-c4-inf.events.txt
+	$(FABRIC_OUT)/tracetool fleet -chrome $(FABRIC_OUT)/fleet.chrome.json $(FABRIC_OUT)/fabric.events.jsonl
+	@echo "fabric-suite: chaos matrix race-clean; interrupted worker exited 3; distributed tables byte-identical to local run; /fleet and /fleet/trace valid over real TCP"
 
 profile-golden: build
 	@mkdir -p $(PROFILE_OUT)

@@ -41,7 +41,6 @@ import (
 	"fmt"
 	"os"
 	"strings"
-	"sync/atomic"
 	"time"
 
 	"clustersim/internal/apps"
@@ -214,41 +213,19 @@ func realMain() int {
 	// side: the sweep only observes the suite, so tables, Result JSON and
 	// config hashes are byte-identical with or without it.
 	runID := fmt.Sprintf("experiments-%d", os.Getpid())
-	var (
-		reg   *obs.Registry
-		evlog *obs.Log
-		sweep *obs.Sweep
-	)
-	if *eventsOut != "" {
-		l, err := obs.OpenLog(*eventsOut, runID)
-		if err != nil {
-			return usageError(err)
-		}
-		defer l.Close()
-		evlog = l
+	reg, evlog, sweep, err := obsPlane(runID, *serveAddr, *eventsOut)
+	if err != nil {
+		return usageError(err)
 	}
-	if *serveAddr != "" {
-		reg = obs.NewRegistry()
-		if evlog == nil {
-			// Memory-only tail so GET /events works without -events.
-			evlog = obs.NewLog(nil, runID)
-		}
-	}
-	if reg != nil || evlog != nil {
-		sweep = obs.NewSweep(runID, reg, evlog)
-		sweep.SetIdentity(strings.Join(what, " "), *procs, *size)
-		opt.Obs = sweep
-	}
-	// Fleet observability plane (coordinator role): mirror the merged
-	// event log into the aggregated fleet view and federate worker
-	// metrics, serving GET /fleet, /fleet/trace and /fleet/metrics.
-	var (
-		fleetView *fleet.View
-		fleetFed  *fleet.Federator
-	)
+	defer evlog.Close()
+	sweep.SetIdentity(strings.Join(what, " "), *procs, *size)
+	opt.Obs = sweep
+	// Fleet observability plane (coordinator role): mirror the event
+	// log — the fleet's one timeline — into the aggregated fleet view,
+	// serving GET /fleet and /fleet/trace.
+	var fleetView *fleet.View
 	if *coordAddr != "" && evlog != nil {
-		fleetFed = fleet.NewFederator()
-		fleetView = fleet.NewView(runID, fleetFed)
+		fleetView = fleet.NewView(runID)
 		evlog.SetMirror(fleetView.Observe)
 	}
 	if *serveAddr != "" {
@@ -285,7 +262,7 @@ func realMain() int {
 	// reported but not fatal: any point the fleet failed to deliver is
 	// simply simulated locally by the suite.
 	if *coordAddr != "" {
-		if err := distribute(*coordAddr, what, opt, *steal, reg, evlog, fleetView, fleetFed); err != nil {
+		if err := distribute(*coordAddr, what, opt, *steal, reg, evlog, fleetView); err != nil {
 			fmt.Fprintln(os.Stderr, "experiments: distributed sweep:", err)
 		}
 	}
@@ -367,7 +344,7 @@ func run(s *experiments.Suite, name string) error {
 // already holds, and fan the rest out across whatever fleet connects
 // (degrading to local execution if none does).
 func distribute(addr string, what []string, opt experiments.Options, steal bool,
-	reg *obs.Registry, evlog *obs.Log, view *fleet.View, fed *fleet.Federator) error {
+	reg *obs.Registry, evlog *obs.Log, view *fleet.View) error {
 	specs, err := experiments.PlanPoints(what, opt)
 	if err != nil {
 		return err
@@ -393,13 +370,6 @@ func distribute(addr string, what []string, opt experiments.Options, steal bool,
 		view.SetSource(coord.FleetWorkers)
 		view.SetTotal(len(todo))
 	}
-	if fed != nil {
-		// Scrape registered workers' /metrics for the federated view while
-		// the sweep runs; stops with the coordinator.
-		stopPoll := make(chan struct{})
-		defer close(stopPoll)
-		go fed.Poll(300*time.Millisecond, coord.ObsTargets, stopPoll) //simlint:allow goroutine
-	}
 	ln, err := fabric.Listen(addr)
 	if err != nil {
 		return err
@@ -413,78 +383,72 @@ func distribute(addr string, what []string, opt experiments.Options, steal bool,
 	return err
 }
 
-// runWorker is the fleet-member main loop: connect, serve assignments,
-// and redial with capped backoff when the coordinator is unreachable —
-// a worker that outlives a coordinator restart simply rejoins. Exit 0
-// on drain (sweep complete), 3 on operator interrupt.
-//
-// Every worker keeps a process-local event log whose point spans ship
-// to the coordinator's merged fleet timeline piggybacked on fabric
-// frames; -serve additionally exposes the worker's own /metrics,
-// /status and /events, and advertises that address on Hello so the
-// coordinator federates it. -events persists the local log as JSONL.
-func runWorker(id, addr string, opt experiments.Options, stop *experiments.SignalStop, serveAddr, eventsOut string) int {
-	runID := "worker-" + id
-	var evlog *obs.Log
+// obsPlane builds the live-observability plane behind -serve and
+// -events: a metrics registry with -serve, an event log with either
+// (memory-only without -events, so GET /events still works), and a
+// sweep over both. All three are nil when neither flag is set; every
+// consumer is nil-safe.
+func obsPlane(runID, serveAddr, eventsOut string) (*obs.Registry, *obs.Log, *obs.Sweep, error) {
+	var (
+		reg   *obs.Registry
+		evlog *obs.Log
+	)
 	if eventsOut != "" {
 		l, err := obs.OpenLog(eventsOut, runID)
 		if err != nil {
-			return usageError(err)
+			return nil, nil, nil, err
 		}
-		defer l.Close()
 		evlog = l
-	} else {
-		// Memory-only: the span source for the fleet timeline (and GET
-		// /events with -serve) without any file.
-		evlog = obs.NewLog(nil, runID)
 	}
-	var reg *obs.Registry
 	if serveAddr != "" {
 		reg = obs.NewRegistry()
+		if evlog == nil {
+			evlog = obs.NewLog(nil, runID)
+		}
 	}
-	sweep := obs.NewSweep(runID, reg, evlog)
+	if evlog == nil {
+		return nil, nil, nil, nil
+	}
+	return reg, evlog, obs.NewSweep(runID, reg, evlog), nil
+}
+
+// runWorker is the fleet-member main loop: connect, serve assignments,
+// and redial with capped backoff when the coordinator is unreachable —
+// a worker that outlives a coordinator restart simply rejoins. Exit 0
+// on drain (sweep complete), 3 on operator interrupt: the first
+// SIGINT/SIGTERM lets the point in flight finish and reach the
+// coordinator, then the worker asks for no more work and leaves.
+//
+// -serve exposes the worker's own /metrics, /status and /events, and
+// -events persists its run-event log as JSONL; without either the
+// worker keeps no event log. The fleet's timeline is the coordinator's.
+func runWorker(id, addr string, opt experiments.Options, stop *experiments.SignalStop, serveAddr, eventsOut string) int {
+	runID := "worker-" + id
+	reg, evlog, sweep, err := obsPlane(runID, serveAddr, eventsOut)
+	if err != nil {
+		return usageError(err)
+	}
+	defer evlog.Close()
 	sweep.SetIdentity("worker "+id, opt.Procs, opt.Size.String())
-	spans := fleet.NewSpanBuffer()
-	evlog.SetMirror(spans.Observe)
-	obsAddr := ""
 	if serveAddr != "" {
 		srv, err := obs.NewServer(reg, sweep, evlog).Start(serveAddr)
 		if err != nil {
 			return usageError(err)
 		}
 		defer srv.Shutdown(2 * time.Second)
-		obsAddr = srv.URL()
-		fmt.Fprintf(os.Stderr, "experiments: worker %s: observability endpoints on %s\n", id, obsAddr)
-	}
-	// Span shipment with overflow accounting: when the buffer's
-	// drop-oldest cap fired since the last drain, the batch carries a
-	// fabric-span-drop marker so the merged timeline admits its gap.
-	var dropsReported atomic.Uint64
-	spanSource := func(max int) []obs.Event {
-		batch := spans.Drain(max)
-		for {
-			d := spans.Dropped()
-			seen := dropsReported.Load()
-			if d <= seen {
-				return batch
-			}
-			if dropsReported.CompareAndSwap(seen, d) {
-				return append(batch, obs.Event{Kind: fabric.EventSpanDrop, Worker: id, Run: runID,
-					Detail: fmt.Sprintf("dropped=%d", d-seen)})
-			}
-		}
+		fmt.Fprintf(os.Stderr, "experiments: worker %s: observability endpoints on %s\n", id, srv.URL())
 	}
 	w := fabric.NewWorker(fabric.WorkerConfig{
 		ID:       id,
 		Run:      experiments.FabricRunner(opt.Journal, opt.PointTimeout, opt.Progress, sweep),
 		Progress: os.Stderr,
-		ObsAddr:  obsAddr,
-		Spans:    spanSource,
+		Stop:     stop.Stopped,
 	})
 	backoff := time.Second
 	attempt := 0
 	for {
 		if stop.Stopped() {
+			sweep.Interrupted()
 			return experiments.ExitInterrupted
 		}
 		conn, err := fabric.Dial(addr)
@@ -496,10 +460,13 @@ func runWorker(id, addr string, opt experiments.Options, stop *experiments.Signa
 				fmt.Fprintf(os.Stderr, "experiments: worker %s: sweep complete\n", id)
 				return experiments.ExitOK
 			}
+			if errors.Is(err, fabric.ErrStopped) {
+				sweep.Interrupted()
+				fmt.Fprintf(os.Stderr, "experiments: worker %s: interrupted; left the fleet after reporting the point in flight\n", id)
+				return experiments.ExitInterrupted
+			}
 		}
 		attempt++
-		// Structured redial record: shipped with the next span batch, so
-		// fleet timelines show the worker's connectivity gaps.
 		evlog.Emit(obs.Event{Kind: fabric.EventRedial, Worker: id,
 			Detail: fmt.Sprintf("coordinator=%s attempt=%d backoff=%v", addr, attempt, backoff),
 			Error:  err.Error()})

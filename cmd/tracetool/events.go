@@ -15,8 +15,9 @@ import (
 //
 //	tracetool events [-point NAME] [-kind KIND] [-worker ID] [-f] <events.jsonl>
 //
-// -point, -kind and -worker filter (a coordinator's merged log carries
-// every fleet member's spans, so -worker isolates one machine's story);
+// -point, -kind and -worker filter (a coordinator's log records every
+// fleet member's assignments and results, so -worker isolates one
+// machine's story);
 // -f keeps polling the file and renders new events as the sweep appends
 // them (a schema-aware tail -f).
 func eventsCmd(args []string, out io.Writer) error {

@@ -8,25 +8,23 @@ import (
 	"os"
 	"time"
 
-	"clustersim/internal/obs"
 	"clustersim/internal/obs/fleet"
+	"clustersim/internal/telemetry"
 )
 
 // fleetCmd renders fleet observability artifacts:
 //
 //	tracetool fleet <fleet.json>                       render a GET /fleet doc
-//	tracetool fleet -timeline POINT <events.jsonl>     one point's merged timeline
 //	tracetool fleet -chrome out.json <events.jsonl>    Chrome trace, one track per worker
 //
 // The fleet doc (schema clustersim/fleet/v1) is the coordinator's
-// aggregated status; the events JSONL is the coordinator's merged log
-// (-events), whose worker spans carry each point's trace ID. -timeline
-// accepts a point name or a trace ID. The Chrome export opens in
-// chrome://tracing or Perfetto: coordinator events on their own track,
-// each worker's spans on its own, point spans as slices.
+// aggregated status; the events JSONL is the coordinator's log
+// (-events), the fleet's one timeline. One point's story is
+// `tracetool events -point NAME` over that log. The Chrome export
+// opens in chrome://tracing or Perfetto: coordinator events on their
+// own track, each worker's on its own, computed points as slices.
 func fleetCmd(args []string, out io.Writer) error {
 	fs := flag.NewFlagSet("fleet", flag.ContinueOnError)
-	timeline := fs.String("timeline", "", "render one point's merged timeline (point name or trace ID) from an events JSONL")
 	chrome := fs.String("chrome", "", "write a Chrome trace-event JSON of the fleet timeline to this file")
 	if err := fs.Parse(args); err != nil {
 		return err
@@ -34,15 +32,10 @@ func fleetCmd(args []string, out io.Writer) error {
 	if fs.NArg() != 1 {
 		return fmt.Errorf("fleet: want one input file, got %d args", fs.NArg())
 	}
-	path := fs.Arg(0)
-	switch {
-	case *timeline != "":
-		return fleetTimeline(*timeline, path, out)
-	case *chrome != "":
-		return fleetChrome(path, *chrome, out)
-	default:
-		return fleetDoc(path, out)
+	if *chrome != "" {
+		return fleetChrome(fs.Arg(0), *chrome, out)
 	}
+	return fleetDoc(fs.Arg(0), out)
 }
 
 // fleetDoc validates and renders a saved GET /fleet document.
@@ -73,77 +66,26 @@ func fleetDoc(path string, out io.Writer) error {
 	} else {
 		fmt.Fprintf(out, "eta: %d/%d points\n", eta.DonePoints, eta.TotalPoints)
 	}
-	fmt.Fprintf(out, "%-10s %-5s %-6s %-8s %5s %8s %6s %4s %6s  %-18s %s\n",
-		"worker", "alive", "leases", "hb-age", "done", "replayed", "failed", "dups", "spans", "last-span", "obs-url")
+	fmt.Fprintf(out, "%-10s %-5s %-6s %-8s %5s %8s %6s %4s\n",
+		"worker", "alive", "leases", "hb-age", "done", "replayed", "failed", "dups")
 	for _, w := range doc.Workers {
-		alive := "no"
+		alive, hb := "no", "-"
 		if w.Alive {
 			alive = "yes"
-		}
-		hb := "-"
-		if w.Alive {
 			hb = (time.Duration(w.HeartbeatAgeMS) * time.Millisecond).String()
 		}
-		note := w.ObsURL
-		if w.ScrapeError != "" {
-			note += " (scrape error: " + w.ScrapeError + ")"
-		}
-		fmt.Fprintf(out, "%-10s %-5s %-6d %-8s %5d %8d %6d %4d %6d  %-18s %s\n",
-			w.Worker, alive, w.LeasesHeld, hb, w.Done, w.Replayed, w.Failed, w.Duplicates, w.Spans, w.LastSpan, note)
+		fmt.Fprintf(out, "%-10s %-5s %-6d %-8s %5d %8d %6d %4d\n",
+			w.Worker, alive, w.LeasesHeld, hb, w.Done, w.Replayed, w.Failed, w.Duplicates)
 	}
 	return nil
 }
 
-// fleetTimeline renders one point's merged cross-process timeline from
-// a coordinator events JSONL, selected by point name or trace ID.
-func fleetTimeline(pointOrTrace, path string, out io.Writer) error {
-	evs, err := readEventsFile(path)
-	if err != nil {
-		return err
-	}
-	var rows []obs.Event
-	var base int64
-	for _, e := range evs {
-		if base == 0 {
-			base = e.WallUnixNS
-		}
-		if e.Point == pointOrTrace || (e.Trace != "" && e.Trace == pointOrTrace) {
-			rows = append(rows, e)
-		}
-	}
-	if len(rows) == 0 {
-		return fmt.Errorf("%s: no events for point or trace %q", path, pointOrTrace)
-	}
-	trace := ""
-	for _, e := range rows {
-		if e.Trace != "" {
-			trace = e.Trace
-			break
-		}
-	}
-	fmt.Fprintf(out, "timeline of %s (trace %s): %d events\n", rows[0].Point, trace, len(rows))
-	for _, e := range rows {
-		writeEventRow(out, e, base)
-	}
-	return nil
-}
-
-// chromeEvent is one Chrome trace-event record (the subset we emit).
-type chromeEvent struct {
-	Name  string            `json:"name"`
-	Phase string            `json:"ph"`
-	TS    float64           `json:"ts"` // microseconds
-	Dur   float64           `json:"dur,omitempty"`
-	PID   int               `json:"pid"`
-	TID   int               `json:"tid"`
-	Scope string            `json:"s,omitempty"`
-	Args  map[string]string `json:"args,omitempty"`
-}
-
-// fleetChrome exports a merged fleet events JSONL as a Chrome
+// fleetChrome exports a coordinator events JSONL as a Chrome
 // trace-event file: one track ("thread") per fleet identity — the
-// coordinator plus each worker — with span-shaped events as slices and
-// the rest as instants. Open in chrome://tracing or Perfetto.
+// coordinator plus each worker. An event that carries a wall duration
+// (a fabric-result's worker-measured durNs, a local point-done) becomes
+// a slice ending at its stamp, so every computed point is one slice on
+// the track of the worker that computed it; the rest are instants.
 func fleetChrome(path, outFile string, out io.Writer) error {
 	evs, err := readEventsFile(path)
 	if err != nil {
@@ -153,92 +95,46 @@ func fleetChrome(path, outFile string, out io.Writer) error {
 		return fmt.Errorf("%s: empty events log", path)
 	}
 	base := evs[0].WallUnixNS
-	tids := map[string]int{"coordinator": 0}
-	tidOrder := []string{"coordinator"}
-	tidFor := func(worker string) int {
-		if worker == "" {
-			return 0
-		}
-		id, ok := tids[worker]
-		if !ok {
-			id = len(tidOrder)
-			tids[worker] = id
-			tidOrder = append(tidOrder, worker)
-		}
-		return id
-	}
-	us := func(ns int64) float64 { return float64(ns-base) / 1e3 }
-
-	var ces []chromeEvent
-	type openKey struct {
-		point, worker string
-	}
-	open := make(map[openKey]obs.Event)
+	us := func(ns int64) int64 { return (ns - base) / 1e3 }
+	tracks := []string{"coordinator"}
+	tids := map[string]int{"": 0}
+	var ces []telemetry.ChromeEvent
 	for _, e := range evs {
-		tid := tidFor(e.Worker)
-		args := map[string]string{"kind": e.Kind}
-		if e.Trace != "" {
-			args["trace"] = e.Trace
+		tid, ok := tids[e.Worker]
+		if !ok {
+			tid = len(tracks)
+			tids[e.Worker] = tid
+			tracks = append(tracks, e.Worker)
 		}
+		args := map[string]any{"kind": e.Kind}
 		if e.Detail != "" {
 			args["detail"] = e.Detail
 		}
 		if e.Error != "" {
 			args["error"] = e.Error
 		}
-		name := e.Kind
-		if e.Point != "" {
-			name = e.Point + " " + e.Kind
-		}
+		ce := telemetry.ChromeEvent{Name: e.Kind, Ph: "i", S: "t", Pid: 1, Tid: tid, Ts: us(e.WallUnixNS), Args: args}
 		switch {
-		case e.Span == obs.SpanBegin && e.Point != "":
-			open[openKey{e.Point, e.Worker}] = e
-		case e.Span == obs.SpanEnd && e.Point != "":
-			k := openKey{e.Point, e.Worker}
-			if b, ok := open[k]; ok {
-				delete(open, k)
-				ces = append(ces, chromeEvent{
-					Name: e.Point, Phase: "X", TS: us(b.WallUnixNS),
-					Dur: us(e.WallUnixNS) - us(b.WallUnixNS), PID: 1, TID: tid, Args: args,
-				})
-			} else if e.DurNS > 0 {
-				// End without a recorded begin (span shipped without its
-				// opener): reconstruct the slice from the carried duration.
-				ces = append(ces, chromeEvent{
-					Name: e.Point, Phase: "X", TS: us(e.WallUnixNS - e.DurNS),
-					Dur: float64(e.DurNS) / 1e3, PID: 1, TID: tid, Args: args,
-				})
-			} else {
-				ces = append(ces, chromeEvent{
-					Name: name, Phase: "i", TS: us(e.WallUnixNS), PID: 1, TID: tid, Scope: "t", Args: args,
-				})
-			}
-		default:
-			ces = append(ces, chromeEvent{
-				Name: name, Phase: "i", TS: us(e.WallUnixNS), PID: 1, TID: tid, Scope: "t", Args: args,
-			})
+		case e.Point != "" && e.DurNS > 0:
+			ce.Name, ce.Ph, ce.S = e.Point, "X", ""
+			ce.Ts, ce.Dur = us(e.WallUnixNS-e.DurNS), e.DurNS/1e3
+		case e.Point != "":
+			ce.Name = e.Point + " " + e.Kind
 		}
+		ces = append(ces, ce)
 	}
 	// Name the tracks: metadata events Chrome reads for thread labels.
-	meta := make([]chromeEvent, 0, len(tidOrder))
-	for i, label := range tidOrder {
-		meta = append(meta, chromeEvent{
-			Name: "thread_name", Phase: "M", PID: 1, TID: i,
-			Args: map[string]string{"name": label},
-		})
+	all := make([]telemetry.ChromeEvent, 0, len(tracks)+len(ces))
+	for i, label := range tracks {
+		all = append(all, telemetry.ChromeEvent{Name: "thread_name", Ph: "M", Pid: 1, Tid: i,
+			Args: map[string]any{"name": label}})
 	}
-	doc := struct {
-		TraceEvents []chromeEvent `json:"traceEvents"`
-	}{TraceEvents: append(meta, ces...)}
-	f, err := os.Create(outFile)
-	if err != nil {
+	all = append(all, ces...)
+	if err := telemetry.AtomicFile(outFile, func(w io.Writer) error {
+		return telemetry.WriteChromeEvents(w, all, nil)
+	}); err != nil {
 		return err
 	}
-	defer f.Close()
-	enc := json.NewEncoder(f)
-	if err := enc.Encode(doc); err != nil {
-		return err
-	}
-	fmt.Fprintf(out, "wrote %d trace events (%d tracks) to %s\n", len(ces), len(tidOrder), outFile)
+	fmt.Fprintf(out, "wrote %d trace events (%d tracks) to %s\n", len(ces), len(tracks), outFile)
 	return nil
 }

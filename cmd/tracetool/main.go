@@ -47,11 +47,12 @@
 //	curl -s localhost:9090/metrics | tracetool metrics -
 //
 // Render fleet observability artifacts from a distributed sweep — the
-// GET /fleet status document, one point's merged cross-process
-// timeline, or a Chrome trace with one track per fleet member:
+// GET /fleet status document, or a Chrome trace of the coordinator's
+// event log with one track per fleet member and one slice per computed
+// point (one point's timeline is `tracetool events -point NAME` over
+// the same log):
 //
 //	tracetool fleet fleet.json
-//	tracetool fleet -timeline ocean-c4-inf coordinator.events.jsonl
 //	tracetool fleet -chrome fleet-trace.json coordinator.events.jsonl
 package main
 

@@ -2,6 +2,7 @@ package main
 
 import (
 	"bytes"
+	"encoding/json"
 	"os"
 	"path/filepath"
 	"strings"
@@ -10,9 +11,12 @@ import (
 
 	"clustersim/internal/bench"
 	"clustersim/internal/critpath"
+	"clustersim/internal/fabric"
 	"clustersim/internal/obs"
+	"clustersim/internal/obs/fleet"
 	"clustersim/internal/profile"
 	"clustersim/internal/stats"
+	"clustersim/internal/telemetry"
 )
 
 // Every subcommand must report missing or unparseable inputs as errors
@@ -54,6 +58,10 @@ func TestBadInputsError(t *testing.T) {
 		{"metrics", garbage},
 		{"metrics"},                   // no input at all
 		{"metrics", garbage, garbage}, // too many
+		{"fleet", missing},
+		{"fleet", garbage},
+		{"fleet"}, // no input at all
+		{"fleet", "-chrome", filepath.Join(dir, "out.json"), garbage},
 	}
 	for _, args := range cases {
 		var out bytes.Buffer
@@ -355,5 +363,109 @@ func TestMetricsValidatesExposition(t *testing.T) {
 	}
 	if err := run([]string{"metrics", bad}, &bytes.Buffer{}); err == nil {
 		t.Error("malformed exposition accepted")
+	}
+}
+
+// writeFleetLog records a synthetic coordinator log through the real
+// fabric hooks, mirrored into a fleet view: w1 and w2 compute p1 and
+// p2, w2 replays p3 from its journal, w1's stolen copy of p2 is a
+// duplicate, and the coordinator computes p4 itself. It returns the
+// points computed fresh, keyed by point, with the worker that did so.
+func writeFleetLog(t *testing.T, path string) (*fleet.View, map[string]string) {
+	t.Helper()
+	f, err := os.Create(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer f.Close()
+	l := obs.NewLog(f, "coord")
+	at := time.Unix(100, 0)
+	l.SetClock(func() time.Time { at = at.Add(5 * time.Second); return at })
+	v := fleet.NewView("coord")
+	l.SetMirror(v.Observe)
+	o := fabric.NewObs(nil, l)
+	o.WorkerJoined("w1")
+	o.WorkerJoined("w2")
+	o.Assigned("w1", "p1", "fresh", 0)
+	o.Assigned("w2", "p2", "fresh", 0)
+	o.ResultOK("w1", "p1", false, 2*time.Second)
+	o.Assigned("w1", "p2", "steal", 0)
+	o.ResultOK("w2", "p2", false, 3*time.Second)
+	o.ResultDuplicate("w1", "p2")
+	o.Assigned("w2", "p3", "fresh", 0)
+	o.ResultOK("w2", "p3", true, 0)
+	o.LocalRun("p4")
+	o.ResultOK("(local)", "p4", false, time.Second)
+	o.Drained(2)
+	return v, map[string]string{"p1": "w1", "p2": "w2", "p4": "(local)"}
+}
+
+// `tracetool fleet doc.json` renders a /fleet document; `-chrome`
+// exports the coordinator log with one X slice per fresh fabric-result
+// on the named track of the worker that computed it.
+func TestFleetRenderAndChrome(t *testing.T) {
+	dir := t.TempDir()
+	logPath := filepath.Join(dir, "coord.events.jsonl")
+	v, fresh := writeFleetLog(t, logPath)
+
+	docPath := filepath.Join(dir, "fleet.json")
+	js, err := json.Marshal(v.Doc())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := os.WriteFile(docPath, js, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	var doc bytes.Buffer
+	if err := run([]string{"fleet", docPath}, &doc); err != nil {
+		t.Fatal(err)
+	}
+	for _, want := range []string{"totals: 3 workers (0 live), 4 points (4 assigned): 3 done, 1 replayed, 0 failed",
+		"w1", "w2", "(local)"} {
+		if !strings.Contains(doc.String(), want) {
+			t.Errorf("fleet doc render missing %q:\n%s", want, doc.String())
+		}
+	}
+
+	chromePath := filepath.Join(dir, "fleet.chrome.json")
+	if err := run([]string{"fleet", "-chrome", chromePath, logPath}, &bytes.Buffer{}); err != nil {
+		t.Fatal(err)
+	}
+	raw, err := os.ReadFile(chromePath)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var tr struct {
+		TraceEvents []telemetry.ChromeEvent `json:"traceEvents"`
+	}
+	if err := json.Unmarshal(raw, &tr); err != nil {
+		t.Fatalf("chrome export is not trace-event JSON: %v", err)
+	}
+	tracks := map[int]string{}
+	for _, e := range tr.TraceEvents {
+		if e.Ph == "M" && e.Name == "thread_name" {
+			tracks[e.Tid] = e.Args["name"].(string)
+		}
+	}
+	slices := map[string]string{}
+	for _, e := range tr.TraceEvents {
+		if e.Ph != "X" {
+			continue
+		}
+		if _, dup := slices[e.Name]; dup {
+			t.Errorf("point %s has more than one slice", e.Name)
+		}
+		slices[e.Name] = tracks[e.Tid]
+		if e.Dur <= 0 {
+			t.Errorf("slice %s has no duration", e.Name)
+		}
+	}
+	if len(slices) != len(fresh) {
+		t.Errorf("slices %v, want one per fresh result %v", slices, fresh)
+	}
+	for point, worker := range fresh {
+		if slices[point] != worker {
+			t.Errorf("point %s: slice on track %q, want %q", point, slices[point], worker)
+		}
 	}
 }

@@ -191,9 +191,8 @@ func configFromSpec(spec fabric.PointSpec) core.Config {
 // isolation, and with timeout > 0 the same journal-then-exit watchdog
 // the local suite arms — so a point behaves identically however it
 // reaches a machine. sw, when non-nil, receives point lifecycle hooks
-// into the process-local event log (the span source a fabric worker
-// ships to the coordinator's merged fleet timeline); it never touches
-// results, so traced and untraced runs stay byte-identical.
+// for the worker's own -serve/-events plane; it never touches results,
+// so observed and unobserved runs stay byte-identical.
 func FabricRunner(j *Journal, timeout time.Duration, progress io.Writer, sw *obs.Sweep) fabric.Runner {
 	return func(spec fabric.PointSpec) (*core.Result, bool, error) {
 		name := spec.Name()

@@ -3,7 +3,6 @@ package experiments
 import (
 	"bytes"
 	"io"
-	"strings"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -248,11 +247,10 @@ func TestDistributedSweepByteIdentical(t *testing.T) {
 // keystone: a chaotic distributed sweep (drop/dup/delay, a mid-sweep
 // worker crash with journal-backed restart, and a network partition
 // that black-holes the other worker past the liveness deadline) must
-// still produce a merged fleet timeline in which every assigned point
+// still produce a coordinator timeline in which every assigned point
 // reaches exactly one terminal state, the /fleet totals account for
-// every planned point, worker-origin spans appear in the coordinator's
-// merged view with their trace IDs intact, and the rendered table is
-// byte-identical to a plain local run.
+// every planned point, and the rendered table is byte-identical to a
+// plain local run.
 func TestFleetTimelineCompleteUnderChaos(t *testing.T) {
 	// Golden: the plain local suite.
 	var local bytes.Buffer
@@ -280,9 +278,9 @@ func TestFleetTimelineCompleteUnderChaos(t *testing.T) {
 	}
 
 	// Coordinator-side fleet plane: the event log mirrors synchronously
-	// into the view, so the merged timeline is lossless by construction.
+	// into the view, so the fleet timeline is lossless by construction.
 	evlog := obs.NewLog(nil, "keystone")
-	view := fleet.NewView("keystone", nil)
+	view := fleet.NewView("keystone")
 	evlog.SetMirror(view.Observe)
 	view.SetTotal(len(specs))
 	onResult, onFailure := CoordinatorSinks(coordJournal)
@@ -299,13 +297,10 @@ func TestFleetTimelineCompleteUnderChaos(t *testing.T) {
 	view.SetSource(coord.FleetWorkers)
 	go coord.Serve(net.Listener()) //simlint:allow goroutine — test harness
 
-	// Each worker runs its own obs plane: a sweep feeding a local event
-	// log whose mirror buffers spans for piggybacked shipment.
-	workerObs := func(id string) (*obs.Sweep, *fleet.SpanBuffer) {
-		wlog := obs.NewLog(nil, "worker-"+id)
-		buf := fleet.NewSpanBuffer()
-		wlog.SetMirror(buf.Observe)
-		return obs.NewSweep("worker-"+id, nil, wlog), buf
+	// Each worker runs its own obs plane, as with -events or -serve: a
+	// sweep feeding a process-local event log.
+	workerObs := func(id string) *obs.Sweep {
+		return obs.NewSweep("worker-"+id, nil, obs.NewLog(nil, "worker-"+id))
 	}
 
 	// Worker 1 crashes right after its second fresh completion; its
@@ -314,7 +309,7 @@ func TestFleetTimelineCompleteUnderChaos(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	w1Sweep, w1Spans := workerObs("w1")
+	w1Sweep := workerObs("w1")
 	w1Inner := FabricRunner(w1Journal, 0, nil, w1Sweep)
 	var w1Done int32
 	crashOnce := sync.Once{}
@@ -325,8 +320,7 @@ func TestFleetTimelineCompleteUnderChaos(t *testing.T) {
 			t.Fatalf("dial w1: %v", err)
 		}
 		w := fabric.NewWorker(fabric.WorkerConfig{
-			ID: "w1", Heartbeat: 30 * time.Millisecond,
-			Run: run, Spans: w1Spans.Drain,
+			ID: "w1", Heartbeat: 30 * time.Millisecond, Run: run,
 		})
 		go w.RunConn(conn) //simlint:allow goroutine — test harness
 	}
@@ -353,7 +347,7 @@ func TestFleetTimelineCompleteUnderChaos(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	w2Sweep, w2Spans := workerObs("w2")
+	w2Sweep := workerObs("w2")
 	w2Inner := FabricRunner(w2Journal, 0, nil, w2Sweep)
 	var w2Done int32
 	partOnce := sync.Once{}
@@ -364,8 +358,7 @@ func TestFleetTimelineCompleteUnderChaos(t *testing.T) {
 			t.Fatalf("dial w2: %v", err)
 		}
 		w := fabric.NewWorker(fabric.WorkerConfig{
-			ID: "w2", Heartbeat: 30 * time.Millisecond,
-			Run: run, Spans: w2Spans.Drain,
+			ID: "w2", Heartbeat: 30 * time.Millisecond, Run: run,
 		})
 		go w.RunConn(conn) //simlint:allow goroutine — test harness
 	}
@@ -440,37 +433,11 @@ func TestFleetTimelineCompleteUnderChaos(t *testing.T) {
 		t.Errorf("fleet doc saw %d workers, want at least w1 and w2", doc.Totals.Workers)
 	}
 
-	// Every point's merged timeline is reachable by name and by trace ID,
-	// and every traced event on it carries the point's own trace.
+	// Every point's timeline is reachable by name.
 	for _, spec := range specs {
-		name, trace := spec.Name(), fleet.TraceID(spec.Key())
-		tl, ok := view.Timeline(name)
-		if !ok || len(tl) == 0 {
-			t.Fatalf("no merged timeline for point %s", name)
+		if tr, ok := view.Trace(spec.Name()); !ok || len(tr.Events) == 0 {
+			t.Fatalf("no timeline for point %s", spec.Name())
 		}
-		if byTrace, ok := view.Timeline(trace); !ok || len(byTrace) != len(tl) {
-			t.Errorf("timeline lookup by trace %s of %s: ok=%v len=%d want %d", trace, name, ok, len(byTrace), len(tl))
-		}
-		for _, e := range tl {
-			if e.Trace != "" && e.Trace != trace {
-				t.Errorf("point %s: event %s carries foreign trace %s (want %s)", name, e.Kind, e.Trace, trace)
-			}
-		}
-	}
-
-	// Cross-process enrichment: worker-origin spans (Run label stamped by
-	// the worker's own log) made it into the coordinator's merged view.
-	workerSpans := 0
-	for _, name := range view.Points() {
-		tl, _ := view.Timeline(name)
-		for _, e := range tl {
-			if strings.HasPrefix(e.Run, "worker-") {
-				workerSpans++
-			}
-		}
-	}
-	if workerSpans == 0 {
-		t.Error("no worker-origin spans in the merged fleet view; piggyback shipment delivered nothing")
 	}
 
 	// Both failure injections left liveness footprints.

@@ -187,8 +187,10 @@ func (s *Suite) Run(app string, clusterSize, cacheKB int) (*core.Result, error) 
 	}
 	cfg := s.Opt.config(clusterSize, cacheKB)
 	sizeName := s.Opt.Size.String()
+	// One hash per point: the journal key, the watchdog's failure record
+	// and every artifact's configHash share it.
 	var hash string
-	if s.Opt.Journal != nil || s.Opt.PointTimeout > 0 {
+	if s.Opt.Journal != nil || s.Opt.PointTimeout > 0 || s.Opt.exporting() {
 		if hash, err = telemetry.HashConfig(cfg); err != nil {
 			return nil, err
 		}
@@ -267,7 +269,7 @@ func (s *Suite) Run(app string, clusterSize, cacheKB int) (*core.Result, error) 
 	s.fresh++
 	wall := time.Since(start) //simlint:allow wallclock
 	s.Opt.Obs.PointDone(key.pointName(), wall, int64(res.ExecTime))
-	if err := s.export(key, cfg, col, prof, crit, res, wall); err != nil {
+	if err := s.export(key, cfg, hash, col, prof, crit, res, wall); err != nil {
 		return nil, err
 	}
 	if s.Opt.Journal != nil {
@@ -334,10 +336,26 @@ func (o Options) observing() bool {
 	return o.SampleEvery > 0 || o.TraceDir != "" || o.ManifestOut != nil
 }
 
+// exporting reports whether runs write artifacts that carry the
+// point's config hash.
+func (o Options) exporting() bool {
+	return o.TraceDir != "" || o.ProfileDir != "" || o.CritpathDir != "" || o.ManifestOut != nil
+}
+
+// artifactPath is one point's artifact file in dir (created if
+// missing), e.g. ocean-c4-16k.profile.json.
+func artifactPath(dir string, key runKey, ext string) (string, error) {
+	if err := os.MkdirAll(dir, 0o755); err != nil {
+		return "", err
+	}
+	return filepath.Join(dir, key.pointName()+ext), nil
+}
+
 // export emits the per-point observability artifacts: a progress line,
 // a Chrome trace file, a sharing-profile JSON, a critical-path JSON,
-// and a manifest JSONL row.
-func (s *Suite) export(key runKey, cfg core.Config, col *telemetry.Collector,
+// and a manifest JSONL row. hash is the point's config hash; the files
+// are written atomically, so a crash never leaves a torn artifact.
+func (s *Suite) export(key runKey, cfg core.Config, hash string, col *telemetry.Collector,
 	prof *profile.Collector, crit *critpath.Analyzer, res *core.Result, wall time.Duration) error {
 	if s.Opt.Progress != nil {
 		fmt.Fprintf(s.Opt.Progress, "ran %s cluster=%d cache=%s: exec %d cycles (wall %v)\n",
@@ -350,37 +368,23 @@ func (s *Suite) export(key runKey, cfg core.Config, col *telemetry.Collector,
 			top = 10
 		}
 		profReport = prof.Report(top)
-		profReport.App, profReport.Size = key.app, s.Opt.Size.String()
-		if h, err := telemetry.HashConfig(cfg); err == nil {
-			profReport.ConfigHash = h
-		}
-		if err := os.MkdirAll(s.Opt.ProfileDir, 0o755); err != nil {
-			return err
-		}
-		path := filepath.Join(s.Opt.ProfileDir,
-			fmt.Sprintf("%s-c%d-%s.profile.json", key.app, key.clusterSize, cacheName(key.cacheKB)))
-		f, err := os.Create(path)
+		profReport.App, profReport.Size, profReport.ConfigHash = key.app, s.Opt.Size.String(), hash
+		path, err := artifactPath(s.Opt.ProfileDir, key, ".profile.json")
 		if err != nil {
 			return err
 		}
-		err = profile.WriteReport(f, profReport)
-		if cerr := f.Close(); err == nil {
-			err = cerr
-		}
-		if err != nil {
+		if err := telemetry.AtomicFile(path, func(w io.Writer) error {
+			return profile.WriteReport(w, profReport)
+		}); err != nil {
 			return err
 		}
 	}
 	var critReport *critpath.Report
 	if crit != nil {
 		critReport = crit.Report(0)
-		critReport.App, critReport.Size = key.app, s.Opt.Size.String()
-		if h, err := telemetry.HashConfig(cfg); err == nil {
-			critReport.ConfigHash = h
-		}
-		path := filepath.Join(s.Opt.CritpathDir,
-			fmt.Sprintf("%s-c%d-%s.critpath.json", key.app, key.clusterSize, cacheName(key.cacheKB)))
-		if err := os.MkdirAll(s.Opt.CritpathDir, 0o755); err != nil {
+		critReport.App, critReport.Size, critReport.ConfigHash = key.app, s.Opt.Size.String(), hash
+		path, err := artifactPath(s.Opt.CritpathDir, key, ".critpath.json")
+		if err != nil {
 			return err
 		}
 		if err := telemetry.AtomicFile(path, func(w io.Writer) error {
@@ -393,27 +397,15 @@ func (s *Suite) export(key runKey, cfg core.Config, col *telemetry.Collector,
 		return nil
 	}
 	if s.Opt.TraceDir != "" {
-		if err := os.MkdirAll(s.Opt.TraceDir, 0o755); err != nil {
-			return err
-		}
-		path := filepath.Join(s.Opt.TraceDir,
-			fmt.Sprintf("%s-c%d-%s.trace.json", key.app, key.clusterSize, cacheName(key.cacheKB)))
-		f, err := os.Create(path)
+		path, err := artifactPath(s.Opt.TraceDir, key, ".trace.json")
 		if err != nil {
 			return err
 		}
-		hash, err := telemetry.HashConfig(cfg)
-		if err != nil {
-			f.Close()
-			return err
-		}
-		err = telemetry.WriteChromeTrace(f, col, map[string]string{
-			"app": key.app, "size": s.Opt.Size.String(), "configHash": hash,
-		})
-		if cerr := f.Close(); err == nil {
-			err = cerr
-		}
-		if err != nil {
+		if err := telemetry.AtomicFile(path, func(w io.Writer) error {
+			return telemetry.WriteChromeTrace(w, col, map[string]string{
+				"app": key.app, "size": s.Opt.Size.String(), "configHash": hash,
+			})
+		}); err != nil {
 			return err
 		}
 	}
@@ -421,12 +413,13 @@ func (s *Suite) export(key runKey, cfg core.Config, col *telemetry.Collector,
 		// Compact (one line) so the stream is JSONL.
 		var b bytes.Buffer
 		m := telemetry.Manifest{
-			App:       key.app,
-			Size:      s.Opt.Size.String(),
-			Config:    cfg,
-			Result:    res,
-			Memory:    res.MemoryReport(),
-			Telemetry: col.SelfReport(),
+			App:        key.app,
+			Size:       s.Opt.Size.String(),
+			ConfigHash: hash,
+			Config:     cfg,
+			Result:     res,
+			Memory:     res.MemoryReport(),
+			Telemetry:  col.SelfReport(),
 		}
 		if profReport != nil {
 			m.Profile = profReport.Summary()

@@ -10,7 +10,6 @@ import (
 	"time"
 
 	"clustersim/internal/core"
-	"clustersim/internal/obs/fleet"
 )
 
 // Coordinator tuning knobs. All timing is wall-clock harness time —
@@ -165,7 +164,6 @@ type workerState struct {
 	idle     bool // sent Steal, awaiting an assignment
 	gone     bool
 	leases   map[uint64]bool
-	obsAddr  string // worker obs server base URL from Hello, if any
 }
 
 // Coordinator owns the sweep: it leases points to workers, detects
@@ -233,18 +231,12 @@ func (c *Coordinator) handleConn(conn Conn) {
 		return
 	}
 	id := m.Worker
-	c.register(id, conn, m.ObsAddr)
+	c.register(id, conn)
 	for {
 		m, err := conn.Recv()
 		if err != nil {
 			c.workerGone(id, conn, "connection lost")
 			return
-		}
-		// Any frame may carry piggybacked span events; merge them into
-		// the fleet timeline before acting on the frame itself, so a
-		// point's worker spans precede its fabric-result event.
-		if len(m.Spans) > 0 {
-			c.cfg.Obs.WorkerSpans(id, m.Spans)
 		}
 		switch m.Type {
 		case MsgHeartbeat:
@@ -266,14 +258,14 @@ func (c *Coordinator) handleConn(conn Conn) {
 }
 
 // register installs (or, for a restarted worker, replaces) a worker.
-func (c *Coordinator) register(id string, conn Conn, obsAddr string) {
+func (c *Coordinator) register(id string, conn Conn) {
 	c.mu.Lock()
 	if old := c.workers[id]; old != nil && !old.gone {
 		// A reconnect supersedes the old stream: requeue whatever the
 		// previous incarnation held and adopt the new connection.
 		c.declareDeadLocked(old, "superseded by reconnect")
 	}
-	w := &workerState{id: id, conn: conn, lastSeen: c.now(), leases: make(map[uint64]bool), obsAddr: obsAddr}
+	w := &workerState{id: id, conn: conn, lastSeen: c.now(), leases: make(map[uint64]bool)}
 	if c.workers[id] == nil {
 		c.workerOrder = append(c.workerOrder, id)
 	}
@@ -368,7 +360,7 @@ func (c *Coordinator) retireLeaseLocked(l *lease, reason string, requeue bool) {
 	p.attempts++
 	p.eligible = c.now().Add(c.cfg.backoff(p.attempts))
 	c.queue = append(c.queue, l.key)
-	c.cfg.Obs.Requeued(p.spec.Name(), p.spec.TraceID(), reason, p.attempts)
+	c.cfg.Obs.Requeued(p.spec.Name(), reason, p.attempts)
 }
 
 // newLeaseLocked assigns key to worker w.
@@ -406,10 +398,8 @@ func (c *Coordinator) schedule() {
 		w.idle = false
 		p := c.points[key]
 		spec := p.spec
-		trace := spec.TraceID()
-		sends = append(sends, sendItem{w.conn, Msg{Type: MsgAssign, Lease: l.id, Point: &spec, Trace: trace}})
-		attempt := p.attempts
-		c.cfg.Obs.Assigned(id, spec.Name(), trace, kind, attempt)
+		sends = append(sends, sendItem{w.conn, Msg{Type: MsgAssign, Lease: l.id, Point: &spec}})
+		c.cfg.Obs.Assigned(id, spec.Name(), kind, p.attempts)
 		c.progressf("assign %s to %s (%s, lease %d)", spec.Name(), id, kind, l.id)
 	}
 	c.mu.Unlock()
@@ -475,12 +465,11 @@ func (c *Coordinator) deliverResult(workerID string, m Msg) {
 		return
 	}
 	name := p.spec.Name()
-	trace := p.spec.TraceID()
 	if m.Error != "" {
 		if p.state == stateDone {
 			// A late failure after a healthy completion (e.g. a stolen
 			// copy hit a worker-side watchdog): the result stands.
-			c.cfg.Obs.ResultFailed(workerID, name, trace, "late failure dropped: "+m.Error)
+			c.cfg.Obs.ResultFailed(workerID, name, "late failure dropped: "+m.Error)
 			return
 		}
 		if p.state != stateFailed {
@@ -492,7 +481,7 @@ func (c *Coordinator) deliverResult(workerID string, m Msg) {
 				c.cfg.OnFailure(p.spec, m.Error)
 			}
 		}
-		c.cfg.Obs.ResultFailed(workerID, name, trace, m.Error)
+		c.cfg.Obs.ResultFailed(workerID, name, m.Error)
 		c.progressf("point %s failed on %s: %s", name, workerID, m.Error)
 		return
 	}
@@ -512,7 +501,7 @@ func (c *Coordinator) deliverResult(workerID string, m Msg) {
 				name, workerID))
 			return
 		}
-		c.cfg.Obs.ResultDuplicate(workerID, name, trace)
+		c.cfg.Obs.ResultDuplicate(workerID, name)
 		c.progressf("duplicate completion of %s from %s verified byte-identical, dropped", name, workerID)
 	case stateFailed:
 		// A success after a recorded failure: only wall-clock-dependent
@@ -522,14 +511,14 @@ func (c *Coordinator) deliverResult(workerID string, m Msg) {
 		p.errMsg = ""
 		p.result = m.Result
 		p.resJSON = js
-		c.storeLocked(p, m.Resumed, workerID, name, trace, m.WallNS)
+		c.storeLocked(p, m.Resumed, workerID, name, m.WallNS)
 	default:
 		p.state = stateDone
 		p.result = m.Result
 		p.resJSON = js
 		c.remaining--
 		c.retirePointLeasesLocked(p)
-		c.storeLocked(p, m.Resumed, workerID, name, trace, m.WallNS)
+		c.storeLocked(p, m.Resumed, workerID, name, m.WallNS)
 	}
 }
 
@@ -542,14 +531,14 @@ func (c *Coordinator) retirePointLeasesLocked(p *point) {
 	}
 }
 
-func (c *Coordinator) storeLocked(p *point, resumed bool, workerID, name, trace string, wallNS int64) {
+func (c *Coordinator) storeLocked(p *point, resumed bool, workerID, name string, wallNS int64) {
 	if c.cfg.OnResult != nil {
 		if err := c.cfg.OnResult(p.spec, p.result, resumed); err != nil {
 			c.setFatalLocked(fmt.Errorf("fabric: persist result of %s: %w", name, err))
 			return
 		}
 	}
-	c.cfg.Obs.ResultOK(workerID, name, trace, resumed, time.Duration(wallNS))
+	c.cfg.Obs.ResultOK(workerID, name, resumed, time.Duration(wallNS))
 	c.progressf("point %s completed by %s (resumed=%v)", name, workerID, resumed)
 }
 
@@ -666,42 +655,27 @@ func joinLines(lines []string) string {
 }
 
 // FleetWorkers snapshots every worker this coordinator has seen, in
-// registration order, for the fleet status view: liveness, lease load,
-// heartbeat freshness and the worker's obs server URL (if advertised).
-func (c *Coordinator) FleetWorkers() []fleet.WorkerLink {
+// registration order, for the fleet status view: liveness, lease load
+// and heartbeat freshness.
+func (c *Coordinator) FleetWorkers() []WorkerLink {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	now := c.now()
-	out := make([]fleet.WorkerLink, 0, len(c.workerOrder))
+	out := make([]WorkerLink, 0, len(c.workerOrder))
 	for _, id := range c.workerOrder {
 		w := c.workers[id]
 		if w == nil {
 			continue
 		}
-		link := fleet.WorkerLink{
+		link := WorkerLink{
 			Worker:     id,
 			Alive:      !w.gone,
-			ObsURL:     w.obsAddr,
 			LeasesHeld: len(w.leases),
 		}
 		if !w.gone {
 			link.HeartbeatAgeMS = now.Sub(w.lastSeen).Milliseconds()
 		}
 		out = append(out, link)
-	}
-	return out
-}
-
-// ObsTargets lists the live workers whose /metrics the federator should
-// scrape: those that advertised an obs server on their Hello.
-func (c *Coordinator) ObsTargets() []fleet.Target {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	out := make([]fleet.Target, 0, len(c.workerOrder))
-	for _, id := range c.workerOrder {
-		if w := c.workers[id]; w != nil && !w.gone && w.obsAddr != "" {
-			out = append(out, fleet.Target{Worker: id, URL: w.obsAddr})
-		}
 	}
 	return out
 }
@@ -740,7 +714,7 @@ func (c *Coordinator) popEligibleLocalLocked(now time.Time) *point {
 // runLocal executes one point in the coordinator process (no workers
 // left) and feeds it through the normal completion path.
 func (c *Coordinator) runLocal(p *point) {
-	c.cfg.Obs.LocalRun(p.spec.Name(), p.spec.TraceID())
+	c.cfg.Obs.LocalRun(p.spec.Name())
 	c.progressf("no live workers: running %s locally", p.spec.Name())
 	started := c.now()
 	res, resumed, err := c.cfg.Run(p.spec)

@@ -36,8 +36,6 @@ import (
 
 	"clustersim/internal/core"
 	"clustersim/internal/fault"
-	"clustersim/internal/obs"
-	"clustersim/internal/obs/fleet"
 )
 
 // ProtoV1 is the wire-protocol version tag every message carries. A
@@ -97,17 +95,10 @@ func (p PointSpec) Name() string {
 	return fmt.Sprintf("%s-c%d-%s", p.App, p.ClusterSize, cache)
 }
 
-// TraceID is the point's fleet-wide trace ID, derived from its journal
-// key: every process that touches the point derives the same ID, which
-// is what lets coordinator events and worker spans merge into one
-// timeline. Trace IDs ride the wire envelope and the event log only —
-// never core.Result — so traced runs stay byte-identical.
-func (p PointSpec) TraceID() string {
-	return fleet.TraceID(p.Key())
-}
-
 // Msg is the single wire envelope of the v1 protocol. Type selects
-// which optional fields are meaningful.
+// which optional fields are meaningful. Decoding ignores unknown
+// fields, so frames from a v1 peer that sends fields this build lacks
+// (older builds also sent trace, obsAddr and spans) still decode.
 type Msg struct {
 	V    string `json:"v"`    // always ProtoV1
 	Type string `json:"type"` // one of the Msg* constants
@@ -138,27 +129,11 @@ type Msg struct {
 	// Detail carries free-form context (drain reason, hello metadata).
 	Detail string `json:"detail,omitempty"`
 
-	// Trace is the point's fleet-wide trace ID (assign). Optional and
-	// ignored by v1 peers that predate it — JSON decoding drops unknown
-	// fields, so trace propagation is version-compatible.
-	Trace string `json:"trace,omitempty"`
-
 	// WallNS is the worker-measured wall-clock cost of a freshly
-	// computed point (result, success, not resumed). Feeds the fleet
-	// ETA; never enters Result JSON.
+	// computed point (result, success, not resumed). It becomes the
+	// fabric-result event's durNs: the fleet ETA and the point's slice
+	// in the Chrome export. Never enters Result JSON.
 	WallNS int64 `json:"wallNs,omitempty"`
-
-	// ObsAddr is the worker's observability server base URL (hello),
-	// e.g. "http://10.0.0.7:9091". The coordinator federates /metrics
-	// from it. Empty when the worker serves no endpoints.
-	ObsAddr string `json:"obsAddr,omitempty"`
-
-	// Spans carries worker point-local span events piggybacked on
-	// result and heartbeat frames, for the coordinator's merged fleet
-	// timeline. At-most-once delivery: spans lost with a crashed worker
-	// are acceptable, the coordinator's own events keep every point's
-	// timeline terminal.
-	Spans []obs.Event `json:"spans,omitempty"`
 }
 
 // Runner executes one point. The experiments package supplies the real

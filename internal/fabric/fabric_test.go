@@ -2,9 +2,11 @@ package fabric
 
 import (
 	"encoding/json"
+	"errors"
 	"fmt"
 	"strings"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -253,6 +255,92 @@ func TestFabricLocalFallback(t *testing.T) {
 	checkResults(t, specs, results)
 	if kinds := tf.eventKinds(); kinds[EventLocal] != 4 {
 		t.Errorf("local-run events = %v, want 4 %s", kinds, EventLocal)
+	}
+}
+
+// dialWorker connects one worker built from cfg once the coordinator
+// has registered it, so a test's local fallback cannot race the join.
+func (tf *testFabric) dialWorker(t *testing.T, cfg WorkerConfig) <-chan error {
+	t.Helper()
+	conn, err := tf.net.Dial(cfg.ID)
+	if err != nil {
+		t.Fatalf("dial %s: %v", cfg.ID, err)
+	}
+	errc := make(chan error, 1)
+	go func() { errc <- NewWorker(cfg).RunConn(conn) }() //simlint:allow goroutine — test harness
+	for len(tf.coord.FleetWorkers()) == 0 {
+		time.Sleep(time.Millisecond) //simlint:allow wallclock — test pacing
+	}
+	return errc
+}
+
+// TestFabricWorkerStopsAfterCurrentPoint pins the interrupt contract:
+// a worker whose Stop hook fires mid-point reports that point, asks for
+// no more work and leaves with ErrStopped; local fallback finishes the
+// sweep.
+func TestFabricWorkerStopsAfterCurrentPoint(t *testing.T) {
+	cfg := quickCfg()
+	cfg.LocalGrace = 20 * time.Millisecond
+	tf := newTestFabric(t, ChaosPlan{}, cfg)
+	specs := makeSpecs(6)
+	var stop atomic.Bool
+	var ran atomic.Int32
+	errc := tf.dialWorker(t, WorkerConfig{
+		ID: "w1", Heartbeat: 25 * time.Millisecond, Stop: stop.Load,
+		Run: func(spec PointSpec) (*core.Result, bool, error) {
+			ran.Add(1)
+			stop.Store(true) // the operator's SIGINT lands mid-point
+			return fakeResult(spec), false, nil
+		},
+	})
+	results, err := tf.coord.Run(specs)
+	if err != nil {
+		t.Fatalf("Run: %v", err)
+	}
+	checkResults(t, specs, results)
+	if err := <-errc; !errors.Is(err, ErrStopped) {
+		t.Errorf("worker exit = %v, want ErrStopped", err)
+	}
+	if n := ran.Load(); n != 1 {
+		t.Errorf("worker ran %d points, want only the one in flight at the stop", n)
+	}
+	byW1 := 0
+	for _, e := range tf.log.Recent() {
+		if e.Kind == EventResult && e.Worker == "w1" {
+			byW1++
+		}
+	}
+	if kinds := tf.eventKinds(); byW1 != 1 || kinds[EventLocal] != len(specs)-1 {
+		t.Errorf("w1 delivered %d results, local ran %d points; want 1 and %d (kinds %v)",
+			byW1, kinds[EventLocal], len(specs)-1, kinds)
+	}
+}
+
+// TestFabricStoppedWorkerTakesNoWork: a worker stopped while idle
+// leaves without running anything, and the sweep still completes on
+// another worker.
+func TestFabricStoppedWorkerTakesNoWork(t *testing.T) {
+	tf := newTestFabric(t, ChaosPlan{}, quickCfg())
+	specs := makeSpecs(4)
+	var ran atomic.Int32
+	errc := tf.dialWorker(t, WorkerConfig{
+		ID: "w1", Heartbeat: 25 * time.Millisecond, Stop: func() bool { return true },
+		Run: func(spec PointSpec) (*core.Result, bool, error) {
+			ran.Add(1)
+			return fakeResult(spec), false, nil
+		},
+	})
+	tf.startWorker(t, "w2", fakeRunner)
+	results, err := tf.coord.Run(specs)
+	if err != nil {
+		t.Fatalf("Run: %v", err)
+	}
+	checkResults(t, specs, results)
+	if err := <-errc; !errors.Is(err, ErrStopped) {
+		t.Errorf("worker exit = %v, want ErrStopped", err)
+	}
+	if n := ran.Load(); n != 0 {
+		t.Errorf("stopped worker ran %d points, want 0", n)
 	}
 }
 

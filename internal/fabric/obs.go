@@ -5,33 +5,41 @@ import (
 	"time"
 
 	"clustersim/internal/obs"
-	"clustersim/internal/obs/fleet"
 )
 
 // Fabric event kinds, appended to the sweep's clustersim/events/v1
 // stream (the Worker field carries the worker identity). Every recovery
 // path emits an event, so "the fabric recovered from X" is a checkable
-// statement over the log, not an inference. The canonical string values
-// live in internal/obs/fleet — the fleet view's point state machine
-// keys on them and cannot import fabric — and are aliased here so
-// fabric callers keep their spelling.
+// statement over the log, not an inference. The coordinator's log is
+// the fleet's one timeline; the fleet view (internal/obs/fleet) keys
+// its point state machine on these kinds.
 const (
-	EventWorkerJoin = fleet.EventWorkerJoin
-	EventWorkerDead = fleet.EventWorkerDead
-	EventAssign     = fleet.EventAssign // Detail: fresh | reassign attempt=N | steal
-	EventRequeue    = fleet.EventRequeue
-	EventResult     = fleet.EventResult // Detail: computed | resumed-from-journal
-	EventResultDup  = fleet.EventResultDup
-	EventResultFail = fleet.EventResultFail
-	EventLocal      = fleet.EventLocal
-	EventDrain      = fleet.EventDrain
-	// EventRedial marks a worker's reconnect attempt to the coordinator
-	// (emitted worker-side, shipped with the next span batch), so fleet
-	// timelines show connectivity gaps.
-	EventRedial = fleet.EventRedial
-	// EventSpanDrop records worker span events lost to buffer pressure.
-	EventSpanDrop = fleet.EventSpanDrop
+	EventWorkerJoin = "fabric-worker-join"
+	EventWorkerDead = "fabric-worker-dead"
+	EventAssign     = "fabric-assign" // Detail: fresh | reassign attempt=N | steal
+	EventRequeue    = "fabric-requeue"
+	EventResult     = "fabric-result" // Detail: computed | resumed-from-journal; DurNS: worker wall cost
+	EventResultDup  = "fabric-result-dup"
+	EventResultFail = "fabric-result-fail"
+	EventLocal      = "fabric-local"
+	EventDrain      = "fabric-drain"
+	// EventRedial marks a worker's reconnect attempt to the coordinator,
+	// in the worker's own event log.
+	EventRedial = "fabric-redial"
 )
+
+// DetailResumed is the fabric-result Detail of a point replayed from a
+// worker's journal rather than computed.
+const DetailResumed = "resumed-from-journal"
+
+// WorkerLink is the coordinator's live view of one registered worker,
+// merged into the fleet doc alongside the event-derived aggregates.
+type WorkerLink struct {
+	Worker         string
+	Alive          bool
+	LeasesHeld     int
+	HeartbeatAgeMS int64
+}
 
 // Obs feeds the fabric's lifecycle into the observability plane: the
 // clustersim_fabric_* series in the metrics registry and fabric-*
@@ -52,7 +60,6 @@ type Obs struct {
 	cHeartbeats   *obs.Counter
 	cRequeues     *obs.Counter
 	cLocal        *obs.Counter
-	cSpans        *obs.Counter
 }
 
 // NewObs registers the fabric series on reg and routes events to log
@@ -72,7 +79,6 @@ func NewObs(reg *obs.Registry, log *obs.Log) *Obs {
 		o.cHeartbeats = reg.Counter("clustersim_fabric_heartbeats_total", "Worker heartbeats received.")
 		o.cRequeues = reg.Counter("clustersim_fabric_requeues_total", "Leases returned to the pending queue for re-assignment.")
 		o.cLocal = reg.Counter("clustersim_fabric_local_points_total", "Points the coordinator ran locally (degraded mode).")
-		o.cSpans = reg.Counter("clustersim_fabric_worker_spans_total", "Worker span events merged into the fleet timeline.")
 	}
 	return o
 }
@@ -124,7 +130,7 @@ func (o *Obs) Heartbeat(worker string) {
 
 // Assigned records a lease: kind is "fresh" (first attempt),
 // "reassign" (after a requeue) or "steal" (speculative duplicate).
-func (o *Obs) Assigned(worker, point, trace, kind string, attempt int) {
+func (o *Obs) Assigned(worker, point, kind string, attempt int) {
 	if o == nil {
 		return
 	}
@@ -140,24 +146,24 @@ func (o *Obs) Assigned(worker, point, trace, kind string, attempt int) {
 	if kind == "reassign" {
 		detail = fmt.Sprintf("reassign attempt=%d", attempt)
 	}
-	o.emit(obs.Event{Kind: EventAssign, Worker: worker, Point: point, Trace: trace, Detail: detail})
+	o.emit(obs.Event{Kind: EventAssign, Worker: worker, Point: point, Detail: detail})
 }
 
 // Requeued records a lease returned to the pending queue.
-func (o *Obs) Requeued(point, trace, reason string, attempt int) {
+func (o *Obs) Requeued(point, reason string, attempt int) {
 	if o == nil {
 		return
 	}
 	inc(o.cRequeues)
-	o.emit(obs.Event{Kind: EventRequeue, Point: point, Trace: trace,
+	o.emit(obs.Event{Kind: EventRequeue, Point: point,
 		Detail: fmt.Sprintf("%s; attempt=%d", reason, attempt)})
 }
 
 // ResultOK records the first completion of a point. wall is the
 // worker-measured cost of a fresh computation (zero for resumes),
 // carried as DurNS so the fleet ETA can learn point costs across
-// processes.
-func (o *Obs) ResultOK(worker, point, trace string, resumed bool, wall time.Duration) {
+// processes and the Chrome export can draw the point's slice.
+func (o *Obs) ResultOK(worker, point string, resumed bool, wall time.Duration) {
 	if o == nil {
 		return
 	}
@@ -165,60 +171,40 @@ func (o *Obs) ResultOK(worker, point, trace string, resumed bool, wall time.Dura
 	detail := "computed"
 	if resumed {
 		inc(o.cResumes)
-		detail = "resumed-from-journal"
+		detail = DetailResumed
 	}
-	o.emit(obs.Event{Kind: EventResult, Worker: worker, Point: point, Trace: trace,
+	o.emit(obs.Event{Kind: EventResult, Worker: worker, Point: point,
 		DurNS: int64(wall), Detail: detail})
 }
 
 // ResultDuplicate records a late or stolen double-completion that was
 // verified byte-identical and dropped.
-func (o *Obs) ResultDuplicate(worker, point, trace string) {
+func (o *Obs) ResultDuplicate(worker, point string) {
 	if o == nil {
 		return
 	}
 	inc(o.cResultDup)
-	o.emit(obs.Event{Kind: EventResultDup, Worker: worker, Point: point, Trace: trace,
+	o.emit(obs.Event{Kind: EventResultDup, Worker: worker, Point: point,
 		Detail: "byte-identical duplicate dropped (last write wins)"})
 }
 
 // ResultFailed records a point that failed on a worker.
-func (o *Obs) ResultFailed(worker, point, trace, errMsg string) {
+func (o *Obs) ResultFailed(worker, point, errMsg string) {
 	if o == nil {
 		return
 	}
 	inc(o.cResultFailed)
-	o.emit(obs.Event{Kind: EventResultFail, Worker: worker, Point: point, Trace: trace, Error: errMsg})
+	o.emit(obs.Event{Kind: EventResultFail, Worker: worker, Point: point, Error: errMsg})
 }
 
 // LocalRun records a point executed by the coordinator itself.
-func (o *Obs) LocalRun(point, trace string) {
+func (o *Obs) LocalRun(point string) {
 	if o == nil {
 		return
 	}
 	inc(o.cLocal)
-	o.emit(obs.Event{Kind: EventLocal, Point: point, Trace: trace,
+	o.emit(obs.Event{Kind: EventLocal, Point: point,
 		Detail: "no live workers; degraded to local execution"})
-}
-
-// WorkerSpans merges a batch of worker-shipped span events into the
-// coordinator's log. Each span keeps its origin wall timestamp, run
-// label, trace and worker identity, but is re-stamped with the
-// coordinator's next sequence number: arrival order at the coordinator
-// is the fleet's total causal order (see DESIGN.md).
-func (o *Obs) WorkerSpans(worker string, spans []obs.Event) {
-	if o == nil || len(spans) == 0 {
-		return
-	}
-	if o.cSpans != nil {
-		o.cSpans.Add(float64(len(spans)))
-	}
-	for _, e := range spans {
-		if e.Worker == "" {
-			e.Worker = worker
-		}
-		o.emit(e)
-	}
 }
 
 // Drained records the end-of-sweep goodbye to the fleet.

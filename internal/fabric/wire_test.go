@@ -3,6 +3,7 @@ package fabric
 import (
 	"bufio"
 	"bytes"
+	"encoding/json"
 	"fmt"
 	"io"
 	"strings"
@@ -73,6 +74,51 @@ func TestWireRejectsVersionSkew(t *testing.T) {
 	_, err := ReadMsg(bufio.NewReader(strings.NewReader(in)))
 	if err == nil || !strings.Contains(err.Error(), "version skew") {
 		t.Fatalf("err = %v, want a version-skew error", err)
+	}
+}
+
+// TestWireDecodesOlderPeerFields pins compatibility with v1 peers that
+// still send the trace, obsAddr and spans fields this build dropped:
+// their frames decode, and every field this build knows survives.
+func TestWireDecodesOlderPeerFields(t *testing.T) {
+	span := map[string]any{"schema": "clustersim/events/v1", "seq": 1, "wallUnixNs": 5,
+		"kind": "point-done", "point": "fft-c1-inf", "trace": "0123456789abcdef"}
+	frames := []map[string]any{
+		{"v": ProtoV1, "type": MsgHello, "worker": "w1", "obsAddr": "http://10.0.0.7:9091"},
+		{"v": ProtoV1, "type": MsgAssign, "lease": 3, "trace": "0123456789abcdef",
+			"point": PointSpec{App: "fft", Size: "test", ClusterSize: 1, Procs: 16, ConfigHash: "h"}},
+		{"v": ProtoV1, "type": MsgHeartbeat, "worker": "w1", "spans": []any{span}},
+		{"v": ProtoV1, "type": MsgResult, "worker": "w1", "lease": 3, "wallNs": 7,
+			"result": &core.Result{ExecTime: 42}, "spans": []any{span}},
+	}
+	var buf bytes.Buffer
+	for _, f := range frames {
+		payload, err := json.Marshal(f)
+		if err != nil {
+			t.Fatal(err)
+		}
+		fmt.Fprintf(&buf, "%d\n%s\n", len(payload), payload)
+	}
+	r := bufio.NewReader(&buf)
+	var got []Msg
+	for range frames {
+		m, err := ReadMsg(r)
+		if err != nil {
+			t.Fatalf("ReadMsg #%d: %v", len(got), err)
+		}
+		got = append(got, m)
+	}
+	if got[0].Type != MsgHello || got[0].Worker != "w1" {
+		t.Errorf("hello = %+v", got[0])
+	}
+	if got[1].Type != MsgAssign || got[1].Lease != 3 || got[1].Point == nil || got[1].Point.Name() != "fft-c1-inf" {
+		t.Errorf("assign = %+v", got[1])
+	}
+	if got[2].Type != MsgHeartbeat || got[2].Worker != "w1" {
+		t.Errorf("heartbeat = %+v", got[2])
+	}
+	if m := got[3]; m.Type != MsgResult || m.Lease != 3 || m.WallNS != 7 || m.Result == nil || m.Result.ExecTime != 42 {
+		t.Errorf("result = %+v", m)
 	}
 }
 

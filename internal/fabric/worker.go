@@ -1,19 +1,19 @@
 package fabric
 
 import (
+	"errors"
 	"fmt"
 	"io"
 	"sync"
 	"sync/atomic"
 	"time"
-
-	"clustersim/internal/obs"
 )
 
-// spansPerFrame caps how many buffered span events piggyback on one
-// outgoing Result/Heartbeat frame, keeping frames bounded; the rest
-// ride the next frame.
-const spansPerFrame = 256
+// ErrStopped is RunConn's return when the worker's Stop hook asked it
+// to leave: the point in flight (if any) was reported, no more work was
+// requested, and the connection is closed. The coordinator requeues
+// anything still leased to the worker when it sees the stream die.
+var ErrStopped = errors.New("fabric: worker stopped on request")
 
 // WorkerConfig configures one fleet member.
 type WorkerConfig struct {
@@ -33,14 +33,11 @@ type WorkerConfig struct {
 	// Progress receives operator-facing lines (nil = silent).
 	Progress io.Writer
 
-	// ObsAddr, when non-empty, is the worker's obs server base URL
-	// advertised on Hello so the coordinator federates its /metrics.
-	ObsAddr string
-
-	// Spans, when non-nil, drains up to max buffered point-local span
-	// events (a fleet.SpanBuffer's Drain, typically) for piggyback
-	// shipment on Result and Heartbeat frames.
-	Spans func(max int) []obs.Event
+	// Stop, when non-nil, is polled after each point and on every
+	// heartbeat tick; once it reports true the worker finishes the
+	// point in flight, reports it, and leaves with ErrStopped (the
+	// CLI wires SIGINT/SIGTERM here).
+	Stop func() bool
 }
 
 func (c WorkerConfig) heartbeat() time.Duration {
@@ -52,7 +49,7 @@ func (c WorkerConfig) heartbeat() time.Duration {
 
 // Worker is one fleet member: it says hello, asks for work (Steal),
 // computes assignments one at a time, heartbeats throughout, and
-// leaves on Drain.
+// leaves on Drain or when its Stop hook fires.
 type Worker struct {
 	cfg WorkerConfig
 	// computing is set while a point runs; the heartbeat loop piggybacks
@@ -60,19 +57,11 @@ type Worker struct {
 	// Assign frame cannot strand an idle worker (the request is
 	// idempotent on the coordinator side).
 	computing atomic.Bool
-
-	// traces maps assigned point names to the coordinator-provided
-	// trace ID, so locally emitted span events can be stamped before
-	// shipping. Entries persist for the connection's lifetime — a late
-	// span (e.g. a watchdog firing after reassignment) still attaches
-	// to the right timeline.
-	mu     sync.Mutex
-	traces map[string]string
 }
 
 // NewWorker builds a worker; RunConn makes it live.
 func NewWorker(cfg WorkerConfig) *Worker {
-	return &Worker{cfg: cfg, traces: make(map[string]string)}
+	return &Worker{cfg: cfg}
 }
 
 func (w *Worker) progressf(format string, args ...interface{}) {
@@ -81,42 +70,14 @@ func (w *Worker) progressf(format string, args ...interface{}) {
 	}
 }
 
-// rememberTrace records a point's trace ID from its Assign.
-func (w *Worker) rememberTrace(point, trace string) {
-	if trace == "" {
-		return
-	}
-	w.mu.Lock()
-	w.traces[point] = trace
-	w.mu.Unlock()
+// stopping reports whether the Stop hook asked the worker to leave.
+func (w *Worker) stopping() bool {
+	return w.cfg.Stop != nil && w.cfg.Stop()
 }
 
-// drainSpans pulls buffered span events and stamps each with this
-// worker's identity and (when the point was assigned here) its trace
-// ID, ready for piggyback shipment.
-func (w *Worker) drainSpans() []obs.Event {
-	if w.cfg.Spans == nil {
-		return nil
-	}
-	spans := w.cfg.Spans(spansPerFrame)
-	if len(spans) == 0 {
-		return nil
-	}
-	w.mu.Lock()
-	for i := range spans {
-		if spans[i].Worker == "" {
-			spans[i].Worker = w.cfg.ID
-		}
-		if spans[i].Trace == "" && spans[i].Point != "" {
-			spans[i].Trace = w.traces[spans[i].Point]
-		}
-	}
-	w.mu.Unlock()
-	return spans
-}
-
-// RunConn serves one connection to the coordinator until Drain (nil)
-// or a transport error (the caller decides whether to redial). Points
+// RunConn serves one connection to the coordinator until Drain (nil),
+// a stop request (ErrStopped) or a transport error (the caller decides
+// whether to redial). Points
 // run on a separate goroutine so heartbeats and a mid-point Drain are
 // handled while the simulation computes; assignments are still
 // sequential — the worker never runs two points at once.
@@ -127,7 +88,7 @@ func (w *Worker) RunConn(conn Conn) error {
 	if w.cfg.Run == nil {
 		return fmt.Errorf("fabric: worker %s has no Runner", w.cfg.ID)
 	}
-	if err := conn.Send(Msg{Type: MsgHello, Worker: w.cfg.ID, ObsAddr: w.cfg.ObsAddr}); err != nil {
+	if err := conn.Send(Msg{Type: MsgHello, Worker: w.cfg.ID}); err != nil {
 		return fmt.Errorf("fabric: hello: %w", err)
 	}
 	if err := conn.Send(Msg{Type: MsgSteal, Worker: w.cfg.ID}); err != nil {
@@ -148,7 +109,13 @@ func (w *Worker) RunConn(conn Conn) error {
 			case <-stop:
 				return
 			case <-t.C:
-				conn.Send(Msg{Type: MsgHeartbeat, Worker: w.cfg.ID, Spans: w.drainSpans()})
+				if !w.computing.Load() && w.stopping() {
+					// Idle when the stop arrived: leave now. Closing the
+					// conn ends the read loop below.
+					conn.Close()
+					return
+				}
+				conn.Send(Msg{Type: MsgHeartbeat, Worker: w.cfg.ID})
 				if !w.computing.Load() {
 					// Idle re-request: recovers from a dropped Steal or
 					// Assign frame.
@@ -170,6 +137,9 @@ func (w *Worker) RunConn(conn Conn) error {
 	for {
 		m, err := conn.Recv()
 		if err != nil {
+			if w.stopping() {
+				return ErrStopped
+			}
 			if err == io.EOF {
 				return fmt.Errorf("fabric: coordinator closed the connection")
 			}
@@ -180,7 +150,11 @@ func (w *Worker) RunConn(conn Conn) error {
 			if m.Point == nil {
 				continue
 			}
-			w.rememberTrace(m.Point.Name(), m.Trace)
+			if w.stopping() {
+				// Work that arrived after the stop: leave without it;
+				// the coordinator requeues the lease when the conn dies.
+				return ErrStopped
+			}
 			busy.Wait() // previous point (if any) finished and reported
 			busy.Add(1)
 			w.computing.Store(true)
@@ -201,7 +175,8 @@ func (w *Worker) RunConn(conn Conn) error {
 }
 
 // runPoint executes one assignment and reports the outcome, then asks
-// for more work.
+// for more work — or, when a stop was requested meanwhile, closes the
+// connection instead.
 func (w *Worker) runPoint(conn Conn, lease uint64, spec PointSpec) {
 	w.progressf("running %s (lease %d)", spec.Name(), lease)
 	// Harness wall clock: point cost measurement for the fleet ETA.
@@ -220,8 +195,12 @@ func (w *Worker) runPoint(conn Conn, lease uint64, spec PointSpec) {
 			w.progressf("point %s done", spec.Name())
 		}
 	}
-	out.Spans = w.drainSpans()
 	conn.Send(out)
+	if w.stopping() {
+		w.progressf("stopping after %s; asking for no more work", spec.Name())
+		conn.Close()
+		return
+	}
 	w.computing.Store(false)
 	conn.Send(Msg{Type: MsgSteal, Worker: w.cfg.ID})
 }

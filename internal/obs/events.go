@@ -50,7 +50,6 @@ type Event struct {
 	Span       string `json:"span,omitempty"`
 	Point      string `json:"point,omitempty"`
 	Worker     string `json:"worker,omitempty"`
-	Trace      string `json:"trace,omitempty"`
 	App        string `json:"app,omitempty"`
 	Cluster    int    `json:"cluster,omitempty"`
 	Cache      string `json:"cache,omitempty"`
@@ -118,8 +117,8 @@ func (l *Log) SetClock(now func() time.Time) {
 // SetMirror registers a synchronous secondary sink invoked under the
 // log lock for every emitted event, after stamping. Unlike Subscribe,
 // a mirror is lossless — the fleet view depends on seeing every event
-// to keep its merged timeline complete — so it must be fast and must
-// never call back into the log. At most one mirror; nil clears it.
+// to keep its per-point timelines complete — so it must be fast and
+// must never call back into the log. At most one mirror; nil clears it.
 func (l *Log) SetMirror(fn func(Event)) {
 	if l == nil {
 		return
@@ -132,11 +131,7 @@ func (l *Log) SetMirror(fn func(Event)) {
 // Emit stamps (schema, seq, wall time, run) onto e and appends it:
 // one marshal, one Write. Marshal errors cannot happen for Event's
 // plain field types, so Emit has no error to return; a short write to
-// a dying disk surfaces on Close. Seq is always re-stamped — the log's
-// sequence is the causal order — but a non-zero incoming WallUnixNS is
-// preserved, so a worker span re-emitted at the coordinator keeps its
-// origin timestamp while taking its place in the coordinator's total
-// order.
+// a dying disk surfaces on Close.
 func (l *Log) Emit(e Event) {
 	if l == nil {
 		return
@@ -146,9 +141,7 @@ func (l *Log) Emit(e Event) {
 	l.seq++
 	e.Schema = EventsSchemaV1
 	e.Seq = l.seq
-	if e.WallUnixNS == 0 {
-		e.WallUnixNS = l.now().UnixNano()
-	}
+	e.WallUnixNS = l.now().UnixNano()
 	if e.Run == "" {
 		e.Run = l.run
 	}

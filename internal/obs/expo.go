@@ -30,7 +30,7 @@ func (r *Registry) WritePrometheus(w io.Writer) error {
 			case kindHistogram:
 				writeHistogram(bw, fam.name, s)
 			default:
-				fmt.Fprintf(bw, "%s%s %s\n", fam.name, s.sig, FormatValue(s.val))
+				fmt.Fprintf(bw, "%s%s %s\n", fam.name, s.sig, formatValue(s.val))
 			}
 		}
 	}
@@ -42,10 +42,10 @@ func (r *Registry) WritePrometheus(w io.Writer) error {
 // inside one brace set.
 func writeHistogram(w io.Writer, name string, s seriesSnap) {
 	for i, bound := range s.bounds {
-		fmt.Fprintf(w, "%s_bucket%s %d\n", name, withLabel(s.sig, "le", FormatValue(bound)), s.cum[i])
+		fmt.Fprintf(w, "%s_bucket%s %d\n", name, withLabel(s.sig, "le", formatValue(bound)), s.cum[i])
 	}
 	fmt.Fprintf(w, "%s_bucket%s %d\n", name, withLabel(s.sig, "le", "+Inf"), s.count)
-	fmt.Fprintf(w, "%s_sum%s %s\n", name, s.sig, FormatValue(s.sum))
+	fmt.Fprintf(w, "%s_sum%s %s\n", name, s.sig, formatValue(s.sum))
 	fmt.Fprintf(w, "%s_count%s %d\n", name, s.sig, s.count)
 }
 
@@ -58,10 +58,9 @@ func withLabel(sig, key, value string) string {
 	return sig[:len(sig)-1] + "," + extra + "}"
 }
 
-// FormatValue renders a sample value the way Prometheus expects:
-// shortest exact decimal, +Inf/-Inf/NaN spelled out. Exported so the
-// fleet federator re-renders parsed samples byte-compatibly.
-func FormatValue(v float64) string {
+// formatValue renders a sample value the way Prometheus expects:
+// shortest exact decimal, +Inf/-Inf/NaN spelled out.
+func formatValue(v float64) string {
 	switch {
 	case math.IsInf(v, +1):
 		return "+Inf"
@@ -86,53 +85,19 @@ type ExpositionStats struct {
 	Series   int // sample lines
 }
 
-// Sample is one parsed sample line: metric name, labels in document
-// order, and the value. Timestamps are validated but not retained —
-// nothing in this repo emits them.
-type Sample struct {
+// sample is one parsed sample line's series identity: metric name and
+// labels in document order. Values and timestamps are validated but
+// not retained.
+type sample struct {
 	Name   string
 	Labels []Label
-	Value  float64
 }
 
-// ExpoFamily groups the samples of one metric family. Histogram and
-// summary component samples (_bucket/_sum/_count) file under their
-// declared family. Typed records whether a # TYPE line declared the
-// family (implicit families from bare samples are untyped).
-type ExpoFamily struct {
-	Name    string
-	Kind    string // counter|gauge|histogram|summary|untyped
-	Help    string
-	Typed   bool
-	Samples []Sample
-}
-
-// Exposition is a fully parsed text exposition document, families in
-// document order. This is what the fleet federator merges.
-type Exposition struct {
-	Families []ExpoFamily
-}
-
-// Stats summarises the document the way ParseExposition reports it.
-func (e *Exposition) Stats() ExpositionStats {
-	var st ExpositionStats
-	if e == nil {
-		return st
-	}
-	for i := range e.Families {
-		if e.Families[i].Typed {
-			st.Families++
-		}
-		st.Series += len(e.Families[i].Samples)
-	}
-	return st
-}
-
-// Signature renders a label set in its canonical exposition form: keys
-// sorted, values escaped. Two label sets with the same pairs in any
-// order share a signature — this is the series-identity contract the
-// registry, the duplicate-series check and the federator all agree on.
-func Signature(labels []Label) string {
+// sortedSignature renders a label set in its canonical exposition
+// form: keys sorted, values escaped. Two label sets with the same pairs
+// in any order share a signature — the series-identity contract the
+// registry and the duplicate-series check agree on.
+func sortedSignature(labels []Label) string {
 	sorted := make([]Label, len(labels))
 	copy(sorted, labels)
 	sort.Slice(sorted, func(i, j int) bool { return sorted[i].Key < sorted[j].Key })
@@ -149,42 +114,12 @@ func Signature(labels []Label) string {
 // `tracetool metrics` and the CI observability smoke test — it is a
 // format check, not a full Prometheus client.
 func ParseExposition(r io.Reader) (ExpositionStats, error) {
-	doc, err := ReadExposition(r)
-	return doc.Stats(), err
-}
-
-// ReadExposition parses a text exposition document into its families
-// and samples, applying the same strict validation as ParseExposition.
-// On error the partially parsed document is returned alongside it.
-func ReadExposition(r io.Reader) (*Exposition, error) {
-	doc := &Exposition{}
-	byName := make(map[string]int) // family name -> index in doc.Families
-	famFor := func(name string) *ExpoFamily {
-		if i, ok := byName[name]; ok {
-			return &doc.Families[i]
-		}
-		// _bucket/_sum/_count samples belong to their declared
-		// histogram or summary family.
-		for _, suffix := range []string{"_bucket", "_sum", "_count"} {
-			base, ok := strings.CutSuffix(name, suffix)
-			if !ok {
-				continue
-			}
-			if i, ok := byName[base]; ok {
-				if k := doc.Families[i].Kind; k == kindHistogram || k == "summary" {
-					return &doc.Families[i]
-				}
-			}
-		}
-		byName[name] = len(doc.Families)
-		doc.Families = append(doc.Families, ExpoFamily{Name: name, Kind: "untyped"})
-		return &doc.Families[len(doc.Families)-1]
-	}
-	seen := make(map[string]bool) // name + key-sorted signature
+	var st ExpositionStats
+	kinds := make(map[string]string) // declared family name -> TYPE
+	seen := make(map[string]bool)    // name + key-sorted signature
 	sc := bufio.NewScanner(r)
 	sc.Buffer(make([]byte, 0, 64*1024), 1<<20)
 	lineNo := 0
-	nSamples := 0
 	for sc.Scan() {
 		lineNo++
 		line := sc.Text()
@@ -197,47 +132,41 @@ func ReadExposition(r io.Reader) (*Exposition, error) {
 				continue // free-form comment
 			}
 			if !validName(name) {
-				return doc, fmt.Errorf("line %d: invalid metric name %q in %s", lineNo, name, kind)
+				return st, fmt.Errorf("line %d: invalid metric name %q in %s", lineNo, name, kind)
 			}
-			fam := famFor(name)
 			if kind == "HELP" {
-				if fam.Help == "" {
-					fam.Help = rest
-				}
 				continue
 			}
 			switch rest {
 			case kindCounter, kindGauge, kindHistogram, "summary", "untyped":
 			default:
-				return doc, fmt.Errorf("line %d: unknown metric type %q", lineNo, rest)
+				return st, fmt.Errorf("line %d: unknown metric type %q", lineNo, rest)
 			}
-			if fam.Typed {
-				return doc, fmt.Errorf("line %d: duplicate TYPE for metric %q", lineNo, name)
+			if _, dup := kinds[name]; dup {
+				return st, fmt.Errorf("line %d: duplicate TYPE for metric %q", lineNo, name)
 			}
-			fam.Kind = rest
-			fam.Typed = true
+			kinds[name] = rest
+			st.Families++
 			continue
 		}
 		s, err := parseSampleLine(line)
 		if err != nil {
-			return doc, fmt.Errorf("line %d: %v", lineNo, err)
+			return st, fmt.Errorf("line %d: %v", lineNo, err)
 		}
-		key := s.Name + Signature(s.Labels)
+		key := s.Name + sortedSignature(s.Labels)
 		if seen[key] {
-			return doc, fmt.Errorf("line %d: duplicate series %s (series identity is the key-sorted label signature)", lineNo, key)
+			return st, fmt.Errorf("line %d: duplicate series %s (series identity is the key-sorted label signature)", lineNo, key)
 		}
 		seen[key] = true
-		fam := famFor(s.Name)
-		fam.Samples = append(fam.Samples, s)
-		nSamples++
+		st.Series++
 	}
 	if err := sc.Err(); err != nil {
-		return doc, err
+		return st, err
 	}
-	if nSamples == 0 {
-		return doc, fmt.Errorf("no sample lines")
+	if st.Series == 0 {
+		return st, fmt.Errorf("no sample lines")
 	}
-	return doc, nil
+	return st, nil
 }
 
 // parseCommentLine splits "# HELP name text" / "# TYPE name kind";
@@ -254,8 +183,8 @@ func parseCommentLine(line string) (kind, name, rest string, ok bool) {
 }
 
 // parseSampleLine parses one sample: name[{labels}] value [timestamp].
-func parseSampleLine(line string) (Sample, error) {
-	var s Sample
+func parseSampleLine(line string) (sample, error) {
+	var s sample
 	rest := line
 	i := strings.IndexAny(rest, "{ \t")
 	if i < 0 {
@@ -278,11 +207,9 @@ func parseSampleLine(line string) (Sample, error) {
 	if len(fields) < 1 || len(fields) > 2 {
 		return s, fmt.Errorf("sample %q: want value [timestamp], got %q", line, rest)
 	}
-	v, err := parseSampleValue(fields[0])
-	if err != nil {
+	if _, err := parseSampleValue(fields[0]); err != nil {
 		return s, fmt.Errorf("sample %q: bad value %q", line, fields[0])
 	}
-	s.Value = v
 	if len(fields) == 2 {
 		if _, err := strconv.ParseInt(fields[1], 10, 64); err != nil {
 			return s, fmt.Errorf("sample %q: bad timestamp %q", line, fields[1])

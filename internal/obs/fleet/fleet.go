@@ -1,22 +1,17 @@
 // Package fleet is the cross-process half of the observability plane:
-// it turns one distributed sweep into one observable story. Every sweep
-// point carries a trace ID derived from its journal key, so coordinator
-// events and worker span events for the same point share an identity
-// even though they are emitted by different processes. Workers buffer
-// their point-local span events (SpanBuffer) and ship them piggybacked
-// on fabric Result/Heartbeat frames; the coordinator re-emits them into
-// its own event log, whose sequence numbers become the fleet's total
-// causal order (see DESIGN.md, "Causal merge ordering"). The View
-// mirrors that merged log into an aggregated fleet state — per-worker
-// liveness, per-point timelines, a fleet ETA — served as the
-// clustersim/fleet/v1 document on GET /fleet, with per-point timelines
-// on GET /fleet/trace and federated worker metrics on /fleet/metrics.
+// it turns one distributed sweep into one observable story. The
+// coordinator's event log is the fleet's only timeline: every assign,
+// requeue, result (with the worker and its measured wall cost), death
+// and drain is emitted there, with a strictly monotone seq, by the one
+// process that decides them. The View mirrors that log into an
+// aggregated fleet state — per-worker liveness and tallies, per-point
+// timelines, a fleet ETA — served as the clustersim/fleet/v1 document
+// on GET /fleet, with per-point timelines on GET /fleet/trace.
 //
 // Like its parent package, fleet is strictly wall-clock-side harness
 // state: it never touches simulation state (it is a member of the
-// simlint readonly observer set), trace fields live only in the wire
-// envelope and the event log — never in core.Result — and a traced
-// distributed sweep stays byte-identical to a local run.
+// simlint readonly observer set), and an observed distributed sweep
+// stays byte-identical to a local run.
 package fleet
 
 import (
@@ -25,6 +20,7 @@ import (
 	"sync"
 	"time"
 
+	"clustersim/internal/fabric"
 	"clustersim/internal/obs"
 )
 
@@ -34,67 +30,13 @@ const SchemaV1 = "clustersim/fleet/v1"
 // TraceSchemaV1 identifies the GET /fleet/trace document.
 const TraceSchemaV1 = "clustersim/fleettrace/v1"
 
-// Fabric event kinds the view's point state machine keys on. The
-// canonical definitions live here so internal/fabric (which imports
-// this package for trace IDs) can alias rather than duplicate them.
-const (
-	EventWorkerJoin = "fabric-worker-join"
-	EventWorkerDead = "fabric-worker-dead"
-	EventAssign     = "fabric-assign"
-	EventRequeue    = "fabric-requeue"
-	EventResult     = "fabric-result"
-	EventResultDup  = "fabric-result-dup"
-	EventResultFail = "fabric-result-fail"
-	EventLocal      = "fabric-local"
-	EventDrain      = "fabric-drain"
-	EventRedial     = "fabric-redial"
-	EventSpanDrop   = "fabric-span-drop"
-)
-
-// detailResumed matches the fabric-result Detail for journal resumes.
-const detailResumed = "resumed-from-journal"
-
-// TraceID derives a point's fleet-wide trace ID from its journal key
-// (fabric.PointSpec.Key()). FNV-1a 64 in hex: stable across processes
-// and runs, cheap, and collision-free in practice for sweep-sized point
-// sets.
-func TraceID(key string) string {
-	const (
-		offset64 = 14695981039346656037
-		prime64  = 1099511628211
-	)
-	h := uint64(offset64)
-	for i := 0; i < len(key); i++ {
-		h ^= uint64(key[i])
-		h *= prime64
-	}
-	const hex = "0123456789abcdef"
-	var b [16]byte
-	for i := 15; i >= 0; i-- {
-		b[i] = hex[h&0xf]
-		h >>= 4
-	}
-	return string(b[:])
-}
-
-// WorkerLink is the coordinator's live view of one registered worker,
-// merged into the fleet doc alongside the event-derived aggregates.
-type WorkerLink struct {
-	Worker         string
-	Alive          bool
-	ObsURL         string // worker's obs server base URL, if advertised
-	LeasesHeld     int
-	HeartbeatAgeMS int64
-}
-
 // maxTimelineEvents bounds one point's retained timeline; beyond it
 // events still feed the state machine but are not stored.
 const maxTimelineEvents = 512
 
-// pointState is one point's merged cross-process story.
+// pointState is one point's story in the coordinator log.
 type pointState struct {
 	name      string
-	trace     string
 	assigned  bool
 	state     string // "" | "assigned" | "done" | "failed"
 	resumed   bool
@@ -106,38 +48,30 @@ type pointState struct {
 // workerAgg is the event-derived per-worker tally.
 type workerAgg struct {
 	done, replayed, failed, dups int
-	spans                        int // events observed carrying this worker's ID
-	lastKind                     string
-	lastUnixNS                   int64
 }
 
-// View aggregates the coordinator's merged event log into the fleet
-// status document. It attaches as the event log's mirror (lossless,
-// synchronous), so the merged timeline it serves is complete — unlike
+// View aggregates the coordinator's event log into the fleet status
+// document. It attaches as the event log's mirror (lossless,
+// synchronous), so the timelines it serves are complete — unlike
 // /events followers, which may drop under backpressure.
 type View struct {
 	mu          sync.Mutex
 	run         string
-	fed         *Federator
 	eta         *obs.ETA
-	links       func() []WorkerLink
+	links       func() []fabric.WorkerLink
 	points      map[string]*pointState
 	order       []string
-	byTrace     map[string]string
 	workers     map[string]*workerAgg
 	workerOrder []string
 	events      int
 }
 
-// NewView builds a fleet view labelled run. fed may be nil (no metrics
-// federation; /fleet/metrics then serves an empty exposition).
-func NewView(run string, fed *Federator) *View {
+// NewView builds a fleet view labelled run.
+func NewView(run string) *View {
 	return &View{
 		run:     run,
-		fed:     fed,
 		eta:     obs.NewETA(),
 		points:  make(map[string]*pointState),
-		byTrace: make(map[string]string),
 		workers: make(map[string]*workerAgg),
 	}
 }
@@ -145,7 +79,7 @@ func NewView(run string, fed *Federator) *View {
 // SetSource installs the coordinator's worker snapshot (liveness,
 // leases, heartbeat age). Called once the coordinator exists; the doc
 // works without it, from events alone.
-func (v *View) SetSource(links func() []WorkerLink) {
+func (v *View) SetSource(links func() []fabric.WorkerLink) {
 	v.mu.Lock()
 	v.links = links
 	v.mu.Unlock()
@@ -158,10 +92,7 @@ func (v *View) SetTotal(n int) {
 	v.mu.Unlock()
 }
 
-// Federator returns the attached federator (may be nil).
-func (v *View) Federator() *Federator { return v.fed }
-
-// Observe ingests one event of the coordinator's merged log. It is the
+// Observe ingests one event of the coordinator's log. It is the
 // mirror callback: invoked synchronously under the log lock, in seq
 // order, for every event — the completeness guarantee the audit rests
 // on. Lock order is coordinator → log → view, so Observe must never
@@ -171,38 +102,31 @@ func (v *View) Observe(e obs.Event) {
 	defer v.mu.Unlock()
 	v.events++
 	if e.Worker != "" {
-		w := v.worker(e.Worker)
-		w.spans++
-		w.lastKind = e.Kind
-		w.lastUnixNS = e.WallUnixNS
+		v.worker(e.Worker)
 	}
 	if e.Point == "" {
 		return
 	}
 	p := v.point(e.Point)
-	if e.Trace != "" && p.trace == "" {
-		p.trace = e.Trace
-		v.byTrace[e.Trace] = e.Point
-	}
 	if len(p.events) < maxTimelineEvents {
 		p.events = append(p.events, e)
 	} else {
 		p.truncated++
 	}
 	switch e.Kind {
-	case EventAssign, EventLocal:
+	case fabric.EventAssign, fabric.EventLocal:
 		p.assigned = true
 		if p.state == "" {
 			p.state = "assigned"
 		}
-	case EventResult:
+	case fabric.EventResult:
 		p.results++
 		if p.state == "done" {
 			return // defensive: coordinator emits one result per point
 		}
 		wasFailed := p.state == "failed"
 		p.state = "done"
-		p.resumed = e.Detail == detailResumed
+		p.resumed = e.Detail == fabric.DetailResumed
 		if !wasFailed {
 			// First terminal transition feeds the ETA exactly once:
 			// resumes are free, fresh completions carry the worker's
@@ -221,11 +145,11 @@ func (v *View) Observe(e obs.Event) {
 				v.worker(e.Worker).done++
 			}
 		}
-	case EventResultDup:
+	case fabric.EventResultDup:
 		if e.Worker != "" {
 			v.worker(e.Worker).dups++
 		}
-	case EventResultFail:
+	case fabric.EventResultFail:
 		if p.state == "" || p.state == "assigned" {
 			p.state = "failed"
 			v.eta.CompletedFree()
@@ -236,7 +160,7 @@ func (v *View) Observe(e obs.Event) {
 	}
 }
 
-// point finds or creates a point's merged state (caller holds v.mu).
+// point finds or creates a point's state (caller holds v.mu).
 func (v *View) point(name string) *pointState {
 	p := v.points[name]
 	if p == nil {
@@ -259,36 +183,7 @@ func (v *View) worker(id string) *workerAgg {
 	return w
 }
 
-// Timeline returns the merged, seq-ordered events of one point, looked
-// up by point name or by trace ID.
-func (v *View) Timeline(pointOrTrace string) ([]obs.Event, bool) {
-	v.mu.Lock()
-	defer v.mu.Unlock()
-	name := pointOrTrace
-	if _, ok := v.points[name]; !ok {
-		if mapped, ok := v.byTrace[pointOrTrace]; ok {
-			name = mapped
-		}
-	}
-	p := v.points[name]
-	if p == nil {
-		return nil, false
-	}
-	out := make([]obs.Event, len(p.events))
-	copy(out, p.events)
-	return out, true
-}
-
-// Points lists every point the view has seen, in first-seen order.
-func (v *View) Points() []string {
-	v.mu.Lock()
-	defer v.mu.Unlock()
-	out := make([]string, len(v.order))
-	copy(out, v.order)
-	return out
-}
-
-// Audit is the merged-timeline completeness check the keystone chaos
+// Audit is the timeline completeness check the keystone chaos
 // test asserts: after a drained sweep every assigned point must have
 // reached exactly one terminal state.
 type Audit struct {
@@ -344,23 +239,16 @@ type Totals struct {
 }
 
 // WorkerStatus is one worker's row of the /fleet doc: the coordinator's
-// live link state merged with the event-derived tallies and the last
-// metrics scrape.
+// live link state merged with the event-derived tallies.
 type WorkerStatus struct {
 	Worker         string `json:"worker"`
 	Alive          bool   `json:"alive"`
-	ObsURL         string `json:"obsUrl,omitempty"`
 	LeasesHeld     int    `json:"leasesHeld"`
 	HeartbeatAgeMS int64  `json:"heartbeatAgeMs,omitempty"`
 	Done           int    `json:"done"`
 	Replayed       int    `json:"replayed"`
 	Failed         int    `json:"failed"`
 	Duplicates     int    `json:"duplicates"`
-	Spans          int    `json:"spans"`
-	LastSpan       string `json:"lastSpan,omitempty"`
-	LastSpanUnixMS int64  `json:"lastSpanUnixMs,omitempty"`
-	ScrapeError    string `json:"scrapeError,omitempty"`
-	ScrapeUnixMS   int64  `json:"scrapeUnixMs,omitempty"`
 }
 
 // Doc is the GET /fleet response (schema clustersim/fleet/v1).
@@ -373,25 +261,17 @@ type Doc struct {
 	Workers         []WorkerStatus `json:"workers"`
 }
 
-// Doc renders the current fleet document. The coordinator snapshot and
-// the federator are consulted outside the view lock (lock order: the
-// coordinator may emit events — coordinator → log → view — so the view
-// must not hold its lock while calling into the coordinator).
+// Doc renders the current fleet document. The coordinator snapshot is
+// taken outside the view lock (lock order: the coordinator may emit
+// events — coordinator → log → view — so the view must not hold its
+// lock while calling into the coordinator).
 func (v *View) Doc() *Doc {
-	var links []WorkerLink
+	var links []fabric.WorkerLink
 	v.mu.Lock()
 	source := v.links
 	v.mu.Unlock()
 	if source != nil {
 		links = source()
-	}
-	var scrapes []ScrapeStatus
-	if v.fed != nil {
-		scrapes = v.fed.Status()
-	}
-	scrapeFor := make(map[string]ScrapeStatus, len(scrapes))
-	for _, s := range scrapes {
-		scrapeFor[s.Worker] = s
 	}
 
 	v.mu.Lock()
@@ -422,11 +302,10 @@ func (v *View) Doc() *Doc {
 	// Workers: coordinator link order first, then event-only identities
 	// (e.g. "(local)") in first-seen order.
 	seen := make(map[string]bool, len(links))
-	addRow := func(link *WorkerLink, id string) {
+	addRow := func(link *fabric.WorkerLink, id string) {
 		row := WorkerStatus{Worker: id}
 		if link != nil {
 			row.Alive = link.Alive
-			row.ObsURL = link.ObsURL
 			row.LeasesHeld = link.LeasesHeld
 			row.HeartbeatAgeMS = link.HeartbeatAgeMS
 		}
@@ -435,15 +314,6 @@ func (v *View) Doc() *Doc {
 			row.Replayed = agg.replayed
 			row.Failed = agg.failed
 			row.Duplicates = agg.dups
-			row.Spans = agg.spans
-			row.LastSpan = agg.lastKind
-			if agg.lastUnixNS != 0 {
-				row.LastSpanUnixMS = agg.lastUnixNS / int64(time.Millisecond)
-			}
-		}
-		if s, ok := scrapeFor[id]; ok {
-			row.ScrapeError = s.Err
-			row.ScrapeUnixMS = s.AtUnixMS
 		}
 		if row.Alive {
 			doc.Totals.Live++
@@ -464,26 +334,19 @@ func (v *View) Doc() *Doc {
 }
 
 // TraceDoc is the GET /fleet/trace response (clustersim/fleettrace/v1):
-// one point's merged cross-process timeline in coordinator-seq order.
+// one point's timeline in coordinator-seq order.
 type TraceDoc struct {
 	Schema    string      `json:"schema"`
 	Point     string      `json:"point"`
-	Trace     string      `json:"trace,omitempty"`
 	State     string      `json:"state,omitempty"`
 	Truncated int         `json:"truncatedEvents,omitempty"`
 	Events    []obs.Event `json:"events"`
 }
 
-// Trace renders one point's timeline document, by name or trace ID.
-func (v *View) Trace(pointOrTrace string) (*TraceDoc, bool) {
+// Trace renders one point's timeline document.
+func (v *View) Trace(name string) (*TraceDoc, bool) {
 	v.mu.Lock()
 	defer v.mu.Unlock()
-	name := pointOrTrace
-	if _, ok := v.points[name]; !ok {
-		if mapped, ok := v.byTrace[pointOrTrace]; ok {
-			name = mapped
-		}
-	}
 	p := v.points[name]
 	if p == nil {
 		return nil, false
@@ -491,7 +354,6 @@ func (v *View) Trace(pointOrTrace string) (*TraceDoc, bool) {
 	doc := &TraceDoc{
 		Schema:    TraceSchemaV1,
 		Point:     p.name,
-		Trace:     p.trace,
 		State:     p.state,
 		Truncated: p.truncated,
 		Events:    make([]obs.Event, len(p.events)),
@@ -503,12 +365,10 @@ func (v *View) Trace(pointOrTrace string) (*TraceDoc, bool) {
 // Mount registers the fleet endpoints on an obs server:
 //
 //	GET /fleet          the clustersim/fleet/v1 document
-//	GET /fleet/trace    one point's merged timeline (?point= or ?trace=)
-//	GET /fleet/metrics  federated worker metrics, worker= labelled
+//	GET /fleet/trace    one point's timeline (?point=NAME)
 func (v *View) Mount(s *obs.Server) {
 	s.Handle("GET /fleet", "fleet status JSON (clustersim/fleet/v1)", http.HandlerFunc(v.handleDoc))
-	s.Handle("GET /fleet/trace", "per-point cross-process timeline (?point=NAME)", http.HandlerFunc(v.handleTrace))
-	s.Handle("GET /fleet/metrics", "federated worker metrics (worker= labels)", http.HandlerFunc(v.handleMetrics))
+	s.Handle("GET /fleet/trace", "per-point timeline (?point=NAME)", http.HandlerFunc(v.handleTrace))
 }
 
 func (v *View) handleDoc(w http.ResponseWriter, _ *http.Request) {
@@ -521,10 +381,7 @@ func (v *View) handleDoc(w http.ResponseWriter, _ *http.Request) {
 func (v *View) handleTrace(w http.ResponseWriter, r *http.Request) {
 	q := r.URL.Query().Get("point")
 	if q == "" {
-		q = r.URL.Query().Get("trace")
-	}
-	if q == "" {
-		http.Error(w, "missing ?point= or ?trace=", http.StatusBadRequest)
+		http.Error(w, "missing ?point=", http.StatusBadRequest)
 		return
 	}
 	doc, ok := v.Trace(q)
@@ -536,12 +393,4 @@ func (v *View) handleTrace(w http.ResponseWriter, r *http.Request) {
 	enc := json.NewEncoder(w)
 	enc.SetIndent("", "  ")
 	enc.Encode(doc)
-}
-
-func (v *View) handleMetrics(w http.ResponseWriter, _ *http.Request) {
-	w.Header().Set("Content-Type", obs.ExpositionContentType)
-	if v.fed == nil {
-		return
-	}
-	v.fed.WritePrometheus(w)
 }

@@ -1,102 +1,36 @@
 package fleet
 
 import (
-	"bytes"
-	"fmt"
-	"net/http"
-	"net/http/httptest"
-	"strings"
 	"testing"
 	"time"
 
+	"clustersim/internal/fabric"
 	"clustersim/internal/obs"
 )
-
-// Trace IDs are a pure function of the journal key: every process
-// derives the same ID, and distinct keys get distinct IDs.
-func TestTraceIDStableAndDistinct(t *testing.T) {
-	key := "ocean-default-c4-16k-abcdef"
-	id := TraceID(key)
-	if id != TraceID(key) {
-		t.Fatalf("TraceID not stable: %s vs %s", id, TraceID(key))
-	}
-	if len(id) != 16 {
-		t.Fatalf("TraceID %q: want 16 hex chars", id)
-	}
-	for _, c := range id {
-		if !strings.ContainsRune("0123456789abcdef", c) {
-			t.Fatalf("TraceID %q: non-hex rune %q", id, c)
-		}
-	}
-	seen := map[string]string{}
-	for _, k := range []string{key, "ocean-default-c4-0k-abcdef", "fft-default-c1-0k-abcdef", ""} {
-		other := TraceID(k)
-		if prev, dup := seen[other]; dup {
-			t.Errorf("collision: %q and %q both map to %s", prev, k, other)
-		}
-		seen[other] = k
-	}
-}
-
-func TestSpanBufferDrainAndDropOldest(t *testing.T) {
-	b := NewSpanBuffer()
-	for i := 0; i < 5; i++ {
-		b.Observe(obs.Event{Kind: "k", Seq: uint64(i + 1)})
-	}
-	got := b.Drain(2)
-	if len(got) != 2 || got[0].Seq != 1 || got[1].Seq != 2 {
-		t.Fatalf("Drain(2) = %+v, want seqs 1,2", got)
-	}
-	rest := b.Drain(0)
-	if len(rest) != 3 || rest[0].Seq != 3 {
-		t.Fatalf("Drain(0) = %+v, want seqs 3..5", rest)
-	}
-	if b.Drain(10) != nil {
-		t.Error("drained an empty buffer to non-nil")
-	}
-
-	// Overflow drops the oldest, keeps counting.
-	for i := 0; i < spanBufferCap+7; i++ {
-		b.Observe(obs.Event{Seq: uint64(i + 1)})
-	}
-	if b.Dropped() != 7 {
-		t.Errorf("dropped = %d, want 7", b.Dropped())
-	}
-	all := b.Drain(0)
-	if len(all) != spanBufferCap || all[0].Seq != 8 {
-		t.Errorf("after overflow: %d events, first seq %d; want %d starting at 8", len(all), all[0].Seq, spanBufferCap)
-	}
-
-	var nilBuf *SpanBuffer
-	nilBuf.Observe(obs.Event{})
-	if nilBuf.Drain(1) != nil || nilBuf.Dropped() != 0 {
-		t.Error("nil SpanBuffer not inert")
-	}
-}
 
 // The view's point state machine: one terminal transition per point,
 // duplicates and late failures never double-count, resumes are free.
 func TestViewStateMachineAndAudit(t *testing.T) {
-	v := NewView("run-x", nil)
+	v := NewView("run-x")
 	v.SetTotal(4)
 
 	// p1: assigned, computed fresh (2s measured on the worker).
-	v.Observe(obs.Event{Kind: EventAssign, Point: "p1", Trace: "t1", Worker: "w1"})
-	v.Observe(obs.Event{Kind: EventResult, Point: "p1", Trace: "t1", Worker: "w1",
+	v.Observe(obs.Event{Kind: fabric.EventAssign, Point: "p1", Worker: "w1"})
+	v.Observe(obs.Event{Kind: fabric.EventResult, Point: "p1", Worker: "w1",
 		DurNS: int64(2 * time.Second), Detail: "computed"})
 	// The stolen duplicate of p1 arrives: counted as a dup, not a result.
-	v.Observe(obs.Event{Kind: EventResultDup, Point: "p1", Trace: "t1", Worker: "w2"})
+	v.Observe(obs.Event{Kind: fabric.EventResultDup, Point: "p1", Worker: "w2"})
 
 	// p2: resumed from a worker journal — free for the ETA.
-	v.Observe(obs.Event{Kind: EventAssign, Point: "p2", Worker: "w2"})
-	v.Observe(obs.Event{Kind: EventResult, Point: "p2", Worker: "w2", Detail: detailResumed})
+	v.Observe(obs.Event{Kind: fabric.EventAssign, Point: "p2", Worker: "w2"})
+	v.Observe(obs.Event{Kind: fabric.EventResult, Point: "p2", Worker: "w2", Detail: fabric.DetailResumed})
 
 	// p3: failed.
-	v.Observe(obs.Event{Kind: EventAssign, Point: "p3", Worker: "w1"})
-	v.Observe(obs.Event{Kind: EventResultFail, Point: "p3", Worker: "w1", Error: "boom"})
+	v.Observe(obs.Event{Kind: fabric.EventAssign, Point: "p3", Worker: "w1"})
+	v.Observe(obs.Event{Kind: fabric.EventResultFail, Point: "p3", Worker: "w1", Error: "boom"})
 
 	// p4: assigned, never finishes.
-	v.Observe(obs.Event{Kind: EventAssign, Point: "p4", Worker: "w2"})
+	v.Observe(obs.Event{Kind: fabric.EventAssign, Point: "p4", Worker: "w2"})
 
 	a := v.Audit()
 	if a.Points != 4 || a.Assigned != 4 || a.Done != 1 || a.Replayed != 1 || a.Failed != 1 {
@@ -131,13 +65,12 @@ func TestViewStateMachineAndAudit(t *testing.T) {
 		t.Errorf("w1 row = %+v", w1)
 	}
 
-	// Timeline lookup works by point name and by trace ID.
-	byName, ok1 := v.Timeline("p1")
-	byTrace, ok2 := v.Timeline("t1")
-	if !ok1 || !ok2 || len(byName) != 3 || len(byTrace) != 3 {
-		t.Errorf("timelines: name %d events (%v), trace %d events (%v)", len(byName), ok1, len(byTrace), ok2)
+	// Timeline lookup by point name.
+	tr, ok := v.Trace("p1")
+	if !ok || len(tr.Events) != 3 || tr.State != "done" || tr.Schema != TraceSchemaV1 {
+		t.Errorf("trace of p1 = %+v (ok=%v), want 3 events in state done", tr, ok)
 	}
-	if _, ok := v.Timeline("nope"); ok {
+	if _, ok := v.Trace("nope"); ok {
 		t.Error("unknown point resolved")
 	}
 }
@@ -146,11 +79,11 @@ func TestViewStateMachineAndAudit(t *testing.T) {
 // path — the coordinator emits one per point by construction) must not
 // feed the ETA twice, and is flagged by the audit.
 func TestViewDoubleResultFlaggedNotDoubleCounted(t *testing.T) {
-	v := NewView("r", nil)
+	v := NewView("r")
 	v.SetTotal(2)
-	v.Observe(obs.Event{Kind: EventAssign, Point: "p", Worker: "w1"})
-	v.Observe(obs.Event{Kind: EventResult, Point: "p", Worker: "w1", DurNS: int64(time.Second), Detail: "computed"})
-	v.Observe(obs.Event{Kind: EventResult, Point: "p", Worker: "w2", DurNS: int64(9 * time.Second), Detail: "computed"})
+	v.Observe(obs.Event{Kind: fabric.EventAssign, Point: "p", Worker: "w1"})
+	v.Observe(obs.Event{Kind: fabric.EventResult, Point: "p", Worker: "w1", DurNS: int64(time.Second), Detail: "computed"})
+	v.Observe(obs.Event{Kind: fabric.EventResult, Point: "p", Worker: "w2", DurNS: int64(9 * time.Second), Detail: "computed"})
 
 	doc := v.Doc()
 	if doc.Totals.Done != 1 {
@@ -169,12 +102,12 @@ func TestViewDoubleResultFlaggedNotDoubleCounted(t *testing.T) {
 // completion after a failure recovers it (matching the coordinator's
 // "healthy result is better evidence" rule).
 func TestViewFailThenResultRecovers(t *testing.T) {
-	v := NewView("r", nil)
-	v.Observe(obs.Event{Kind: EventAssign, Point: "p", Worker: "w1"})
-	v.Observe(obs.Event{Kind: EventResultFail, Point: "p", Worker: "w1", Error: "watchdog"})
-	v.Observe(obs.Event{Kind: EventResult, Point: "p", Worker: "w2", DurNS: int64(time.Second), Detail: "computed"})
+	v := NewView("r")
+	v.Observe(obs.Event{Kind: fabric.EventAssign, Point: "p", Worker: "w1"})
+	v.Observe(obs.Event{Kind: fabric.EventResultFail, Point: "p", Worker: "w1", Error: "watchdog"})
+	v.Observe(obs.Event{Kind: fabric.EventResult, Point: "p", Worker: "w2", DurNS: int64(time.Second), Detail: "computed"})
 	// And a failure arriving after done is ignored.
-	v.Observe(obs.Event{Kind: EventResultFail, Point: "p", Worker: "w1", Error: "late"})
+	v.Observe(obs.Event{Kind: fabric.EventResultFail, Point: "p", Worker: "w1", Error: "late"})
 
 	doc := v.Doc()
 	if doc.Totals.Done != 1 || doc.Totals.Failed != 0 {
@@ -185,21 +118,21 @@ func TestViewFailThenResultRecovers(t *testing.T) {
 // View.Doc merges the coordinator's live worker links with event-only
 // identities like "(local)".
 func TestViewDocMergesLinksAndEventWorkers(t *testing.T) {
-	v := NewView("r", nil)
-	v.SetSource(func() []WorkerLink {
-		return []WorkerLink{
-			{Worker: "w1", Alive: true, ObsURL: "http://w1:9091", LeasesHeld: 2, HeartbeatAgeMS: 40},
+	v := NewView("r")
+	v.SetSource(func() []fabric.WorkerLink {
+		return []fabric.WorkerLink{
+			{Worker: "w1", Alive: true, LeasesHeld: 2, HeartbeatAgeMS: 40},
 			{Worker: "w2", Alive: false},
 		}
 	})
-	v.Observe(obs.Event{Kind: EventLocal, Point: "p", Worker: "(local)"})
-	v.Observe(obs.Event{Kind: EventResult, Point: "p", Worker: "(local)", Detail: "computed"})
+	v.Observe(obs.Event{Kind: fabric.EventLocal, Point: "p", Worker: "(local)"})
+	v.Observe(obs.Event{Kind: fabric.EventResult, Point: "p", Worker: "(local)", Detail: "computed"})
 
 	doc := v.Doc()
 	if doc.Totals.Workers != 3 || doc.Totals.Live != 1 {
 		t.Fatalf("totals = %+v, want 3 workers / 1 live", doc.Totals)
 	}
-	if doc.Workers[0].Worker != "w1" || !doc.Workers[0].Alive || doc.Workers[0].ObsURL != "http://w1:9091" || doc.Workers[0].LeasesHeld != 2 {
+	if doc.Workers[0].Worker != "w1" || !doc.Workers[0].Alive || doc.Workers[0].LeasesHeld != 2 || doc.Workers[0].HeartbeatAgeMS != 40 {
 		t.Errorf("w1 row = %+v", doc.Workers[0])
 	}
 	if doc.Workers[2].Worker != "(local)" || doc.Workers[2].Done != 1 {
@@ -207,132 +140,32 @@ func TestViewDocMergesLinksAndEventWorkers(t *testing.T) {
 	}
 }
 
-// serveMetrics is a fake worker /metrics endpoint.
-func serveMetrics(t *testing.T, body string, fail *bool) *httptest.Server {
-	t.Helper()
-	return httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-		if r.URL.Path != "/metrics" {
-			http.NotFound(w, r)
-			return
-		}
-		if fail != nil && *fail {
-			http.Error(w, "down", http.StatusInternalServerError)
-			return
-		}
-		fmt.Fprint(w, body)
-	}))
-}
-
-// The federated render is deterministic, worker= labelled, and passes
-// the same strict validator workers' own expositions do; a failed
-// scrape keeps the last good document.
-func TestFederatorMergeAndLastGood(t *testing.T) {
-	w1fail := false
-	w1 := serveMetrics(t, "# HELP a_total A.\n# TYPE a_total counter\na_total{k=\"v\"} 3\n", &w1fail)
-	defer w1.Close()
-	w2 := serveMetrics(t, "# HELP a_total A.\n# TYPE a_total counter\na_total{k=\"v\"} 5\n# TYPE b_gauge gauge\nb_gauge 1\n", nil)
-	defer w2.Close()
-
-	f := NewFederator()
-	if err := f.Scrape("w1", w1.URL); err != nil {
-		t.Fatal(err)
-	}
-	if err := f.Scrape("w2", w2.URL); err != nil {
-		t.Fatal(err)
-	}
-
-	var out bytes.Buffer
-	if err := f.WritePrometheus(&out); err != nil {
-		t.Fatal(err)
-	}
-	render := out.String()
-	for _, want := range []string{
-		`a_total{k="v",worker="w1"} 3`,
-		`a_total{k="v",worker="w2"} 5`,
-		`b_gauge{worker="w2"} 1`,
-	} {
-		if !strings.Contains(render, want) {
-			t.Errorf("federated render missing %q:\n%s", want, render)
-		}
-	}
-	st, err := obs.ParseExposition(strings.NewReader(render))
-	if err != nil {
-		t.Fatalf("federated render fails own validator: %v\n%s", err, render)
-	}
-	if st.Families != 2 || st.Series != 3 {
-		t.Errorf("stats = %+v, want 2 families / 3 series", st)
-	}
-
-	// Determinism: a second render is byte-identical.
-	var again bytes.Buffer
-	f.WritePrometheus(&again)
-	if again.String() != render {
-		t.Errorf("non-deterministic render:\n%s\nvs\n%s", render, again.String())
-	}
-
-	// w1 goes down: the scrape errors but the last good doc survives.
-	w1fail = true
-	if err := f.Scrape("w1", w1.URL); err == nil {
-		t.Fatal("failed scrape reported success")
-	}
-	var after bytes.Buffer
-	f.WritePrometheus(&after)
-	if !strings.Contains(after.String(), `a_total{k="v",worker="w1"} 3`) {
-		t.Errorf("last good doc lost on scrape failure:\n%s", after.String())
-	}
-	var errored bool
-	for _, s := range f.Status() {
-		if s.Worker == "w1" && s.Err != "" && s.Series == 1 {
-			errored = true
-		}
-	}
-	if !errored {
-		t.Errorf("status does not carry the w1 scrape error: %+v", f.Status())
-	}
-}
-
-// A strict-invalid worker exposition is rejected at scrape time and
-// never pollutes the federated render.
-func TestFederatorRejectsInvalidExposition(t *testing.T) {
-	bad := serveMetrics(t, "m{a=\"1\",b=\"2\"} 1\nm{b=\"2\",a=\"1\"} 2\n", nil)
-	defer bad.Close()
-	f := NewFederator()
-	if err := f.Scrape("w1", bad.URL); err == nil || !strings.Contains(err.Error(), "duplicate series") {
-		t.Fatalf("scrape of duplicate-series exposition = %v, want duplicate-series error", err)
-	}
-	var out bytes.Buffer
-	f.WritePrometheus(&out)
-	if out.Len() != 0 {
-		t.Errorf("invalid doc leaked into the render:\n%s", out.String())
-	}
-}
-
-// The mirror wiring end-to-end: a log's events flow losslessly into the
-// view, worker span events keep their origin wall stamps but take the
-// log's sequence order.
+// The mirror wiring end-to-end: every event the coordinator's log
+// emits reaches the view, stamped by the log, in seq order.
 func TestLogMirrorFeedsViewLosslessly(t *testing.T) {
 	log := obs.NewLog(nil, "coord")
 	log.SetClock(func() time.Time { return time.Unix(500, 0) })
-	v := NewView("coord", nil)
+	v := NewView("coord")
 	log.SetMirror(v.Observe)
 
-	log.Emit(obs.Event{Kind: EventAssign, Point: "p", Trace: "t", Worker: "w1"})
-	// A worker span re-emitted at the coordinator: origin stamp preserved.
-	log.Emit(obs.Event{Kind: "point-start", Point: "p", Worker: "w1", Run: "worker-w1",
-		WallUnixNS: time.Unix(400, 0).UnixNano()})
-	log.Emit(obs.Event{Kind: EventResult, Point: "p", Trace: "t", Worker: "w1", Detail: "computed", DurNS: 5})
+	log.Emit(obs.Event{Kind: fabric.EventAssign, Point: "p", Worker: "w1"})
+	log.Emit(obs.Event{Kind: fabric.EventRequeue, Point: "p", Detail: "worker w1 died; attempt=1"})
+	log.Emit(obs.Event{Kind: fabric.EventAssign, Point: "p", Worker: "w2", Detail: "reassign attempt=1"})
+	log.Emit(obs.Event{Kind: fabric.EventResult, Point: "p", Worker: "w2", Detail: "computed", DurNS: 5})
 
-	tl, ok := v.Timeline("t")
-	if !ok || len(tl) != 3 {
-		t.Fatalf("timeline = %v events (ok=%v), want 3", len(tl), ok)
+	tr, ok := v.Trace("p")
+	if !ok || len(tr.Events) != 4 {
+		t.Fatalf("timeline = %+v (ok=%v), want 4 events", tr, ok)
 	}
-	if tl[1].WallUnixNS != time.Unix(400, 0).UnixNano() {
-		t.Errorf("worker span origin stamp rewritten: %d", tl[1].WallUnixNS)
+	for i, e := range tr.Events {
+		if e.Seq != uint64(i+1) {
+			t.Errorf("event %d (%s): seq %d, want %d", i, e.Kind, e.Seq, i+1)
+		}
+		if e.WallUnixNS != time.Unix(500, 0).UnixNano() || e.Run != "coord" || e.Schema != obs.EventsSchemaV1 {
+			t.Errorf("event %d not stamped by the log: %+v", i, e)
+		}
 	}
-	if !(tl[0].Seq < tl[1].Seq && tl[1].Seq < tl[2].Seq) {
-		t.Errorf("coordinator seq not monotone over the merged timeline: %d %d %d", tl[0].Seq, tl[1].Seq, tl[2].Seq)
-	}
-	if tl[1].Run != "worker-w1" {
-		t.Errorf("worker run label lost: %q", tl[1].Run)
+	if tr.State != "done" {
+		t.Errorf("state = %q, want done", tr.State)
 	}
 }

@@ -154,7 +154,7 @@ func TestParseExpositionRoundTripAndRejects(t *testing.T) {
 }
 
 // TestParseExpositionRejectsDuplicateSeries pins the series-identity
-// contract the metrics federation relies on: a series is identified by
+// contract the registry and the validator share: a series is identified by
 // its name plus the KEY-SORTED label signature, so two samples whose
 // labels differ only in order are the same series and must be rejected
 // as duplicates.

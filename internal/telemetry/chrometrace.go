@@ -28,8 +28,11 @@ const (
 	pidSync     = 3
 )
 
-// chromeEvent is one entry of the traceEvents array.
-type chromeEvent struct {
+// ChromeEvent is one entry of the traceEvents array: ph "X" is a
+// complete slice, "i" an instant (S is its scope), "C" a counter
+// sample and "M" track-naming metadata. Ts and Dur are trace
+// microseconds.
+type ChromeEvent struct {
 	Name string         `json:"name"`
 	Ph   string         `json:"ph"`
 	Pid  int            `json:"pid"`
@@ -41,36 +44,44 @@ type chromeEvent struct {
 }
 
 type chromeTrace struct {
-	TraceEvents     []chromeEvent     `json:"traceEvents"`
+	TraceEvents     []ChromeEvent     `json:"traceEvents"`
 	DisplayTimeUnit string            `json:"displayTimeUnit"`
 	OtherData       map[string]string `json:"otherData,omitempty"`
+}
+
+// WriteChromeEvents is the one Chrome trace-event writer: it encodes
+// events as the JSON-object flavour of the format. meta, if non-nil,
+// lands in the file's otherData block (app name, config hash, ...).
+// WriteChromeTrace and tracetool's fleet export both go through it.
+func WriteChromeEvents(w io.Writer, events []ChromeEvent, meta map[string]string) error {
+	return json.NewEncoder(w).Encode(chromeTrace{TraceEvents: events, DisplayTimeUnit: "ms", OtherData: meta})
 }
 
 // WriteChromeTrace serialises the collection as Chrome trace-event
 // JSON. meta, if non-nil, lands in the file's otherData block (app
 // name, config hash, ...).
 func WriteChromeTrace(w io.Writer, c *Collector, meta map[string]string) error {
-	tr := chromeTrace{DisplayTimeUnit: "ms", OtherData: meta}
-	ev := func(e chromeEvent) { tr.TraceEvents = append(tr.TraceEvents, e) }
+	var events []ChromeEvent
+	ev := func(e ChromeEvent) { events = append(events, e) }
 
 	// Process and thread naming metadata.
-	ev(chromeEvent{Name: "process_name", Ph: "M", Pid: pidPEs,
+	ev(ChromeEvent{Name: "process_name", Ph: "M", Pid: pidPEs,
 		Args: map[string]any{"name": "PEs"}})
-	ev(chromeEvent{Name: "process_name", Ph: "M", Pid: pidClusters,
+	ev(ChromeEvent{Name: "process_name", Ph: "M", Pid: pidClusters,
 		Args: map[string]any{"name": "cluster caches"}})
 	for pe := 0; pe < c.NumPEs(); pe++ {
-		ev(chromeEvent{Name: "thread_name", Ph: "M", Pid: pidPEs, Tid: pe,
+		ev(ChromeEvent{Name: "thread_name", Ph: "M", Pid: pidPEs, Tid: pe,
 			Args: map[string]any{"name": fmt.Sprintf("PE %d", pe)}})
 	}
 	if len(c.Syncs()) > 0 {
-		ev(chromeEvent{Name: "process_name", Ph: "M", Pid: pidSync,
+		ev(ChromeEvent{Name: "process_name", Ph: "M", Pid: pidSync,
 			Args: map[string]any{"name": "sync"}})
 		for _, so := range c.Syncs() {
 			name := fmt.Sprintf("%s %q", so.Kind, so.Name)
 			if so.Participants > 0 {
 				name = fmt.Sprintf("%s (%d-wide)", name, so.Participants)
 			}
-			ev(chromeEvent{Name: "thread_name", Ph: "M", Pid: pidSync, Tid: so.ID,
+			ev(ChromeEvent{Name: "thread_name", Ph: "M", Pid: pidSync, Tid: so.ID,
 				Args: map[string]any{"name": name}})
 		}
 	}
@@ -78,7 +89,7 @@ func WriteChromeTrace(w io.Writer, c *Collector, meta map[string]string) error {
 	// Per-PE execution-state slices.
 	for pe := 0; pe < c.NumPEs(); pe++ {
 		for _, s := range c.Slices(pe) {
-			ev(chromeEvent{Name: s.Kind.String(), Ph: "X", Pid: pidPEs, Tid: pe,
+			ev(ChromeEvent{Name: s.Kind.String(), Ph: "X", Pid: pidPEs, Tid: pe,
 				Ts: s.Start, Dur: s.Dur})
 		}
 	}
@@ -88,14 +99,14 @@ func WriteChromeTrace(w io.Writer, c *Collector, meta map[string]string) error {
 		if e.Release <= e.Arrival {
 			continue
 		}
-		ev(chromeEvent{Name: fmt.Sprintf("P%d wait", e.Proc), Ph: "X",
+		ev(ChromeEvent{Name: fmt.Sprintf("P%d wait", e.Proc), Ph: "X",
 			Pid: pidSync, Tid: int(e.SyncID), Ts: e.Arrival, Dur: e.Release - e.Arrival})
 	}
 
 	// Interval-sampled cluster counters.
 	for _, s := range c.Samples() {
 		for cl, cs := range s.Clusters {
-			ev(chromeEvent{Name: fmt.Sprintf("cluster %d", cl), Ph: "C",
+			ev(ChromeEvent{Name: fmt.Sprintf("cluster %d", cl), Ph: "C",
 				Pid: pidClusters, Tid: cl, Ts: s.At,
 				Args: map[string]any{
 					"readMisses":    cs.Refs.ReadMisses,
@@ -109,11 +120,10 @@ func WriteChromeTrace(w io.Writer, c *Collector, meta map[string]string) error {
 
 	// Global marks.
 	for _, m := range c.Marks() {
-		ev(chromeEvent{Name: m.Name, Ph: "i", Pid: pidPEs, Ts: m.At, S: "g"})
+		ev(ChromeEvent{Name: m.Name, Ph: "i", Pid: pidPEs, Ts: m.At, S: "g"})
 	}
 
-	enc := json.NewEncoder(w)
-	return enc.Encode(tr)
+	return WriteChromeEvents(w, events, meta)
 }
 
 // TraceSummary is the digest of a Chrome trace file produced by this
