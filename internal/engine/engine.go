@@ -1,15 +1,19 @@
+//go:build go1.23
+
 // Package engine implements the deterministic discrete-event core of the
 // clustered-multiprocessor simulator, in the style of Tango-lite: every
-// simulated processor runs its workload on its own goroutine, but exactly
-// one goroutine executes at any instant. The token of execution is handed
-// directly from processor to processor so that references to the shared
-// memory-system model are always performed in global virtual-time order.
+// simulated processor runs its workload as a coroutine (iter.Pull), and
+// one dispatch loop owns the ready heap and resumes exactly one of them
+// at a time. Control passes from processor to processor through that
+// loop by direct runtime coroutine switches, never through the Go
+// scheduler, so references to the shared memory-system model are always
+// performed in global virtual-time order.
 //
 // The scheduling invariant is: the running processor may only perform an
 // event while its virtual clock is within Quantum cycles of the minimum
 // clock over all other runnable processors. With Quantum = 0 (the default)
 // event ordering is exact; larger values trade bounded timing skew for
-// fewer goroutine handoffs on large parameter sweeps.
+// fewer handoffs on large parameter sweeps.
 //
 // Ties in virtual time are broken by processor ID, so simulations are
 // bit-reproducible.
@@ -17,46 +21,36 @@ package engine
 
 import (
 	"fmt"
+	"iter"
 	"runtime/debug"
 	"sort"
 	"strings"
-	"sync"
 )
 
 // Clock counts simulated processor cycles.
 type Clock = int64
 
-type runState uint8
-
-const (
-	stateReady    runState = iota // in the ready heap, waiting for the token
-	stateRunning                  // holds the token
-	stateBlocked                  // parked on a synchronisation object
-	stateFinished                 // kernel returned
-)
-
-type tokenMsg struct{ abort bool }
-
 // Probe observes scheduler-internal events: it is the engine half of the
-// telemetry layer. All callbacks arrive from the goroutine holding the
-// execution token, in global virtual-time order, so implementations need
-// no locking. A nil probe costs one predictable branch per handoff.
+// telemetry layer. All callbacks arrive from the dispatch loop, in
+// global virtual-time order, so implementations need no locking. A nil
+// probe costs one predictable branch per handoff.
 type Probe interface {
-	// Handoff fires every time the execution token changes hands. from
-	// is the yielding processor (-1 for the initial dispatch), to the
-	// resuming one; fromTime and toTime are their virtual clocks and
-	// readyDepth is the ready-heap population after the pop. The skew
-	// fromTime-toTime is the quantum slack actually exploited.
+	// Handoff fires every time the dispatch loop passes the execution
+	// token on. from is the yielding processor (-1 for the initial
+	// dispatch), to the resuming one; fromTime and toTime are their
+	// virtual clocks and readyDepth is the ready-heap population after
+	// the pop. The skew fromTime-toTime is the quantum slack actually
+	// exploited.
 	Handoff(from, to int, fromTime, toTime Clock, readyDepth int)
 }
 
 // Timer observes where the host's wall-clock time goes — the engine
-// half of the perf monitor. EnterSched fires when the running goroutine
-// begins token-handoff machinery (heap maintenance, the channel send
-// and the goroutine switch it triggers); EnterApp fires when a PE
-// resumes application execution after receiving the token. The first
-// EnterSched opens Run, before any processor goroutine starts. Exactly one
-// goroutine executes at a time, so calls arrive strictly ordered and
+// half of the perf monitor. EnterSched fires when a processor begins
+// handing off (heap maintenance and the coroutine switches through the
+// dispatch loop); EnterApp fires when a PE resumes application execution
+// after receiving the token. The first EnterSched opens Run, before any
+// processor coroutine starts. Run's dispatch loop and the coroutines it
+// resumes execute one at a time, so calls arrive strictly ordered and
 // implementations need no locking. A nil timer costs one predictable
 // branch per handoff.
 type Timer interface {
@@ -64,20 +58,21 @@ type Timer interface {
 	EnterApp()
 }
 
-// abortPanic unwinds a processor goroutine during simulation shutdown.
+// abortPanic unwinds a processor's coroutine when it fails or when Run
+// shuts the simulation down.
 type abortPanic struct{}
 
 // PE is a simulated processing element. All of its methods must be called
-// only from the goroutine running that PE's kernel, while it holds the
-// execution token; the Scheduler enforces this by construction.
+// only from that PE's kernel, while it holds the execution token; the
+// Scheduler enforces this by construction.
 type PE struct {
 	id      int
 	sched   *Scheduler
 	time    Clock
-	state   runState
-	token   chan tokenMsg
-	heapIdx int
-	reason  fmt.Stringer // why blocked, formatted only for deadlock reports
+	blocked bool                    // parked on a synchronisation object, out of the heap
+	resume  func() (struct{}, bool) // runs the kernel until it next suspends
+	yield   func(struct{}) bool     // suspends the kernel back to the dispatch loop
+	reason  fmt.Stringer            // why blocked, formatted only for deadlock reports
 }
 
 // ID returns the processor number, in [0, NumPE).
@@ -113,15 +108,8 @@ func (pe *PE) Yield() {
 		if s.timer != nil {
 			s.timer.EnterSched()
 		}
-		pe.state = stateReady
 		s.heapPush(pe)
-		next := s.heapPopMin()
-		next.state = stateRunning
-		if s.probe != nil {
-			s.probe.Handoff(pe.id, next.id, pe.time, next.time, len(s.heap))
-		}
-		next.token <- tokenMsg{}
-		pe.wait()
+		pe.suspend()
 	}
 }
 
@@ -131,10 +119,12 @@ func (pe *PE) Yield() {
 // formatting. Time accounting for the wait is the caller's
 // responsibility (see Unblock).
 func (pe *PE) Block(reason fmt.Stringer) {
-	pe.state = stateBlocked
+	if pe.sched.timer != nil {
+		pe.sched.timer.EnterSched()
+	}
+	pe.blocked = true
 	pe.reason = reason
-	pe.sched.dispatchNext(pe)
-	pe.wait()
+	pe.suspend()
 	pe.reason = nil
 }
 
@@ -143,25 +133,25 @@ func (pe *PE) Block(reason fmt.Stringer) {
 // target becomes runnable and receives the token when its clock is
 // globally minimal.
 func (pe *PE) Unblock(target *PE, at Clock) {
-	if target.state != stateBlocked {
+	if !target.blocked {
 		panic(fmt.Sprintf("engine: PE %d unblocked PE %d which is not blocked", pe.id, target.id))
 	}
 	target.SetTime(at)
-	target.state = stateReady
+	target.blocked = false
 	pe.sched.heapPush(target)
 }
 
 // Fail aborts the whole simulation with err. It does not return.
 func (pe *PE) Fail(err error) {
-	pe.sched.fail(err)
+	pe.sched.record(err)
+	panic(abortPanic{})
 }
 
-// wait parks until the token arrives, unwinding on abort. Receiving the
-// token resumes application execution, which is where the handoff span
-// opened by EnterSched ends.
-func (pe *PE) wait() {
-	msg := <-pe.token
-	if msg.abort {
+// suspend switches to the dispatch loop until it resumes this PE,
+// unwinding instead if Run is shutting down. Resuming is where the
+// handoff span opened by EnterSched ends.
+func (pe *PE) suspend() {
+	if !pe.yield(struct{}{}) {
 		panic(abortPanic{})
 	}
 	if pe.sched.timer != nil {
@@ -179,7 +169,6 @@ type Scheduler struct {
 	timer     Timer
 	label     string // workload name, for panic diagnostics
 	err       error
-	mu        sync.Mutex // guards err on the kernel-panic path only
 }
 
 // NewScheduler creates a scheduler for n processors with the given
@@ -194,7 +183,7 @@ func NewScheduler(n int, quantum Clock) *Scheduler {
 	s := &Scheduler{quantum: quantum}
 	s.pes = make([]*PE, n)
 	for i := range s.pes {
-		s.pes[i] = &PE{id: i, sched: s, token: make(chan tokenMsg, 1), heapIdx: -1}
+		s.pes[i] = &PE{id: i, sched: s}
 	}
 	return s
 }
@@ -225,48 +214,67 @@ func (s *Scheduler) labelOrDefault() string {
 	return s.label
 }
 
-// Run executes kernel once per processor, each on its own goroutine, and
+// Run executes kernel once per processor, each as its own coroutine, and
 // returns when every kernel has finished or the simulation has failed.
 // It returns the first error (kernel panic, deadlock, or Fail call).
 func (s *Scheduler) Run(kernel func(*PE)) error {
 	if s.timer != nil {
 		s.timer.EnterSched() // the run opens in scheduling work
 	}
-	var wg sync.WaitGroup
 	for _, pe := range s.pes {
-		pe.state = stateReady
+		var stop func()
+		pe.resume, stop = iter.Pull(s.coroutine(pe, kernel))
+		// Stopping a parked PE makes its yield return false, so it
+		// unwinds and no coroutine outlives Run.
+		defer stop()
 		s.heapPush(pe)
 	}
-	for _, pe := range s.pes {
-		wg.Add(1)
-		go func(pe *PE) {
-			defer wg.Done()
-			defer func() {
-				if r := recover(); r != nil {
-					if _, ok := r.(abortPanic); ok {
-						return
-					}
-					// Annotate with the crash site's simulation coordinates
-					// (workload, PE, virtual time) so a failure is
-					// diagnosable — and, with a seeded fault plan,
-					// replayable — from the error alone.
-					s.failFromPanic(fmt.Errorf("engine: app %q: processor %d panicked at virtual time %d: %v\n%s",
-						s.labelOrDefault(), pe.id, pe.time, r, debug.Stack()))
+	from, fromTime := -1, Clock(0)
+	for len(s.heap) > 0 {
+		next := s.heapPopMin()
+		if s.probe != nil {
+			s.probe.Handoff(from, next.id, fromTime, next.time, len(s.heap))
+		}
+		next.resume()
+		if s.err != nil {
+			return s.err
+		}
+		from, fromTime = next.id, next.time
+	}
+	if s.nFinished < len(s.pes) {
+		return s.deadlockError()
+	}
+	return nil
+}
+
+// coroutine wraps kernel as pe's body. A kernel panic is recovered here,
+// inside the coroutine, so the recorded stack still shows the kernel's
+// frames.
+func (s *Scheduler) coroutine(pe *PE, kernel func(*PE)) iter.Seq[struct{}] {
+	return func(yield func(struct{}) bool) {
+		defer func() {
+			if r := recover(); r != nil {
+				if _, ok := r.(abortPanic); ok {
+					return
 				}
-			}()
-			pe.wait()
-			kernel(pe)
-			s.finish(pe)
-		}(pe)
+				// Annotate with the crash site's simulation coordinates
+				// (workload, PE, virtual time) so a failure is
+				// diagnosable — and, with a seeded fault plan,
+				// replayable — from the error alone.
+				s.record(fmt.Errorf("engine: app %q: processor %d panicked at virtual time %d: %v\n%s",
+					s.labelOrDefault(), pe.id, pe.time, r, debug.Stack()))
+			}
+		}()
+		pe.yield = yield
+		if s.timer != nil {
+			s.timer.EnterApp()
+		}
+		kernel(pe)
+		s.nFinished++
+		if s.timer != nil {
+			s.timer.EnterSched()
+		}
 	}
-	first := s.heapPopMin()
-	first.state = stateRunning
-	if s.probe != nil {
-		s.probe.Handoff(-1, first.id, 0, first.time, len(s.heap))
-	}
-	first.token <- tokenMsg{}
-	wg.Wait()
-	return s.err
 }
 
 // Times returns the final virtual clock of every processor.
@@ -278,34 +286,12 @@ func (s *Scheduler) Times() []Clock {
 	return out
 }
 
-// finish marks the running PE's kernel as complete and hands the token on.
-func (s *Scheduler) finish(pe *PE) {
-	pe.state = stateFinished
-	s.nFinished++
-	s.dispatchNext(pe)
-}
-
-// dispatchNext passes the token to the minimum-clock runnable processor.
-// If none is runnable and not all have finished, the simulation is
-// deadlocked. The caller's goroutine keeps running (it is finishing or
-// about to park in wait).
-func (s *Scheduler) dispatchNext(from *PE) {
-	if s.timer != nil {
-		s.timer.EnterSched()
+// record keeps the first error of the run; the dispatch loop stops once
+// one is set.
+func (s *Scheduler) record(err error) {
+	if s.err == nil {
+		s.err = err
 	}
-	if len(s.heap) > 0 {
-		next := s.heapPopMin()
-		next.state = stateRunning
-		if s.probe != nil {
-			s.probe.Handoff(from.id, next.id, from.time, next.time, len(s.heap))
-		}
-		next.token <- tokenMsg{}
-		return
-	}
-	if s.nFinished == len(s.pes) {
-		return // clean completion: every goroutine exits on its own
-	}
-	s.fail(s.deadlockError())
 }
 
 func (s *Scheduler) deadlockError() error {
@@ -313,7 +299,7 @@ func (s *Scheduler) deadlockError() error {
 	fmt.Fprintf(&b, "engine: deadlock: %d finished, blocked processors:", s.nFinished)
 	ids := make([]int, 0, len(s.pes))
 	for _, pe := range s.pes {
-		if pe.state == stateBlocked {
+		if pe.blocked {
 			ids = append(ids, pe.id)
 		}
 	}
@@ -323,37 +309,6 @@ func (s *Scheduler) deadlockError() error {
 		fmt.Fprintf(&b, "\n  PE %d at cycle %d: %s", id, pe.time, pe.reason)
 	}
 	return fmt.Errorf("%s", b.String())
-}
-
-// fail records err, aborts every other live processor, and unwinds the
-// calling goroutine. It does not return.
-func (s *Scheduler) fail(err error) {
-	s.mu.Lock()
-	if s.err == nil {
-		s.err = err
-	}
-	s.mu.Unlock()
-	s.abortOthers()
-	panic(abortPanic{})
-}
-
-// failFromPanic is fail for the recover path, where we must not re-panic.
-func (s *Scheduler) failFromPanic(err error) {
-	s.mu.Lock()
-	if s.err == nil {
-		s.err = err
-	}
-	s.mu.Unlock()
-	s.abortOthers()
-}
-
-func (s *Scheduler) abortOthers() {
-	for _, pe := range s.pes {
-		if pe.state == stateRunning || pe.state == stateFinished {
-			continue
-		}
-		pe.token <- tokenMsg{abort: true}
-	}
 }
 
 // --- ready heap, ordered by (time, id) --------------------------------
@@ -368,13 +323,12 @@ func peLess(a, b *PE) bool {
 func (s *Scheduler) heapPush(pe *PE) {
 	s.heap = append(s.heap, pe)
 	i := len(s.heap) - 1
-	pe.heapIdx = i
 	for i > 0 {
 		parent := (i - 1) / 2
 		if !peLess(s.heap[i], s.heap[parent]) {
 			break
 		}
-		s.heapSwap(i, parent)
+		s.heap[i], s.heap[parent] = s.heap[parent], s.heap[i]
 		i = parent
 	}
 }
@@ -383,9 +337,7 @@ func (s *Scheduler) heapPopMin() *PE {
 	min := s.heap[0]
 	last := len(s.heap) - 1
 	s.heap[0] = s.heap[last]
-	s.heap[0].heapIdx = 0
 	s.heap = s.heap[:last]
-	min.heapIdx = -1
 	s.siftDown(0)
 	return min
 }
@@ -404,13 +356,7 @@ func (s *Scheduler) siftDown(i int) {
 		if smallest == i {
 			return
 		}
-		s.heapSwap(i, smallest)
+		s.heap[i], s.heap[smallest] = s.heap[smallest], s.heap[i]
 		i = smallest
 	}
-}
-
-func (s *Scheduler) heapSwap(i, j int) {
-	s.heap[i], s.heap[j] = s.heap[j], s.heap[i]
-	s.heap[i].heapIdx = i
-	s.heap[j].heapIdx = j
 }

@@ -1,14 +1,18 @@
 package engine
 
 import (
+	"crypto/sha256"
 	"errors"
 	"fmt"
 	"math/rand"
+	"reflect"
+	"runtime"
 	"sort"
 	"strings"
 	"sync/atomic"
 	"testing"
 	"testing/quick"
+	"time"
 )
 
 // reason is a fixed block reason for tests.
@@ -210,22 +214,26 @@ func TestKernelPanicPropagates(t *testing.T) {
 // TestKernelPanicAnnotated requires that a kernel panic is reported
 // with the crash site's full simulation coordinates: the workload
 // label, the PE id and the PE's virtual time at the panic — enough to
-// replay a seeded failure from the error text alone.
+// replay a seeded failure from the error text alone — and with a stack
+// taken where the panic was recovered, which must still show the
+// panicking kernel's own frame.
 func TestKernelPanicAnnotated(t *testing.T) {
 	s := NewScheduler(4, 0)
 	s.SetLabel("ocean")
-	err := s.Run(func(pe *PE) {
+	kernel := func(pe *PE) {
 		pe.Advance(123)
 		pe.Yield()
 		if pe.ID() == 3 {
 			panic("boom")
 		}
 		pe.Block(reason("will be aborted"))
-	})
+	}
+	kernelName := runtime.FuncForPC(reflect.ValueOf(kernel).Pointer()).Name()
+	err := s.Run(kernel)
 	if err == nil {
 		t.Fatal("want panic error")
 	}
-	for _, want := range []string{`app "ocean"`, "processor 3", "virtual time 123", "boom"} {
+	for _, want := range []string{`app "ocean"`, "processor 3", "virtual time 123", "boom", kernelName} {
 		if !strings.Contains(err.Error(), want) {
 			t.Errorf("error missing %q: %v", want, err)
 		}
@@ -376,5 +384,131 @@ func TestSchedulerConstructorPanics(t *testing.T) {
 			}()
 			f()
 		}()
+	}
+}
+
+// TestAbortLeavesNoGoroutines runs every failing shape of a simulation
+// many times and requires the goroutine count to return to where it
+// started: Run must not return while any processor is still parked.
+func TestAbortLeavesNoGoroutines(t *testing.T) {
+	cases := []struct {
+		name   string
+		kernel func(pes []*PE) func(*PE)
+	}{
+		{"deadlock", func([]*PE) func(*PE) {
+			return func(pe *PE) {
+				pe.Advance(Clock(pe.ID()))
+				pe.Yield()
+				pe.Block(reason("never released"))
+			}
+		}},
+		{"panic", func([]*PE) func(*PE) {
+			return func(pe *PE) {
+				pe.Advance(10)
+				pe.Yield()
+				if pe.ID() == 2 {
+					panic("boom")
+				}
+				pe.Block(reason("will be aborted"))
+			}
+		}},
+		{"fail", func([]*PE) func(*PE) {
+			return func(pe *PE) {
+				if pe.ID() == 1 {
+					pe.Advance(5)
+					pe.Yield()
+					pe.Fail(errors.New("app-level failure"))
+				}
+				pe.Block(reason("parked"))
+			}
+		}},
+		{"unblock-misuse", func(pes []*PE) func(*PE) {
+			return func(pe *PE) {
+				pe.Advance(Clock(10 * (pe.ID() + 1)))
+				pe.Yield()
+				if pe.ID() == 0 {
+					pe.Unblock(pes[1], 20)
+				}
+				pe.Block(reason("parked"))
+			}
+		}},
+	}
+	before := runtime.NumGoroutine()
+	for _, c := range cases {
+		for i := 0; i < 50; i++ {
+			s := NewScheduler(4, 0)
+			if err := s.Run(c.kernel(s.PEs())); err == nil {
+				t.Fatalf("%s: Run returned nil, want an error", c.name)
+			}
+		}
+	}
+	deadline := time.Now().Add(10 * time.Second) //simlint:allow wallclock — test timeout
+	for runtime.NumGoroutine() > before {
+		if time.Now().After(deadline) { //simlint:allow wallclock — test timeout
+			t.Fatalf("%d goroutines still running after the aborted runs, %d before", runtime.NumGoroutine(), before)
+		}
+		time.Sleep(10 * time.Millisecond) //simlint:allow wallclock — test pacing
+	}
+}
+
+// hashingProbe folds every handoff into a sha256 digest.
+type hashingProbe struct{ h [sha256.Size]byte }
+
+func (p *hashingProbe) Handoff(from, to int, fromTime, toTime Clock, depth int) {
+	p.h = sha256.Sum256(fmt.Appendf(p.h[:], "%d %d %d %d %d", from, to, fromTime, toTime, depth))
+}
+
+// goldenKernel drives eight processors through random advances, yields,
+// parks and releases. A processor parks only while another is still
+// active, and a finishing one releases every parked processor, so the
+// run always completes.
+func goldenKernel(pes []*PE) func(*PE) {
+	var parked []*PE
+	finished := 0
+	return func(pe *PE) {
+		r := rand.New(rand.NewSource(int64(pe.ID())*7919 + 1))
+		for i := 0; i < 300; i++ {
+			pe.Advance(Clock(r.Intn(40)))
+			pe.Yield()
+			active := len(pes) - len(parked) - finished
+			switch {
+			case r.Intn(6) == 0 && active > 1:
+				parked = append(parked, pe)
+				pe.Block(reason("golden park"))
+			case len(parked) > 0 && r.Intn(3) == 0:
+				next := parked[0]
+				parked = parked[1:]
+				pe.Unblock(next, pe.Now()+Clock(r.Intn(25)))
+			}
+		}
+		finished++
+		for _, p := range parked {
+			pe.Unblock(p, pe.Now())
+		}
+		parked = nil
+	}
+}
+
+// TestHandoffSequenceGolden pins the exact dispatch order — every
+// handoff's (from, to, fromTime, toTime, depth) — at exact ordering and
+// with a quantum. The digests were recorded before processors became
+// coroutines, so they also pin that the dispatch loop kept the original
+// order. Any change to heap order, tie-breaking or where a handoff is
+// reported changes the digest.
+func TestHandoffSequenceGolden(t *testing.T) {
+	golden := map[Clock]string{
+		0: "0bed8bcfb3fe6f8b9031c7d01cd74277352c5c39ad4ed3cdd45e3a85dd3f1749",
+		7: "ab25bbc0b26802cddd107c10d582e7d108577d7f7fcdecc20cdae0c0f35c125b",
+	}
+	for _, quantum := range []Clock{0, 7} {
+		s := NewScheduler(8, quantum)
+		probe := &hashingProbe{}
+		s.SetProbe(probe)
+		if err := s.Run(goldenKernel(s.PEs())); err != nil {
+			t.Fatalf("quantum %d: Run: %v", quantum, err)
+		}
+		if got := fmt.Sprintf("%x", probe.h); got != golden[quantum] {
+			t.Errorf("quantum %d: handoff digest %s, want %s", quantum, got, golden[quantum])
+		}
 	}
 }

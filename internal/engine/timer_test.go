@@ -38,7 +38,7 @@ func TestTimerPairing(t *testing.T) {
 		t.Fatalf("timer never fired: sched=%d app=%d", ct.sched, ct.app)
 	}
 	// Every app resume is preceded by a sched entry; the final entry is
-	// the last finisher's dispatchNext, which finds nothing to run.
+	// the last finisher's hand-back to a dispatch loop with nothing to run.
 	for i, c := range ct.trace {
 		if c == 'a' && (i == 0 || ct.trace[i-1] != 's') {
 			t.Fatalf("EnterApp at %d not preceded by EnterSched: %s", i, ct.trace)

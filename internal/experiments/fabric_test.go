@@ -303,6 +303,30 @@ func TestFleetTimelineCompleteUnderChaos(t *testing.T) {
 		return obs.NewSweep("worker-"+id, nil, obs.NewLog(nil, "worker-"+id))
 	}
 
+	// Once a fault is injected, every point completion waits until the
+	// faulted worker is back (w1 re-dialed, w2 healed and re-dialed).
+	// The sweep therefore outlasts the partition, so the coordinator
+	// sees w2 go silent past DeadAfter however fast points simulate,
+	// and no restart dials a network the finished sweep has closed.
+	crashed, w1Back := make(chan struct{}), make(chan struct{})
+	partitioned, w2Back := make(chan struct{}), make(chan struct{})
+	held := func(run fabric.Runner) fabric.Runner {
+		return func(spec fabric.PointSpec) (*core.Result, bool, error) {
+			res, resumed, err := run(spec)
+			select {
+			case <-crashed:
+				<-w1Back
+			default:
+			}
+			select {
+			case <-partitioned:
+				<-w2Back
+			default:
+			}
+			return res, resumed, err
+		}
+	}
+
 	// Worker 1 crashes right after its second fresh completion; its
 	// restart resumes from its journal.
 	w1Journal, err := OpenJournal(t.TempDir())
@@ -313,7 +337,6 @@ func TestFleetTimelineCompleteUnderChaos(t *testing.T) {
 	w1Inner := FabricRunner(w1Journal, 0, nil, w1Sweep)
 	var w1Done int32
 	crashOnce := sync.Once{}
-	crashed := make(chan struct{})
 	startW1 := func(run fabric.Runner) {
 		conn, err := net.Dial("w1")
 		if err != nil {
@@ -324,7 +347,7 @@ func TestFleetTimelineCompleteUnderChaos(t *testing.T) {
 		})
 		go w.RunConn(conn) //simlint:allow goroutine — test harness
 	}
-	startW1(func(spec fabric.PointSpec) (*core.Result, bool, error) {
+	startW1(held(func(spec fabric.PointSpec) (*core.Result, bool, error) {
 		res, resumed, err := w1Inner(spec)
 		if err == nil && !resumed && atomic.AddInt32(&w1Done, 1) == 2 {
 			crashOnce.Do(func() {
@@ -333,11 +356,12 @@ func TestFleetTimelineCompleteUnderChaos(t *testing.T) {
 			})
 		}
 		return res, resumed, err
-	})
+	}))
 	go func() { //simlint:allow goroutine — test harness
+		defer close(w1Back)
 		<-crashed
 		time.Sleep(50 * time.Millisecond) //simlint:allow wallclock — restart delay
-		startW1(w1Inner)
+		startW1(held(w1Inner))
 	}()
 
 	// Worker 2 is partitioned (black-holed, conn nominally up) after its
@@ -351,7 +375,6 @@ func TestFleetTimelineCompleteUnderChaos(t *testing.T) {
 	w2Inner := FabricRunner(w2Journal, 0, nil, w2Sweep)
 	var w2Done int32
 	partOnce := sync.Once{}
-	partitioned := make(chan struct{})
 	startW2 := func(run fabric.Runner) {
 		conn, err := net.Dial("w2")
 		if err != nil {
@@ -362,7 +385,7 @@ func TestFleetTimelineCompleteUnderChaos(t *testing.T) {
 		})
 		go w.RunConn(conn) //simlint:allow goroutine — test harness
 	}
-	startW2(func(spec fabric.PointSpec) (*core.Result, bool, error) {
+	startW2(held(func(spec fabric.PointSpec) (*core.Result, bool, error) {
 		res, resumed, err := w2Inner(spec)
 		if err == nil && !resumed && atomic.AddInt32(&w2Done, 1) == 2 {
 			partOnce.Do(func() {
@@ -371,13 +394,14 @@ func TestFleetTimelineCompleteUnderChaos(t *testing.T) {
 			})
 		}
 		return res, resumed, err
-	})
+	}))
 	go func() { //simlint:allow goroutine — test harness
+		defer close(w2Back)
 		<-partitioned
 		// Outlast DeadAfter so the silence is noticed and the leases move.
 		time.Sleep(400 * time.Millisecond) //simlint:allow wallclock — partition window
 		net.Heal("w2")
-		startW2(w2Inner)
+		startW2(held(w2Inner))
 	}()
 
 	if _, err := coord.Run(specs); err != nil {

@@ -20,8 +20,8 @@ type dirSpec struct {
 // fixtureCases lists the corpus: each case's directories are loaded in
 // order with one Loader (so later fixtures can import earlier ones —
 // how the cross-package contract rules are exercised) and checked
-// together with CheckModule. goroutine/goroutine_engine share their
-// source shape but differ in path — the rule keys off the path.
+// together with CheckModule. goroutine_engine checks the goroutine
+// fixture's shape under the engine's own path, which is not exempt.
 var fixtureCases = []struct {
 	name string
 	dirs []dirSpec

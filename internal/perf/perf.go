@@ -12,11 +12,12 @@
 // an unmonitored one (pinned by test across all nine applications).
 //
 // Phase attribution exploits the engine's token discipline: exactly one
-// goroutine executes at any instant, so a single global phase register
-// plus one monotonic-clock read per transition attributes every wall
-// nanosecond to exactly one of three phases — application compute (the
-// kernel and reference issue), engine scheduling (the token-handoff
-// machinery, including the Go runtime's goroutine switch), and the
+// processor coroutine, or the engine's dispatch loop, executes at any
+// instant, so a single global phase register plus one monotonic-clock
+// read per transition attributes every wall nanosecond to exactly one
+// of three phases — application compute (the kernel and reference
+// issue), engine scheduling (the token-handoff machinery, including the
+// runtime coroutine switches through the dispatch loop), and the
 // coherence protocol (cache, directory and latency model). The three
 // phase totals tile the run's wall time exactly.
 package perf
@@ -39,8 +40,8 @@ const (
 	// issue side of every memory reference.
 	PhaseApp Phase = iota
 	// PhaseSched is the engine's token-handoff machinery: ready-heap
-	// maintenance, the channel handoff and the goroutine switch it
-	// triggers.
+	// maintenance and the coroutine switches into and out of the
+	// dispatch loop.
 	PhaseSched
 	// PhaseCoherence is the memory-system model: cluster cache lookup,
 	// directory state machine and latency accounting.
@@ -70,9 +71,10 @@ const hostSampleEvery = 1 << 16
 
 // Monitor measures one run. Create one per run with New, attach it via
 // core.Config.Perf, and read the Report after the run. All methods are
-// called from the goroutine holding the engine's execution token (or
-// from the machine before/after the run), so the monitor needs no
-// locking — the same single-writer argument as the telemetry collector.
+// called from the processor holding the engine's execution token, from
+// the engine's dispatch loop, or from the machine before/after the run,
+// one at a time, so the monitor needs no locking — the same
+// single-writer argument as the telemetry collector.
 type Monitor struct {
 	base    time.Time // monotonic origin
 	lastNS  int64     // time of the last phase transition, ns since base
