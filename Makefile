@@ -130,9 +130,12 @@ obs-suite: build
 # sent SIGINT once it is computing and must exit 3 after at most one
 # more point; the distributed tables are diffed against a plain local
 # run; the coordinator's event log must carry the fabric lifecycle and
-# render per point; and GET /fleet and /fleet/trace are scraped and
-# validated with tracetool, which also exports the Chrome trace. The
-# artifacts are left in $(FABRIC_OUT) for CI to archive.
+# render per point; GET /fleet and /fleet/trace are scraped and
+# validated with tracetool, which also exports the Chrome trace; and
+# worker w1, started with -profile, must leave a sharing profile of a
+# point it computed that tracetool renders (a worker runs each point as
+# a local suite does, artifacts included). The artifacts are left in
+# $(FABRIC_OUT) for CI to archive.
 FABRIC_OUT ?= /tmp/clustersim-fabric
 FABRIC_PORT ?= 17600
 FABRIC_OBS ?= 127.0.0.1:19100
@@ -151,6 +154,7 @@ fabric-suite: build
 	sleep 1; \
 	$(FABRIC_OUT)/experiments -procs 16 -size test -worker w1 \
 		-connect 127.0.0.1:$(FABRIC_PORT) -state $(FABRIC_OUT)/w1 \
+		-profile $(FABRIC_OUT)/w1-profile \
 		> /dev/null 2> $(FABRIC_OUT)/w1.log & w1=$$!; \
 	$(FABRIC_OUT)/experiments -procs 16 -size test -worker w2 \
 		-connect 127.0.0.1:$(FABRIC_PORT) -state $(FABRIC_OUT)/w2 \
@@ -189,7 +193,10 @@ fabric-suite: build
 	$(FABRIC_OUT)/tracetool events -point ocean-c4-inf $(FABRIC_OUT)/fabric.events.jsonl > $(FABRIC_OUT)/ocean-c4-inf.events.txt
 	test -s $(FABRIC_OUT)/ocean-c4-inf.events.txt
 	$(FABRIC_OUT)/tracetool fleet -chrome $(FABRIC_OUT)/fleet.chrome.json $(FABRIC_OUT)/fabric.events.jsonl
-	@echo "fabric-suite: chaos matrix race-clean; interrupted worker exited 3; distributed tables byte-identical to local run; /fleet and /fleet/trace valid over real TCP"
+	prof=$$(ls $(FABRIC_OUT)/w1-profile/*.profile.json | head -n 1); \
+		test -n "$$prof" && $(FABRIC_OUT)/tracetool profile $$prof > $(FABRIC_OUT)/w1-profile.txt
+	test -s $(FABRIC_OUT)/w1-profile.txt
+	@echo "fabric-suite: chaos matrix race-clean; interrupted worker exited 3; distributed tables byte-identical to local run; /fleet and /fleet/trace valid over real TCP; worker w1 wrote its points' sharing profiles"
 
 profile-golden: build
 	@mkdir -p $(PROFILE_OUT)

@@ -113,7 +113,7 @@ func main() {
 		os.Exit(exitInterrupted)
 	}()
 
-	sz, err := parseSize(*size)
+	sz, err := apps.ParseSize(*size)
 	if err != nil {
 		fatal(err)
 	}
@@ -341,18 +341,6 @@ func cacheLabel(kb int) string {
 		return "inf"
 	}
 	return fmt.Sprintf("%dk", kb)
-}
-
-func parseSize(s string) (apps.Size, error) {
-	switch s {
-	case "test":
-		return apps.SizeTest, nil
-	case "default":
-		return apps.SizeDefault, nil
-	case "paper":
-		return apps.SizePaper, nil
-	}
-	return 0, fmt.Errorf("unknown size %q (test, default, paper)", s)
 }
 
 func fatal(err error) {

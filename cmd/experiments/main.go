@@ -181,16 +181,11 @@ func realMain() int {
 		defer f.Close()
 		opt.ManifestOut = f
 	}
-	switch *size {
-	case "test":
-		opt.Size = apps.SizeTest
-	case "default":
-		opt.Size = apps.SizeDefault
-	case "paper":
-		opt.Size = apps.SizePaper
-	default:
-		return usageError(fmt.Errorf("unknown size %q", *size))
+	sz, err := apps.ParseSize(*size)
+	if err != nil {
+		return usageError(err)
 	}
+	opt.Size = sz
 	stop := experiments.NewSignalStop()
 	defer stop.Close()
 	opt.Stop = stop.Stopped
@@ -204,9 +199,7 @@ func realMain() int {
 
 	what := flag.Args()
 	if len(what) == 1 && what[0] == "all" {
-		what = []string{"table1", "table2", "table3", "table4", "table5",
-			"fig2", "fig3", "fig4", "fig5", "fig6", "fig7", "fig8", "table6", "table7",
-			"ext-assoc", "ext-org", "ext-scaling", "ext-faults"}
+		what = experiments.Names()
 	}
 
 	// Live observability plane (-serve / -events). Strictly wall-clock-
@@ -277,7 +270,7 @@ func realMain() int {
 		if i > 0 {
 			fmt.Println()
 		}
-		err := run(suite, name)
+		err := suite.RunExperiment(name)
 		if err == nil {
 			continue
 		}
@@ -302,43 +295,6 @@ func realMain() int {
 	return experiments.ExitOK
 }
 
-func run(s *experiments.Suite, name string) error {
-	opt := s.Opt
-	switch name {
-	case "table1":
-		return experiments.Table1(opt)
-	case "table2":
-		return experiments.Table2(opt)
-	case "table3":
-		return s.PrintTable3()
-	case "table4":
-		return experiments.Table4(opt)
-	case "table5":
-		return s.PrintTable5()
-	case "table6":
-		return s.PrintTable6()
-	case "table7":
-		return s.PrintTable7()
-	case "fig2":
-		return s.PrintFig2()
-	case "fig3":
-		return experiments.Fig3(opt)
-	case "fig4", "fig5", "fig6", "fig7", "fig8":
-		var n int
-		fmt.Sscanf(name, "fig%d", &n)
-		return s.PrintFigFinite(n)
-	case "ext-assoc":
-		return experiments.ExtAssociativity(opt)
-	case "ext-org":
-		return experiments.ExtOrganizations(opt)
-	case "ext-scaling":
-		return experiments.ExtScaling(opt)
-	case "ext-faults":
-		return experiments.ExtFaults(opt)
-	}
-	return fmt.Errorf("unknown experiment %q", name)
-}
-
 // distribute runs the coordinator phase of a distributed sweep: plan
 // the points the requested experiments need, drop the ones the journal
 // already holds, and fan the rest out across whatever fleet connects
@@ -349,7 +305,7 @@ func distribute(addr string, what []string, opt experiments.Options, steal bool,
 	if err != nil {
 		return err
 	}
-	todo, skipped, err := experiments.FilterJournalled(opt.Journal, specs)
+	todo, skipped, err := experiments.FilterJournalled(opt, specs)
 	if err != nil {
 		return err
 	}
@@ -357,10 +313,14 @@ func distribute(addr string, what []string, opt experiments.Options, steal bool,
 		fmt.Fprintf(os.Stderr, "experiments: all %d distributable points already journalled; nothing to distribute\n", skipped)
 		return nil
 	}
+	// The degraded-mode local runner reports nothing to the sweep: the
+	// render pass reports every point on /status.
+	local := opt
+	local.Obs = nil
 	onResult, onFailure := experiments.CoordinatorSinks(opt.Journal)
 	coord := fabric.NewCoordinator(fabric.CoordinatorConfig{
 		Steal:     steal,
-		Run:       experiments.FabricRunner(opt.Journal, opt.PointTimeout, opt.Progress, nil),
+		Run:       experiments.FabricRunner(local),
 		OnResult:  onResult,
 		OnFailure: onFailure,
 		Obs:       fabric.NewObs(reg, evlog),
@@ -419,6 +379,11 @@ func obsPlane(runID, serveAddr, eventsOut string) (*obs.Registry, *obs.Log, *obs
 // SIGINT/SIGTERM lets the point in flight finish and reach the
 // coordinator, then the worker asks for no more work and leaves.
 //
+// Each assignment is a local suite point (experiments.FabricRunner):
+// -state, -retry-failed, -point-timeout, -progress and the artifact
+// flags (-profile, -critpath, -trace, -sample, -json) act as in a local
+// run, and the artifacts land on this machine.
+//
 // -serve exposes the worker's own /metrics, /status and /events, and
 // -events persists its run-event log as JSONL; without either the
 // worker keeps no event log. The fleet's timeline is the coordinator's.
@@ -438,9 +403,10 @@ func runWorker(id, addr string, opt experiments.Options, stop *experiments.Signa
 		defer srv.Shutdown(2 * time.Second)
 		fmt.Fprintf(os.Stderr, "experiments: worker %s: observability endpoints on %s\n", id, srv.URL())
 	}
+	opt.Obs = sweep
 	w := fabric.NewWorker(fabric.WorkerConfig{
 		ID:       id,
-		Run:      experiments.FabricRunner(opt.Journal, opt.PointTimeout, opt.Progress, sweep),
+		Run:      experiments.FabricRunner(opt),
 		Progress: os.Stderr,
 		Stop:     stop.Stopped,
 	})

@@ -64,7 +64,7 @@ func realMain(args []string, stdout, stderr io.Writer) int {
 		fmt.Fprintf(stderr, "perfbench: unexpected arguments: %s\n", strings.Join(fs.Args(), " "))
 		return exitUsage
 	}
-	sz, err := parseSize(*size)
+	sz, err := apps.ParseSize(*size)
 	if err != nil {
 		fmt.Fprintln(stderr, "perfbench:", err)
 		return exitUsage
@@ -165,16 +165,4 @@ func stampOrNow(s string) string {
 		return s
 	}
 	return time.Now().UTC().Format("20060102T150405Z") //simlint:allow wallclock — report stamp only
-}
-
-func parseSize(s string) (apps.Size, error) {
-	switch s {
-	case "test":
-		return apps.SizeTest, nil
-	case "default":
-		return apps.SizeDefault, nil
-	case "paper":
-		return apps.SizePaper, nil
-	}
-	return 0, fmt.Errorf("unknown size %q", s)
 }

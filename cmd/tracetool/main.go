@@ -326,7 +326,7 @@ func record(args []string, out io.Writer) error {
 		return err
 	}
 
-	sz, err := parseSize(*size)
+	sz, err := apps.ParseSize(*size)
 	if err != nil {
 		return err
 	}
@@ -394,16 +394,4 @@ func replay(args []string, out io.Writer) error {
 	fmt.Fprintf(out, "replayed %d events\n", len(tr.Events))
 	res.WriteSummary(out)
 	return nil
-}
-
-func parseSize(s string) (apps.Size, error) {
-	switch s {
-	case "test":
-		return apps.SizeTest, nil
-	case "default":
-		return apps.SizeDefault, nil
-	case "paper":
-		return apps.SizePaper, nil
-	}
-	return 0, fmt.Errorf("unknown size %q", s)
 }

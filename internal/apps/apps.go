@@ -38,6 +38,17 @@ func (s Size) String() string {
 	return fmt.Sprintf("Size(%d)", int(s))
 }
 
+// ParseSize is the inverse of String: it maps a size name (test,
+// default, paper) back to its class, for flags and wire specs.
+func ParseSize(name string) (Size, error) {
+	for _, s := range []Size{SizeTest, SizeDefault, SizePaper} {
+		if s.String() == name {
+			return s, nil
+		}
+	}
+	return 0, fmt.Errorf("unknown problem size %q (want test, default or paper)", name)
+}
+
 // Runner describes one registered application.
 type Runner struct {
 	// Name is the paper's application name, lower case.

@@ -1,6 +1,7 @@
 package apps
 
 import (
+	"strings"
 	"testing"
 	"testing/quick"
 
@@ -137,5 +138,19 @@ func TestMorton3(t *testing.T) {
 func TestSizeString(t *testing.T) {
 	if SizeTest.String() != "test" || SizeDefault.String() != "default" || SizePaper.String() != "paper" {
 		t.Error("size strings")
+	}
+}
+
+// TestParseSizeInvertsString: every size class round-trips through its
+// name, and an unknown name is an error that lists the valid ones.
+func TestParseSizeInvertsString(t *testing.T) {
+	for _, s := range []Size{SizeTest, SizeDefault, SizePaper} {
+		got, err := ParseSize(s.String())
+		if err != nil || got != s {
+			t.Errorf("ParseSize(%q) = %v, %v; want %v", s.String(), got, err, s)
+		}
+	}
+	if _, err := ParseSize("galactic"); err == nil || !strings.Contains(err.Error(), "test, default or paper") {
+		t.Errorf("ParseSize(galactic) error = %v, want one naming the valid sizes", err)
 	}
 }

@@ -55,7 +55,7 @@ func TestFig2DataShape(t *testing.T) {
 
 func TestFig2Prints(t *testing.T) {
 	var buf strings.Builder
-	if err := Fig2(quickOpts(&buf)); err != nil {
+	if err := NewSuite(quickOpts(&buf)).PrintFig2(); err != nil {
 		t.Fatal(err)
 	}
 	out := buf.String()
@@ -82,14 +82,14 @@ func TestFig3Prints(t *testing.T) {
 
 func TestFigFinite(t *testing.T) {
 	var buf strings.Builder
-	if err := FigFinite(quickOpts(&buf), 7); err != nil {
+	if err := NewSuite(quickOpts(&buf)).PrintFigFinite(7); err != nil {
 		t.Fatal(err)
 	}
 	out := buf.String()
 	if !strings.Contains(out, "fmm") || !strings.Contains(out, "inf") {
 		t.Errorf("figure 7 output incomplete:\n%s", out)
 	}
-	if err := FigFinite(quickOpts(&buf), 9); err == nil {
+	if err := NewSuite(quickOpts(&buf)).PrintFigFinite(9); err == nil {
 		t.Error("want error for unknown figure")
 	}
 }
@@ -166,10 +166,10 @@ func TestTable5FactorsBand(t *testing.T) {
 func TestTables67(t *testing.T) {
 	var buf strings.Builder
 	opt := quickOpts(&buf)
-	if err := Table6(opt); err != nil {
+	if err := NewSuite(opt).PrintTable6(); err != nil {
 		t.Fatal(err)
 	}
-	if err := Table7(opt); err != nil {
+	if err := NewSuite(opt).PrintTable7(); err != nil {
 		t.Fatal(err)
 	}
 	out := buf.String()

@@ -2,7 +2,13 @@ package experiments
 
 import (
 	"bytes"
+	"crypto/sha256"
+	"encoding/hex"
 	"io"
+	"os"
+	"path/filepath"
+	"reflect"
+	"strings"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -40,7 +46,7 @@ func TestPlanPointsMatchesSuiteDemand(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	run := FabricRunner(j, 0, nil, nil)
+	run := FabricRunner(Options{Journal: j})
 	for _, spec := range specs {
 		if _, resumed, err := run(spec); err != nil || resumed {
 			t.Fatalf("run %s: resumed=%v err=%v", spec.Name(), resumed, err)
@@ -95,8 +101,191 @@ func TestFabricRunnerRejectsHashMismatch(t *testing.T) {
 	}
 	spec := specs[0]
 	spec.ConfigHash = "0000deadbeef"
-	if _, _, err := FabricRunner(nil, 0, nil, nil)(spec); err == nil {
+	if _, _, err := FabricRunner(Options{})(spec); err == nil {
 		t.Fatal("a hash-mismatched spec must be refused")
+	}
+}
+
+// TestNamesIsAllList pins the catalog's order to the expansion of
+// "all": later experiments replay points earlier ones computed, and the
+// distribution plan follows the same order.
+func TestNamesIsAllList(t *testing.T) {
+	want := []string{"table1", "table2", "table3", "table4", "table5",
+		"fig2", "fig3", "fig4", "fig5", "fig6", "fig7", "fig8", "table6", "table7",
+		"ext-assoc", "ext-org", "ext-scaling", "ext-faults"}
+	if got := Names(); !reflect.DeepEqual(got, want) {
+		t.Fatalf("Names() = %v\nwant      %v", got, want)
+	}
+	if err := NewSuite(fabricOpt()).RunExperiment("table9"); err == nil {
+		t.Error("an unknown experiment name must be an error")
+	}
+}
+
+// TestPlanPointsAllDigest pins the plan of "all" at -procs 16 -size
+// test: 147 specs in render order, digested as the sha256 of their
+// newline-terminated Key lines. Keys carry config hashes, so a
+// deliberate config-hash change updates the digest.
+func TestPlanPointsAllDigest(t *testing.T) {
+	specs, err := PlanPoints(Names(), Options{Procs: 16, Size: apps.SizeTest})
+	if err != nil {
+		t.Fatal(err)
+	}
+	h := sha256.New()
+	for _, spec := range specs {
+		io.WriteString(h, spec.Key()+"\n")
+	}
+	const want = "ff364e095f85852e858926500233eee45ecddb92072a1b59d7a6856cf64f67f1"
+	if got := hex.EncodeToString(h.Sum(nil)); len(specs) != 147 || got != want {
+		t.Fatalf("planned %d specs with digest %s; want 147 with %s", len(specs), got, want)
+	}
+}
+
+// storeFailure journals spec as failed, as a watchdog abort would.
+func storeFailure(t *testing.T, j *Journal, spec fabric.PointSpec) {
+	t.Helper()
+	if err := j.StoreFailure(FailureRecord{
+		App: spec.App, Size: spec.Size, ClusterSize: spec.ClusterSize,
+		CacheKB: spec.CacheKB, ConfigHash: spec.ConfigHash, Error: "scripted failure",
+	}); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// TestFilterJournalledSkipsFailures: a resumed coordinator treats a
+// journalled failure as settled, as a local resume does. The point is
+// skipped and counted instead of being redistributed, unless
+// RetryFailed.
+func TestFilterJournalledSkipsFailures(t *testing.T) {
+	j, err := OpenJournal(t.TempDir())
+	if err != nil {
+		t.Fatal(err)
+	}
+	specs, err := PlanPoints([]string{"table7"}, fabricOpt())
+	if err != nil {
+		t.Fatal(err)
+	}
+	failed := specs[3]
+	storeFailure(t, j, failed)
+	todo, skipped, err := FilterJournalled(Options{Journal: j}, specs)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(todo) != len(specs)-1 || skipped != 1 {
+		t.Fatalf("todo %d, skipped %d; want %d and 1", len(todo), skipped, len(specs)-1)
+	}
+	for _, spec := range todo {
+		if spec.Key() == failed.Key() {
+			t.Fatalf("journalled failure %s was planned again", failed.Name())
+		}
+	}
+	todo, skipped, err = FilterJournalled(Options{Journal: j, RetryFailed: true}, specs)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(todo) != len(specs) || skipped != 0 {
+		t.Fatalf("with RetryFailed: todo %d, skipped %d; want %d and 0", len(todo), skipped, len(specs))
+	}
+}
+
+// TestFabricRunnerHonoursJournalledFailure: like Suite.Run, the runner
+// reports a point its journal records as failed instead of re-running
+// it, and re-runs it (superseding the record) with RetryFailed.
+func TestFabricRunnerHonoursJournalledFailure(t *testing.T) {
+	j, err := OpenJournal(t.TempDir())
+	if err != nil {
+		t.Fatal(err)
+	}
+	spec, err := pointSpec(fabricOpt(), runKey{"lu", 2, 0})
+	if err != nil {
+		t.Fatal(err)
+	}
+	storeFailure(t, j, spec)
+	if _, _, err := FabricRunner(Options{Journal: j})(spec); err == nil ||
+		!strings.Contains(err.Error(), "journalled as failed") {
+		t.Fatalf("runner error = %v, want the journalled failure", err)
+	}
+	res, resumed, err := FabricRunner(Options{Journal: j, RetryFailed: true})(spec)
+	if err != nil || resumed || res == nil {
+		t.Fatalf("RetryFailed run: resumed=%v err=%v", resumed, err)
+	}
+	if _, ok, _ := j.LoadFailure(spec.App, spec.Size, spec.ClusterSize, spec.CacheKB, spec.ConfigHash); ok {
+		t.Error("the retried success did not supersede the failure record")
+	}
+	if _, resumed, err := FabricRunner(Options{Journal: j})(spec); err != nil || !resumed {
+		t.Errorf("third run: resumed=%v err=%v, want a journal replay", resumed, err)
+	}
+}
+
+// TestFabricRunnerIgnoresStop: the worker's own Stop hook decides
+// between points, so the runner clears Stop and StopAfter and an
+// interrupt cannot come back as a point failure.
+func TestFabricRunnerIgnoresStop(t *testing.T) {
+	spec, err := pointSpec(fabricOpt(), runKey{"lu", 2, 0})
+	if err != nil {
+		t.Fatal(err)
+	}
+	run := FabricRunner(Options{Stop: func() bool { return true }, StopAfter: 1})
+	if _, _, err := run(spec); err != nil {
+		t.Fatalf("runner with a stop requested: %v", err)
+	}
+}
+
+// TestFabricRunnerWritesLocalArtifacts: the runner writes the same
+// per-point profile, critpath and trace files, byte for byte, as a
+// local Suite.Run of that point, and takes the machine from the spec.
+func TestFabricRunnerWritesLocalArtifacts(t *testing.T) {
+	artifacts := func(opt Options, dir string) Options {
+		opt.ProfileDir = filepath.Join(dir, "profile")
+		opt.CritpathDir = filepath.Join(dir, "critpath")
+		opt.TraceDir = filepath.Join(dir, "trace")
+		return opt
+	}
+	localDir, fleetDir := t.TempDir(), t.TempDir()
+	if _, err := NewSuite(artifacts(fabricOpt(), localDir)).Run("lu", 2, 4); err != nil {
+		t.Fatal(err)
+	}
+	spec, err := pointSpec(fabricOpt(), runKey{"lu", 2, 4})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, _, err := FabricRunner(artifacts(Options{}, fleetDir))(spec); err != nil {
+		t.Fatal(err)
+	}
+	for _, sub := range []string{"profile", "critpath", "trace"} {
+		local, err := os.ReadDir(filepath.Join(localDir, sub))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(local) != 1 {
+			t.Fatalf("local %s: %d files, want 1", sub, len(local))
+		}
+		name := local[0].Name()
+		want, err := os.ReadFile(filepath.Join(localDir, sub, name))
+		if err != nil {
+			t.Fatal(err)
+		}
+		got, err := os.ReadFile(filepath.Join(fleetDir, sub, name))
+		if err != nil {
+			t.Fatalf("runner wrote no %s: %v", name, err)
+		}
+		if !bytes.Equal(got, want) {
+			t.Errorf("%s differs between the runner and a local Suite.Run", name)
+		}
+	}
+}
+
+// settled wraps a worker's runner so the test's cleanup first waits for
+// the points in flight. A worker still computing a stolen duplicate when
+// the sweep drains would otherwise store into its journal while the
+// test removes the directory. Call it after creating the journal's
+// TempDir: cleanups run last-registered first.
+func settled(t *testing.T, run fabric.Runner) fabric.Runner {
+	var inflight sync.RWMutex
+	t.Cleanup(inflight.Lock)
+	return func(spec fabric.PointSpec) (*core.Result, bool, error) {
+		inflight.RLock()
+		defer inflight.RUnlock()
+		return run(spec)
 	}
 }
 
@@ -154,7 +343,7 @@ func TestDistributedSweepByteIdentical(t *testing.T) {
 	var w1Done int32
 	crashOnce := sync.Once{}
 	crashed := make(chan struct{})
-	w1Inner := FabricRunner(w1Journal, 0, nil, nil)
+	w1Inner := settled(t, FabricRunner(Options{Journal: w1Journal}))
 	startW1 := func() {
 		conn, err := net.Dial("w1")
 		if err != nil {
@@ -187,7 +376,7 @@ func TestDistributedSweepByteIdentical(t *testing.T) {
 		}
 		w := fabric.NewWorker(fabric.WorkerConfig{
 			ID: "w2", Heartbeat: 30 * time.Millisecond,
-			Run: FabricRunner(w2Journal, 0, nil, nil),
+			Run: settled(t, FabricRunner(Options{Journal: w2Journal})),
 		})
 		go w.RunConn(conn) //simlint:allow goroutine — test harness
 	}
@@ -334,7 +523,7 @@ func TestFleetTimelineCompleteUnderChaos(t *testing.T) {
 		t.Fatal(err)
 	}
 	w1Sweep := workerObs("w1")
-	w1Inner := FabricRunner(w1Journal, 0, nil, w1Sweep)
+	w1Inner := settled(t, FabricRunner(Options{Journal: w1Journal, Obs: w1Sweep}))
 	var w1Done int32
 	crashOnce := sync.Once{}
 	startW1 := func(run fabric.Runner) {
@@ -372,7 +561,7 @@ func TestFleetTimelineCompleteUnderChaos(t *testing.T) {
 		t.Fatal(err)
 	}
 	w2Sweep := workerObs("w2")
-	w2Inner := FabricRunner(w2Journal, 0, nil, w2Sweep)
+	w2Inner := settled(t, FabricRunner(Options{Journal: w2Journal, Obs: w2Sweep}))
 	var w2Done int32
 	partOnce := sync.Once{}
 	startW2 := func(run fabric.Runner) {

@@ -25,9 +25,6 @@ func (s *Suite) Fig2Data() ([]Bar, error) {
 	return out, nil
 }
 
-// Fig2 prints Figure 2.
-func Fig2(opt Options) error { return NewSuite(opt).PrintFig2() }
-
 // PrintFig2 prints Figure 2 using the suite's memoized runs.
 func (s *Suite) PrintFig2() error {
 	bars, err := s.Fig2Data()
@@ -107,9 +104,6 @@ func (s *Suite) FigFiniteData(app string) ([]Bar, error) {
 	}
 	return out, nil
 }
-
-// FigFinite prints one of Figures 4-8.
-func FigFinite(opt Options, fig int) error { return NewSuite(opt).PrintFigFinite(fig) }
 
 // PrintFigFinite prints one of Figures 4-8 using the suite's memoized
 // runs.

@@ -151,6 +151,10 @@ type Suite struct {
 	runs     map[runKey]*core.Result
 	fresh    int // points actually simulated (not replayed), for StopAfter
 	replayed int // points served from the journal
+	// dry makes Run a planning pass (PlanPoints): it records each new
+	// point in planned and returns an empty Result instead of simulating.
+	dry     bool
+	planned []runKey
 }
 
 // Fresh is how many points this suite actually simulated.
@@ -180,6 +184,11 @@ func (s *Suite) Run(app string, clusterSize, cacheKB int) (*core.Result, error) 
 	key := runKey{app, clusterSize, cacheKB}
 	if r, ok := s.runs[key]; ok {
 		return r, nil
+	}
+	if s.dry {
+		s.planned = append(s.planned, key)
+		s.runs[key] = &core.Result{}
+		return s.runs[key], nil
 	}
 	w, err := registry.Lookup(app)
 	if err != nil {

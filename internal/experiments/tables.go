@@ -77,10 +77,8 @@ func (s *Suite) Table3Data() ([]WorkingSetRow, error) {
 	return rows, nil
 }
 
-// Table3 prints the communication structure and measured working sets.
-func Table3(opt Options) error { return NewSuite(opt).PrintTable3() }
-
-// PrintTable3 prints Table 3 using the suite's memoized runs.
+// PrintTable3 prints Table 3 (communication structure and measured
+// working sets) using the suite's memoized runs.
 func (s *Suite) PrintTable3() error {
 	rows, err := s.Table3Data()
 	if err != nil {
@@ -147,10 +145,8 @@ func (s *Suite) Table5Data() ([]Table5Row, error) {
 	return rows, nil
 }
 
-// Table5 prints the load-latency execution-time factors.
-func Table5(opt Options) error { return NewSuite(opt).PrintTable5() }
-
-// PrintTable5 prints Table 5 using the suite's memoized runs.
+// PrintTable5 prints Table 5 (load-latency execution-time factors)
+// using the suite's memoized runs.
 func (s *Suite) PrintTable5() error {
 	rows, err := s.Table5Data()
 	if err != nil {
@@ -223,11 +219,8 @@ func printCosted(opt Options, title string, rows []CostedRow) {
 	}
 }
 
-// Table6 prints the relative execution time of clustering with 4 KB
-// caches, including shared-cache costs.
-func Table6(opt Options) error { return NewSuite(opt).PrintTable6() }
-
-// PrintTable6 prints Table 6 using the suite's memoized runs.
+// PrintTable6 prints Table 6 (costed clustering, 4 KB caches) using
+// the suite's memoized runs.
 func (s *Suite) PrintTable6() error {
 	rows, err := s.CostedData(Table6Apps, 4)
 	if err != nil {
@@ -237,11 +230,8 @@ func (s *Suite) PrintTable6() error {
 	return nil
 }
 
-// Table7 prints the relative execution time of clustering with infinite
-// caches, including shared-cache costs.
-func Table7(opt Options) error { return NewSuite(opt).PrintTable7() }
-
-// PrintTable7 prints Table 7 using the suite's memoized runs.
+// PrintTable7 prints Table 7 (costed clustering, infinite caches)
+// using the suite's memoized runs.
 func (s *Suite) PrintTable7() error {
 	rows, err := s.CostedData(Table7Apps, 0)
 	if err != nil {

@@ -137,8 +137,10 @@ type Msg struct {
 }
 
 // Runner executes one point. The experiments package supplies the real
-// implementation (journal replay, panic isolation, optional watchdog);
-// fabric tests inject fakes. A Runner must be deterministic: equal
-// specs yield byte-identical results. resumed reports that the result
-// was replayed from a local journal instead of recomputed.
+// implementation, which runs the spec as an ordinary suite point (the
+// suite's journal replay, failure records, panic isolation, watchdog
+// and artifacts); fabric tests inject fakes. A Runner must be
+// deterministic: equal specs yield byte-identical results. resumed
+// reports that the result was replayed from a local journal instead of
+// recomputed.
 type Runner func(PointSpec) (res *core.Result, resumed bool, err error)

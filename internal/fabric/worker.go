@@ -26,8 +26,9 @@ type WorkerConfig struct {
 	// be comfortably under the coordinator's DeadAfter.
 	Heartbeat time.Duration
 
-	// Run executes one assigned point: the experiments glue wraps
-	// journal replay, panic isolation and the watchdog here.
+	// Run executes one assigned point. The experiments glue runs it as
+	// a local suite point, so the worker's journal, -retry-failed,
+	// watchdog and artifact flags apply as in a local run.
 	Run Runner
 
 	// Progress receives operator-facing lines (nil = silent).
