@@ -2,7 +2,7 @@
 
 GO ?= go
 
-.PHONY: all build vet lint simlint sarif sanitize-suite profile-suite profile-golden critpath-suite critpath-golden fault-suite resume-suite obs-suite fabric-suite test test-short race bench bench-go bench-gate bench-baseline experiments paper examples clean
+.PHONY: all build vet lint simlint sarif sanitize-suite profile-suite profile-golden critpath-suite critpath-golden fault-suite resume-suite obs-suite fabric-suite test test-short race bench bench-go bench-gate bench-baseline experiments repro-check paper examples clean
 
 all: build lint test
 
@@ -270,9 +270,20 @@ bench-baseline: build
 	mv BENCH_baseline.json bench_baseline.json
 	@echo "bench-baseline: regenerated bench_baseline.json"
 
-# Regenerate every table and figure at the scaled default sizes (~15 min).
+# Regenerate every table and figure at the scaled default sizes (about
+# 5 minutes on one core).
 experiments: build
 	$(GO) run ./cmd/experiments -procs 64 -size default all
+
+# Reproduction check: regenerate every table and figure at the scaled
+# default sizes and require stdout byte-identical to the committed
+# results_default.txt. It takes about 5 minutes, so CI does not run it.
+REPRO_OUT ?= /tmp/clustersim-repro
+repro-check: build
+	@mkdir -p $(REPRO_OUT)
+	$(GO) run ./cmd/experiments -procs 64 -size default all > $(REPRO_OUT)/results_default.txt
+	cmp $(REPRO_OUT)/results_default.txt results_default.txt
+	@echo "repro-check: stdout byte-identical to results_default.txt"
 
 # Full Table 2 problem sizes (slow).
 paper: build

@@ -74,6 +74,9 @@ func Run(cfg core.Config, pr Params) (*core.Result, error) {
 	if err != nil {
 		return nil, err
 	}
+	// Race-free: between two barriers a processor reads only what it wrote
+	// itself or what was written before the first of them.
+	m.DeclareRaceFree()
 	a := apps.NewC128(m, n, "data-matrix")
 	b := apps.NewC128(m, n, "transpose-matrix")
 	roots := apps.NewC128(m, r, "roots") // shared read-only roots of unity for row FFTs

@@ -130,6 +130,9 @@ func run(cfg core.Config, pr Params) (*core.Result, *quad, error) {
 	if err != nil {
 		return nil, nil, err
 	}
+	// Race-free: between two barriers a processor reads only what it wrote
+	// itself or what was written before the first of them.
+	m.DeclareRaceFree()
 	n := pr.Bodies
 	depth := 2
 	for (1<<(2*depth+2))*10 <= n { // aim for ≈10+ bodies per leaf

@@ -76,6 +76,9 @@ func Run(cfg core.Config, pr Params) (*core.Result, error) {
 	if err != nil {
 		return nil, err
 	}
+	// Race-free: between two barriers a processor reads only what it wrote
+	// itself or what was written before the first of them.
+	m.DeclareRaceFree()
 	n, b := pr.N, pr.Block
 	nb := n / b
 	mat := matrix{a: apps.NewF64(m, n*n, "matrix"), nb: nb, b: b}

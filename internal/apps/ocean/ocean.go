@@ -198,6 +198,10 @@ func Run(cfg core.Config, pr Params) (*core.Result, error) {
 	if err != nil {
 		return nil, err
 	}
+	// Race-free: between two barriers a processor reads only what it wrote
+	// itself or what was written before the first of them; the error sum
+	// is updated under its lock.
+	m.DeclareRaceFree()
 	// Multigrid hierarchy: level 0 is the full grid; coarser levels
 	// halve the inner dimension while every processor still owns cells.
 	prRows, pcCols := apps.ProcGrid(cfg.Procs)

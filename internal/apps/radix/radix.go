@@ -64,6 +64,9 @@ func Run(cfg core.Config, pr Params) (*core.Result, error) {
 	if err != nil {
 		return nil, err
 	}
+	// Race-free: between two barriers a processor reads only what it wrote
+	// itself or what was written before the first of them.
+	m.DeclareRaceFree()
 	P := cfg.Procs
 	R := pr.Radix
 	src := apps.NewI64(m, pr.Keys, "keysA")

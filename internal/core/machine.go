@@ -23,6 +23,10 @@ type Machine struct {
 	stats []stats.Proc // per-processor statistics, indexed by ID
 	ran   bool
 
+	// raceFree records DeclareRaceFree: the kernels run ahead of
+	// simulated time.
+	raceFree bool
+
 	// origin is the virtual time at which measurement began (see
 	// BeginMeasurement); ExecTime is reported relative to it.
 	origin Clock
@@ -108,15 +112,48 @@ func NewMachine(cfg Config) (*Machine, error) {
 // Config returns the machine's configuration.
 func (m *Machine) Config() Config { return m.cfg }
 
+// DeclareRaceFree lets every kernel run ahead of simulated time (see
+// Proc); call it before Run. It is a promise about the application:
+// between two synchronisation operations (barrier, lock or flag), no
+// processor's addresses or control flow depend on data that another
+// processor writes. Each processor's reference stream between two such
+// operations is then the same in every interleaving, so issuing it
+// early and performing it in exact virtual-time order reproduces an
+// undeclared run bit for bit: the same Result, and the same observer
+// events in the same order. A wrong declaration silently changes
+// results. The layout is fixed once Run starts: Alloc, AllocLocal and
+// Place panic, because the machine cannot order them against the
+// references still buffered.
+func (m *Machine) DeclareRaceFree() {
+	if m.ran {
+		panic("core: DeclareRaceFree after Run")
+	}
+	m.raceFree = true
+	m.sched.SetStep(m.step)
+	for _, p := range m.procs {
+		p.buf = make([]op, 0, runAheadOps)
+	}
+}
+
+// layoutFixed panics when what would change the address layout during a
+// race-free Run (see DeclareRaceFree).
+func (m *Machine) layoutFixed(what string) {
+	if m.raceFree && m.ran {
+		panic(fmt.Sprintf("core: %s during Run on a machine declared race-free; allocate and place shared data before Run", what))
+	}
+}
+
 // Alloc reserves size bytes of shared memory; pages are homed round-robin
 // at first touch, as in the paper.
 func (m *Machine) Alloc(size uint64, name string) Addr {
+	m.layoutFixed("Alloc")
 	return m.as.Alloc(size, name)
 }
 
 // AllocLocal reserves size bytes homed at the given processor's cluster —
 // the paper's explicit placement and local "stack" allocation.
 func (m *Machine) AllocLocal(size uint64, name string, proc int) Addr {
+	m.layoutFixed("AllocLocal")
 	base := m.Alloc(size, name)
 	m.Place(base, size, proc)
 	return base
@@ -124,6 +161,7 @@ func (m *Machine) AllocLocal(size uint64, name string, proc int) Addr {
 
 // Place pins [base, base+size) to the cluster of the given processor.
 func (m *Machine) Place(base Addr, size uint64, proc int) {
+	m.layoutFixed("Place")
 	m.as.Place(base, size, m.cfg.ClusterOf(proc))
 	if m.obs != nil {
 		m.obs.Place(base, size, proc)
@@ -156,6 +194,7 @@ func (m *Machine) System() coherence.MemoryModel { return m.sys }
 // cache and directory contents are deliberately left warm, as they would
 // be on a real machine after initialization.
 func (m *Machine) BeginMeasurement(p *Proc) {
+	p.drain()
 	clear(m.stats)
 	m.sys.ResetStats()
 	m.origin = p.Now()
@@ -172,7 +211,9 @@ func (m *Machine) Run(kernel func(*Proc)) (*Result, error) {
 	}
 	m.ran = true
 	err := m.sched.Run(func(pe *engine.PE) {
-		kernel(m.procs[pe.ID()])
+		p := m.procs[pe.ID()]
+		kernel(p)
+		p.drain()
 	})
 	if err != nil {
 		return nil, err

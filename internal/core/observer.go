@@ -15,8 +15,10 @@ import (
 // the simulation's paths, and a machine with nothing attached pays only
 // the check.
 //
-// Calls arrive in simulation order from the goroutine holding the
-// engine's execution token, so implementations need no locking.
+// Calls arrive in simulation order from whichever holds the engine's
+// execution token — a processor's kernel, or the dispatch loop
+// performing a race-free kernel's buffered references — one at a time,
+// so implementations need no locking.
 // Observers are read-only: they may read the address space, the memory
 // system and the per-processor statistics they are handed but never
 // change them (simlint's readonly rule binds every observer package),

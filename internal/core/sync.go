@@ -62,7 +62,7 @@ func (b *Barrier) String() string {
 // Wait blocks p until all participants have arrived. All participants
 // resume at the virtual time of the last arrival.
 func (b *Barrier) Wait(p *Proc) {
-	p.pe.Yield()
+	p.syncPoint()
 	arrival := p.pe.Now()
 	obs := b.m.obs
 	if obs != nil {
@@ -118,7 +118,7 @@ func (l *Lock) String() string {
 
 // Acquire takes the lock, blocking while another processor holds it.
 func (l *Lock) Acquire(p *Proc) {
-	p.pe.Yield()
+	p.syncPoint()
 	if l.m.obs != nil {
 		l.m.obs.Sync(p.ID(), l.id, false, p.pe.Now())
 	}
@@ -135,7 +135,7 @@ func (l *Lock) Release(p *Proc) {
 	if l.holder != p {
 		panic(fmt.Sprintf("core: P%d released lock %s held by %v", p.ID(), l.name, holderID(l.holder)))
 	}
-	p.pe.Yield()
+	p.syncPoint()
 	now := p.pe.Now()
 	obs := l.m.obs
 	if obs != nil {
@@ -183,7 +183,7 @@ func (f *Flag) String() string { return "flag " + f.name }
 
 // Set raises the flag, releasing all current waiters at the setter's time.
 func (f *Flag) Set(p *Proc) {
-	p.pe.Yield()
+	p.syncPoint()
 	now := p.pe.Now()
 	obs := f.m.obs
 	if obs != nil {
@@ -203,7 +203,7 @@ func (f *Flag) Set(p *Proc) {
 
 // Wait blocks p until the flag is set.
 func (f *Flag) Wait(p *Proc) {
-	p.pe.Yield()
+	p.syncPoint()
 	if f.m.obs != nil {
 		f.m.obs.Sync(p.ID(), f.id, false, p.pe.Now())
 	}

@@ -9,6 +9,13 @@
 // scheduler, so references to the shared memory-system model are always
 // performed in global virtual-time order.
 //
+// A processor may also hand the loop work it buffered ahead of simulated
+// time (Await): the loop then performs that work itself, one event per
+// call of the step function the layer above installs (SetStep), under
+// the same ordering rule as Yield, and resumes the coroutine only once
+// the buffer is empty. That is Tango-lite's trace-driven mode fed live:
+// the references are issued early and performed in order.
+//
 // The scheduling invariant is: the running processor may only perform an
 // event while its virtual clock is within Quantum cycles of the minimum
 // clock over all other runnable processors. With Quantum = 0 (the default)
@@ -45,11 +52,13 @@ type Probe interface {
 }
 
 // Timer observes where the host's wall-clock time goes — the engine
-// half of the perf monitor. EnterSched fires when a processor begins
-// handing off (heap maintenance and the coroutine switches through the
-// dispatch loop); EnterApp fires when a PE resumes application execution
-// after receiving the token. The first EnterSched opens Run, before any
-// processor coroutine starts. Run's dispatch loop and the coroutines it
+// half of the perf monitor. EnterSched fires when a processor's kernel
+// suspends (Yield handing off, Block, Await), so everything the dispatch
+// loop does — heap maintenance, the coroutine switches, and performing
+// buffered work through the step function — falls between it and the
+// next EnterApp, which fires when a coroutine resumes application
+// execution. The first EnterSched opens Run, before any processor
+// coroutine starts. Run's dispatch loop and the coroutines it
 // resumes execute one at a time, so calls arrive strictly ordered and
 // implementations need no locking. A nil timer costs one predictable
 // branch per handoff.
@@ -64,12 +73,14 @@ type abortPanic struct{}
 
 // PE is a simulated processing element. All of its methods must be called
 // only from that PE's kernel, while it holds the execution token; the
-// Scheduler enforces this by construction.
+// Scheduler enforces this by construction. The step function (SetStep)
+// performing the PE's buffered work may also call ID, Now and Advance.
 type PE struct {
 	id      int
 	sched   *Scheduler
 	time    Clock
 	blocked bool                    // parked on a synchronisation object, out of the heap
+	pending bool                    // suspended with buffered work for the step function
 	resume  func() (struct{}, bool) // runs the kernel until it next suspends
 	yield   func(struct{}) bool     // suspends the kernel back to the dispatch loop
 	reason  fmt.Stringer            // why blocked, formatted only for deadlock reports
@@ -104,7 +115,7 @@ func (pe *PE) SetTime(at Clock) {
 // state, so that such events occur in virtual-time order.
 func (pe *PE) Yield() {
 	s := pe.sched
-	for len(s.heap) > 0 && s.heap[0].time+s.quantum < pe.time {
+	for s.behind(pe) {
 		if s.timer != nil {
 			s.timer.EnterSched()
 		}
@@ -126,6 +137,21 @@ func (pe *PE) Block(reason fmt.Stringer) {
 	pe.reason = reason
 	pe.suspend()
 	pe.reason = nil
+}
+
+// Await suspends the kernel until the dispatch loop has performed the
+// work it buffered: the loop calls the scheduler's step function (see
+// SetStep) for pe once per buffered event, applying Yield's rule before
+// each, and resumes the kernel when a step reports that none remains.
+func (pe *PE) Await() {
+	if pe.sched.step == nil {
+		panic(fmt.Sprintf("engine: PE %d awaits buffered work but the scheduler has no step function", pe.id))
+	}
+	if pe.sched.timer != nil {
+		pe.sched.timer.EnterSched()
+	}
+	pe.pending = true
+	pe.suspend()
 }
 
 // Unblock resumes target, which must be blocked, setting its clock to at
@@ -167,7 +193,8 @@ type Scheduler struct {
 	nFinished int
 	probe     Probe
 	timer     Timer
-	label     string // workload name, for panic diagnostics
+	step      func(*PE) bool // performs one buffered event (see SetStep)
+	label     string         // workload name, for panic diagnostics
 	err       error
 }
 
@@ -203,6 +230,15 @@ func (s *Scheduler) SetProbe(p Probe) { s.probe = p }
 // timer (the default) disables host-time attribution entirely.
 func (s *Scheduler) SetTimer(t Timer) { s.timer = t }
 
+// SetStep installs the function through which the dispatch loop
+// performs the work a processor buffered before calling Await; call
+// before Run. step performs pe's next buffered event and reports
+// whether more remain. It runs in the loop, outside every coroutine,
+// while pe holds the token, and it may advance pe's clock. Before each
+// call the loop applies Yield's rule, so buffered events are performed
+// exactly when Yield would have let pe perform them.
+func (s *Scheduler) SetStep(step func(pe *PE) (more bool)) { s.step = step }
+
 // SetLabel names the workload for panic diagnostics; call before Run.
 // An empty label (the default) reports as "unnamed".
 func (s *Scheduler) SetLabel(label string) { s.label = label }
@@ -216,7 +252,8 @@ func (s *Scheduler) labelOrDefault() string {
 
 // Run executes kernel once per processor, each as its own coroutine, and
 // returns when every kernel has finished or the simulation has failed.
-// It returns the first error (kernel panic, deadlock, or Fail call).
+// It returns the first error (kernel or step panic, deadlock, or Fail
+// call).
 func (s *Scheduler) Run(kernel func(*PE)) error {
 	if s.timer != nil {
 		s.timer.EnterSched() // the run opens in scheduling work
@@ -229,22 +266,68 @@ func (s *Scheduler) Run(kernel func(*PE)) error {
 		defer stop()
 		s.heapPush(pe)
 	}
-	from, fromTime := -1, Clock(0)
-	for len(s.heap) > 0 {
-		next := s.heapPopMin()
-		if s.probe != nil {
-			s.probe.Handoff(from, next.id, fromTime, next.time, len(s.heap))
-		}
-		next.resume()
-		if s.err != nil {
-			return s.err
-		}
-		from, fromTime = next.id, next.time
+	s.loop()
+	if s.err != nil {
+		return s.err
 	}
 	if s.nFinished < len(s.pes) {
 		return s.deadlockError()
 	}
 	return nil
+}
+
+// loop passes the token to the (time, id) minimum until the heap is
+// empty or the run has failed. A step panics here, outside every
+// coroutine; it is recovered into the same annotated error as a kernel
+// panic (a step's Fail has recorded its own error first, and record
+// keeps the first), and Run still stops every coroutine.
+func (s *Scheduler) loop() {
+	var next *PE
+	defer func() {
+		if r := recover(); r != nil {
+			s.record(s.panicError(next, r))
+		}
+	}()
+	from, fromTime := -1, Clock(0)
+	for len(s.heap) > 0 {
+		next = s.heapPopMin()
+		if s.probe != nil {
+			s.probe.Handoff(from, next.id, fromTime, next.time, len(s.heap))
+		}
+		s.dispatch(next)
+		if s.err != nil {
+			return
+		}
+		from, fromTime = next.id, next.time
+	}
+}
+
+// dispatch runs pe until it passes the token on. Work pe buffered before
+// suspending is performed first, one step at a time; while a ready
+// processor is more than the quantum earlier, pe goes back on the heap
+// with the rest still buffered. The coroutine resumes only once the
+// buffer is empty.
+func (s *Scheduler) dispatch(pe *PE) {
+	for {
+		for pe.pending {
+			if s.behind(pe) {
+				s.heapPush(pe)
+				return
+			}
+			pe.pending = s.step(pe)
+		}
+		pe.resume()
+		if !pe.pending || s.err != nil {
+			return
+		}
+	}
+}
+
+// behind reports whether a ready processor is more than the quantum
+// earlier than pe, so pe must hand the token on before its next event:
+// the rule Yield applies, and dispatch before each buffered event.
+func (s *Scheduler) behind(pe *PE) bool {
+	return len(s.heap) > 0 && s.heap[0].time+s.quantum < pe.time
 }
 
 // coroutine wraps kernel as pe's body. A kernel panic is recovered here,
@@ -257,12 +340,7 @@ func (s *Scheduler) coroutine(pe *PE, kernel func(*PE)) iter.Seq[struct{}] {
 				if _, ok := r.(abortPanic); ok {
 					return
 				}
-				// Annotate with the crash site's simulation coordinates
-				// (workload, PE, virtual time) so a failure is
-				// diagnosable — and, with a seeded fault plan,
-				// replayable — from the error alone.
-				s.record(fmt.Errorf("engine: app %q: processor %d panicked at virtual time %d: %v\n%s",
-					s.labelOrDefault(), pe.id, pe.time, r, debug.Stack()))
+				s.record(s.panicError(pe, r))
 			}
 		}()
 		pe.yield = yield
@@ -275,6 +353,15 @@ func (s *Scheduler) coroutine(pe *PE, kernel func(*PE)) iter.Seq[struct{}] {
 			s.timer.EnterSched()
 		}
 	}
+}
+
+// panicError annotates a panic with the crash site's simulation
+// coordinates (workload, PE, virtual time) so a failure is diagnosable —
+// and, with a seeded fault plan, replayable — from the error alone.
+// Called while the panic unwinds, so the stack still shows its frames.
+func (s *Scheduler) panicError(pe *PE, r any) error {
+	return fmt.Errorf("engine: app %q: processor %d panicked at virtual time %d: %v\n%s",
+		s.labelOrDefault(), pe.id, pe.time, r, debug.Stack())
 }
 
 // Times returns the final virtual clock of every processor.

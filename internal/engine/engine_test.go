@@ -394,6 +394,7 @@ func TestAbortLeavesNoGoroutines(t *testing.T) {
 	cases := []struct {
 		name   string
 		kernel func(pes []*PE) func(*PE)
+		step   func(*PE) bool // installed when set
 	}{
 		{"deadlock", func([]*PE) func(*PE) {
 			return func(pe *PE) {
@@ -401,7 +402,7 @@ func TestAbortLeavesNoGoroutines(t *testing.T) {
 				pe.Yield()
 				pe.Block(reason("never released"))
 			}
-		}},
+		}, nil},
 		{"panic", func([]*PE) func(*PE) {
 			return func(pe *PE) {
 				pe.Advance(10)
@@ -411,7 +412,7 @@ func TestAbortLeavesNoGoroutines(t *testing.T) {
 				}
 				pe.Block(reason("will be aborted"))
 			}
-		}},
+		}, nil},
 		{"fail", func([]*PE) func(*PE) {
 			return func(pe *PE) {
 				if pe.ID() == 1 {
@@ -421,7 +422,7 @@ func TestAbortLeavesNoGoroutines(t *testing.T) {
 				}
 				pe.Block(reason("parked"))
 			}
-		}},
+		}, nil},
 		{"unblock-misuse", func(pes []*PE) func(*PE) {
 			return func(pe *PE) {
 				pe.Advance(Clock(10 * (pe.ID() + 1)))
@@ -431,12 +432,27 @@ func TestAbortLeavesNoGoroutines(t *testing.T) {
 				}
 				pe.Block(reason("parked"))
 			}
+		}, nil},
+		{"step-panic", func([]*PE) func(*PE) {
+			return func(pe *PE) {
+				pe.Advance(Clock(pe.ID()))
+				pe.Await()
+				pe.Block(reason("parked"))
+			}
+		}, func(pe *PE) bool {
+			if pe.ID() == 3 {
+				panic("performing buffered work")
+			}
+			return false
 		}},
 	}
 	before := runtime.NumGoroutine()
 	for _, c := range cases {
 		for i := 0; i < 50; i++ {
 			s := NewScheduler(4, 0)
+			if c.step != nil {
+				s.SetStep(c.step)
+			}
 			if err := s.Run(c.kernel(s.PEs())); err == nil {
 				t.Fatalf("%s: Run returned nil, want an error", c.name)
 			}

@@ -15,11 +15,13 @@
 // processor coroutine, or the engine's dispatch loop, executes at any
 // instant, so a single global phase register plus one monotonic-clock
 // read per transition attributes every wall nanosecond to exactly one
-// of three phases — application compute (the kernel and reference
-// issue), engine scheduling (the token-handoff machinery, including the
-// runtime coroutine switches through the dispatch loop), and the
-// coherence protocol (cache, directory and latency model). The three
-// phase totals tile the run's wall time exactly.
+// of three phases. App is the kernels' own code. Sched is the dispatch
+// loop: heap maintenance, the runtime coroutine switches, and on a
+// machine declared race-free the perform half of every buffered event
+// (statistics and observer calls; see core.Proc). Coherence is the
+// memory-system model (cache, directory and latency model), wherever
+// it is called from. The three phase totals tile the run's wall time
+// exactly.
 package perf
 
 import (
@@ -36,12 +38,13 @@ import (
 type Phase uint8
 
 const (
-	// PhaseApp is application execution: the kernel's compute and the
-	// issue side of every memory reference.
+	// PhaseApp is application execution: the kernel's own code and the
+	// issue half of every reference — on an undeclared machine also the
+	// perform half (statistics, observer calls), which runs inline.
 	PhaseApp Phase = iota
-	// PhaseSched is the engine's token-handoff machinery: ready-heap
-	// maintenance and the coroutine switches into and out of the
-	// dispatch loop.
+	// PhaseSched is the engine's dispatch loop: ready-heap maintenance,
+	// the coroutine switches into and out of it, and on a race-free
+	// machine the perform half of every buffered event.
 	PhaseSched
 	// PhaseCoherence is the memory-system model: cluster cache lookup,
 	// directory state machine and latency accounting.
@@ -128,10 +131,7 @@ func (m *Monitor) Transition(p Phase) {
 	if m == nil || !m.running {
 		return
 	}
-	t := m.now()
-	m.phaseNS[m.phase] += t - m.lastNS
-	m.lastNS = t
-	m.phase = p
+	m.enter(p)
 	m.transitions[p]++
 	m.sampleCountdown--
 	if m.sampleCountdown == 0 {
@@ -140,9 +140,19 @@ func (m *Monitor) Transition(p Phase) {
 	}
 }
 
-// EnterSched marks the start of engine token-handoff work. The engine
-// calls it through its Timer interface; its first call, at the top of
-// the engine's Run, opens the run clock unless Start already did.
+// enter charges the span since the previous transition to the current
+// phase and switches to p without counting an entry.
+func (m *Monitor) enter(p Phase) {
+	t := m.now()
+	m.phaseNS[m.phase] += t - m.lastNS
+	m.lastNS = t
+	m.phase = p
+}
+
+// EnterSched marks a kernel suspending to the engine's dispatch loop.
+// The engine calls it through its Timer interface; its first call, at
+// the top of the engine's Run, opens the run clock unless Start already
+// did.
 func (m *Monitor) EnterSched() {
 	if m != nil && m.base.IsZero() {
 		m.Start()
@@ -155,13 +165,16 @@ func (m *Monitor) EnterSched() {
 func (m *Monitor) EnterApp() { m.Transition(PhaseApp) }
 
 // EnterCoherence marks entry into the memory-system model; the system
-// Wrap returns brackets every Read and Write with
-// EnterCoherence/EnterApp.
+// Wrap returns brackets every Read and Write with EnterCoherence and a
+// return to the phase the call interrupted.
 func (m *Monitor) EnterCoherence() { m.Transition(PhaseCoherence) }
 
 // Wrap returns sys with every Read and Write bracketed by the
 // coherence phase: exactly one EnterCoherence per memory-system call,
-// the count Report gives as Refs. core.NewMachine installs it when
+// the count Report gives as Refs, after which the monitor returns to
+// the phase the call interrupted — app when a kernel performs the
+// reference inline, sched when the dispatch loop performs a buffered
+// one — without counting an entry. core.NewMachine installs it when
 // Config.Perf is set, so an unmonitored machine's references never
 // pass through it.
 func (m *Monitor) Wrap(sys coherence.MemoryModel) coherence.MemoryModel {
@@ -174,17 +187,26 @@ type timedSystem struct {
 }
 
 func (t timedSystem) Read(proc, cluster int, addr memory.Addr, now int64) coherence.Access {
+	back := t.m.phase
 	t.m.EnterCoherence()
 	acc := t.MemoryModel.Read(proc, cluster, addr, now)
-	t.m.EnterApp()
+	t.m.resume(back)
 	return acc
 }
 
 func (t timedSystem) Write(proc, cluster int, addr memory.Addr, now int64) coherence.Access {
+	back := t.m.phase
 	t.m.EnterCoherence()
 	acc := t.MemoryModel.Write(proc, cluster, addr, now)
-	t.m.EnterApp()
+	t.m.resume(back)
 	return acc
+}
+
+// resume returns to phase p after a memory-system call, uncounted.
+func (m *Monitor) resume(p Phase) {
+	if m.running {
+		m.enter(p)
+	}
 }
 
 // End implements core.Observer: the run's final virtual time stops the
@@ -222,10 +244,8 @@ func (m *Monitor) Stop(simCycles int64) {
 	if m == nil || !m.running {
 		return
 	}
-	t := m.now()
-	m.phaseNS[m.phase] += t - m.lastNS
-	m.lastNS = t
-	m.wallNS = t
+	m.enter(m.phase)
+	m.wallNS = m.lastNS
 	m.simCycles = simCycles
 	m.running = false
 	runtime.ReadMemStats(&m.stopMem)
@@ -242,12 +262,15 @@ type PhaseBreakdown struct {
 
 // Report is the monitor's summary of one run: throughput, phase
 // attribution and the host block. Wall-clock fields vary run to run;
-// Handoffs and Refs are deterministic for a deterministic simulation.
+// Handoffs and Refs are deterministic for a deterministic simulation,
+// but Handoffs counts EnterSched calls — kernel suspensions — so it
+// depends on the engine's mechanism (run-ahead suspends once per buffer
+// rather than once per reference), not on the simulation alone.
 type Report struct {
 	WallNS       int64          `json:"wallNs"`
 	SimCycles    int64          `json:"simCycles"`
 	CyclesPerSec float64        `json:"cyclesPerSec"`
-	Handoffs     uint64         `json:"handoffs"`     // engine token handoffs observed
+	Handoffs     uint64         `json:"handoffs"`     // kernel suspensions to the dispatch loop
 	Refs         uint64         `json:"refs"`         // memory-system calls observed
 	EventsPerSec float64        `json:"eventsPerSec"` // (handoffs+refs) per wall second
 	Phases       PhaseBreakdown `json:"phases"`

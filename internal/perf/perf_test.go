@@ -6,6 +6,9 @@ import (
 	"path/filepath"
 	"runtime"
 	"testing"
+
+	"clustersim/internal/coherence"
+	"clustersim/internal/memory"
 )
 
 // TestPhaseTiling: the three phase spans tile the run's wall time
@@ -54,6 +57,43 @@ func TestTransitionCounts(t *testing.T) {
 	}
 	if r.CyclesPerSec <= 0 || r.EventsPerSec <= 0 {
 		t.Errorf("throughput not positive: %f cycles/s, %f events/s", r.CyclesPerSec, r.EventsPerSec)
+	}
+}
+
+// nullSystem answers every reference with a hit.
+type nullSystem struct{ coherence.MemoryModel }
+
+func (nullSystem) Read(int, int, memory.Addr, int64) coherence.Access  { return coherence.Access{} }
+func (nullSystem) Write(int, int, memory.Addr, int64) coherence.Access { return coherence.Access{} }
+
+// TestWrapReturnsToInterruptedPhase: a memory-system call made by a
+// kernel returns to app, one made by the engine's dispatch loop (a
+// buffered reference) returns to sched, and neither return counts as an
+// entry — so Handoffs counts kernel suspensions alone, and the phases
+// still tile the wall time.
+func TestWrapReturnsToInterruptedPhase(t *testing.T) {
+	m := New()
+	sys := m.Wrap(nullSystem{})
+	m.Start()
+	m.EnterApp()
+	sys.Read(0, 0, 0, 0)
+	if m.phase != PhaseApp {
+		t.Errorf("after an inline reference the phase is %v, want app", m.phase)
+	}
+	m.EnterSched()
+	sys.Read(0, 0, 0, 0)
+	sys.Write(0, 0, 0, 0)
+	if m.phase != PhaseSched {
+		t.Errorf("after a buffered reference the phase is %v, want sched", m.phase)
+	}
+	m.EnterApp()
+	m.Stop(1)
+	r := m.Report()
+	if r.Handoffs != 1 || r.Refs != 3 || m.transitions[PhaseApp] != 2 {
+		t.Errorf("entries: handoffs %d refs %d app %d, want 1, 3 and 2", r.Handoffs, r.Refs, m.transitions[PhaseApp])
+	}
+	if sum := r.Phases.AppNS + r.Phases.SchedNS + r.Phases.CoherenceNS; sum != r.WallNS {
+		t.Errorf("phase spans sum to %d ns, wall is %d ns", sum, r.WallNS)
 	}
 }
 

@@ -293,6 +293,8 @@ func Replay(cfg core.Config, t *Trace) (*core.Result, error) {
 	if err != nil {
 		return nil, err
 	}
+	// A recorded stream's addresses are fixed, so replay cannot race.
+	m.DeclareRaceFree()
 	for _, r := range t.Regions {
 		m.Alloc(r.Size, r.Name)
 	}
