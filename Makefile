@@ -119,29 +119,31 @@ obs-suite: build
 	@echo "obs-suite: /metrics valid, /status done, run-event log renders"
 
 # Distributed-sweep fabric suite, two halves. First the hermetic chaos
-# matrix under the race detector: every fabric and fleet-view test runs
-# on the simulated network with seed-deterministic message drop,
-# duplication, delay, partitions and scripted worker crashes —
-# including the keystone proofs that a distributed sweep under chaos
-# renders tables byte-identical to a local run and leaves every point
-# with exactly one terminal state in the coordinator's timeline. Then a
-# real end-to-end smoke over localhost TCP: a coordinator (-serve
-# -events -linger) and two worker processes sweep table7; worker w2 is
-# sent SIGINT once it is computing and must exit 3 after at most one
-# more point; the distributed tables are diffed against a plain local
-# run; the coordinator's event log must carry the fabric lifecycle and
-# render per point; GET /fleet and /fleet/trace are scraped and
-# validated with tracetool, which also exports the Chrome trace; and
-# worker w1, started with -profile, must leave a sharing profile of a
-# point it computed that tracetool renders (a worker runs each point as
-# a local suite does, artifacts included). The artifacts are left in
-# $(FABRIC_OUT) for CI to archive.
+# matrix under the race detector: every fabric test runs on the
+# simulated network with seed-deterministic message drop, duplication,
+# delay, partitions and scripted worker crashes — including the
+# keystone proofs that a distributed sweep under chaos renders tables
+# byte-identical to a local run and leaves every point with exactly one
+# terminal event in the coordinator's timeline — together with the
+# sweep tests the coordinator's /status rests on (count-once, the
+# lossless log mirror, the coordinator → sweep lock order). Then a real
+# end-to-end smoke over localhost TCP: a coordinator (-serve -events
+# -linger) and two worker processes sweep table7; worker w2 is sent
+# SIGINT once it is computing and must exit 3 after at most one more
+# point; the distributed tables are diffed against a plain local run;
+# the coordinator's /status must list all 8 points settled, with rows
+# for w1 and w2; its event log must carry the fabric lifecycle and
+# point-done events with the worker set, render per point, and export
+# as a Chrome trace; and worker w1, started with -profile, must leave a
+# sharing profile of a point it computed that tracetool renders (a
+# worker runs each point as a local suite does, artifacts included).
+# The artifacts are left in $(FABRIC_OUT) for CI to archive.
 FABRIC_OUT ?= /tmp/clustersim-fabric
 FABRIC_PORT ?= 17600
 FABRIC_OBS ?= 127.0.0.1:19100
 fabric-suite: build
-	$(GO) test -race -run 'TestFabric|TestChaos|TestSimnet|TestWire|TestConn|TestCoordinator|TestDistributedSweepByteIdentical|TestFleet|TestView|TestLogMirror' \
-		./internal/fabric/ ./internal/obs/fleet/ ./internal/experiments/
+	$(GO) test -race -run 'TestFabric|TestChaos|TestSimnet|TestWire|TestConn|TestCoordinator|TestDistributedSweepByteIdentical|TestFleet|TestSweepDuplicateCompletionCountsOnce|TestSweepStatus|TestLogMirror' \
+		./internal/fabric/ ./internal/obs/ ./internal/experiments/
 	@rm -rf $(FABRIC_OUT) && mkdir -p $(FABRIC_OUT)
 	$(GO) build -o $(FABRIC_OUT)/experiments ./cmd/experiments
 	$(GO) build -o $(FABRIC_OUT)/tracetool ./cmd/tracetool
@@ -179,24 +181,27 @@ fabric-suite: build
 	if [ "$$state" != "done" ]; then \
 		echo "fabric-suite: coordinator never reached done (state=$$state)"; \
 		cat $(FABRIC_OUT)/coord.log; exit 1; fi; \
-	curl -sf http://$(FABRIC_OBS)/fleet > $(FABRIC_OUT)/fleet.json; \
-	curl -sf "http://$(FABRIC_OBS)/fleet/trace?point=ocean-c4-inf" > $(FABRIC_OUT)/fleet.trace.json; \
+	curl -sf http://$(FABRIC_OBS)/status > $(FABRIC_OUT)/status.json; \
+	curl -sf "http://$(FABRIC_OBS)/events?point=ocean-c4-inf" > $(FABRIC_OUT)/ocean-c4-inf.events.jsonl; \
 	kill $$cpid 2>/dev/null; wait $$cpid 2>/dev/null; true
 	diff -u $(FABRIC_OUT)/local.txt $(FABRIC_OUT)/dist.txt
-	grep -q '"kind":"fabric-result"' $(FABRIC_OUT)/fabric.events.jsonl
+	grep -q '"schema": "clustersim/status/v1"' $(FABRIC_OUT)/status.json
+	grep -q '"state": "done"' $(FABRIC_OUT)/status.json
+	test $$(grep -c '"point": ' $(FABRIC_OUT)/status.json) -eq 8
+	test $$(grep -Ec '^      "state": "(done|replayed)"' $(FABRIC_OUT)/status.json) -eq 8
+	grep -q '"worker": "w1"' $(FABRIC_OUT)/status.json
+	grep -q '"worker": "w2"' $(FABRIC_OUT)/status.json
+	test -s $(FABRIC_OUT)/ocean-c4-inf.events.jsonl
+	grep -q '"worker":"w[12]"' $(FABRIC_OUT)/ocean-c4-inf.events.jsonl
+	grep -q '"kind":"point-done".*"worker":"w[12]"' $(FABRIC_OUT)/fabric.events.jsonl
 	grep -q '"kind":"fabric-drain"' $(FABRIC_OUT)/fabric.events.jsonl
-	$(FABRIC_OUT)/tracetool fleet $(FABRIC_OUT)/fleet.json
-	grep -q '"schema": "clustersim/fleet/v1"' $(FABRIC_OUT)/fleet.json
-	grep -q '"workers": 2' $(FABRIC_OUT)/fleet.json
-	grep -q '"points": 8' $(FABRIC_OUT)/fleet.json
-	grep -q '"schema": "clustersim/fleettrace/v1"' $(FABRIC_OUT)/fleet.trace.json
 	$(FABRIC_OUT)/tracetool events -point ocean-c4-inf $(FABRIC_OUT)/fabric.events.jsonl > $(FABRIC_OUT)/ocean-c4-inf.events.txt
 	test -s $(FABRIC_OUT)/ocean-c4-inf.events.txt
-	$(FABRIC_OUT)/tracetool fleet -chrome $(FABRIC_OUT)/fleet.chrome.json $(FABRIC_OUT)/fabric.events.jsonl
+	$(FABRIC_OUT)/tracetool events -chrome $(FABRIC_OUT)/fleet.chrome.json $(FABRIC_OUT)/fabric.events.jsonl
 	prof=$$(ls $(FABRIC_OUT)/w1-profile/*.profile.json | head -n 1); \
 		test -n "$$prof" && $(FABRIC_OUT)/tracetool profile $$prof > $(FABRIC_OUT)/w1-profile.txt
 	test -s $(FABRIC_OUT)/w1-profile.txt
-	@echo "fabric-suite: chaos matrix race-clean; interrupted worker exited 3; distributed tables byte-identical to local run; /fleet and /fleet/trace valid over real TCP; worker w1 wrote its points' sharing profiles"
+	@echo "fabric-suite: chaos matrix race-clean; interrupted worker exited 3; distributed tables byte-identical to local run; coordinator /status and /events valid over real TCP; worker w1 wrote its points' sharing profiles"
 
 profile-golden: build
 	@mkdir -p $(PROFILE_OUT)

@@ -187,7 +187,7 @@ func main() {
 	// span. Wall-clock-side only — the run's Result and config hash are
 	// byte-identical with or without it.
 	var sweep *obs.Sweep
-	pointName := fmt.Sprintf("%s-c%d-%s", *app, *cluster, cacheLabel(*cacheKB))
+	point := obs.Point{App: *app, Cluster: *cluster, CacheKB: *cacheKB}
 	if *serve != "" {
 		runID := fmt.Sprintf("clustersim-%d", os.Getpid())
 		reg := obs.NewRegistry()
@@ -225,15 +225,15 @@ func main() {
 		}
 		defer stop()
 	}
-	sweep.PointStarted(pointName, *app, *cluster, cacheLabel(*cacheKB))
+	sweep.PointStarted(point, "", "")
 	// Wall timing feeds the observability plane only, never the machine.
 	start := time.Now() //simlint:allow wallclock
 	res, err := w.Run(cfg, sz)
 	if err != nil {
-		sweep.PointFailed(pointName, *app, *cluster, cacheLabel(*cacheKB), err.Error())
+		sweep.PointFailed(point, "", err.Error())
 		fatal(err)
 	}
-	sweep.PointDone(pointName, time.Since(start), int64(res.ExecTime)) //simlint:allow wallclock
+	sweep.PointDone(point, "", time.Since(start), int64(res.ExecTime)) //simlint:allow wallclock
 	sweep.Finish(0)
 	if *memprofile != "" {
 		if err := perf.WriteHeapProfile(*memprofile); err != nil {
@@ -332,15 +332,6 @@ func effectiveSampleInterval(sample int64, wantSampling bool) int64 {
 		return telemetry.SampleInterval(0)
 	}
 	return 0
-}
-
-// cacheLabel names a per-processor cache size as point names and
-// /status rows spell it (matching the experiments artifact stems).
-func cacheLabel(kb int) string {
-	if kb == 0 {
-		return "inf"
-	}
-	return fmt.Sprintf("%dk", kb)
 }
 
 func fatal(err error) {

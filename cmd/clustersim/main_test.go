@@ -29,14 +29,3 @@ func TestEffectiveSampleInterval(t *testing.T) {
 		}
 	}
 }
-
-// TestCacheLabel pins the point-name spelling shared with the
-// experiments artifact stems.
-func TestCacheLabel(t *testing.T) {
-	if got := cacheLabel(0); got != "inf" {
-		t.Errorf("cacheLabel(0) = %q, want inf", got)
-	}
-	if got := cacheLabel(16); got != "16k" {
-		t.Errorf("cacheLabel(16) = %q, want 16k", got)
-	}
-}

@@ -48,7 +48,6 @@ import (
 	"clustersim/internal/fabric"
 	"clustersim/internal/fault"
 	"clustersim/internal/obs"
-	"clustersim/internal/obs/fleet"
 	"clustersim/internal/perf"
 )
 
@@ -213,20 +212,8 @@ func realMain() int {
 	defer evlog.Close()
 	sweep.SetIdentity(strings.Join(what, " "), *procs, *size)
 	opt.Obs = sweep
-	// Fleet observability plane (coordinator role): mirror the event
-	// log — the fleet's one timeline — into the aggregated fleet view,
-	// serving GET /fleet and /fleet/trace.
-	var fleetView *fleet.View
-	if *coordAddr != "" && evlog != nil {
-		fleetView = fleet.NewView(runID)
-		evlog.SetMirror(fleetView.Observe)
-	}
 	if *serveAddr != "" {
-		s := obs.NewServer(reg, sweep, evlog)
-		if fleetView != nil {
-			fleetView.Mount(s)
-		}
-		srv, err := s.Start(*serveAddr)
+		srv, err := obs.NewServer(reg, sweep, evlog).Start(*serveAddr)
 		if err != nil {
 			return usageError(err)
 		}
@@ -251,11 +238,13 @@ func realMain() int {
 	// Distributed mode: fan the planned points out across the fleet and
 	// land every completion in the journal, then fall through to the
 	// ordinary rendering pass below — which replays each point, so the
-	// tables are byte-identical to a local run. A distribution error is
-	// reported but not fatal: any point the fleet failed to deliver is
-	// simply simulated locally by the suite.
+	// tables are byte-identical to a local run. The fleet reports its
+	// points to the same sweep, so /status shows the fleet's progress
+	// and the render pass's replays of settled points count nothing. A
+	// distribution error is reported but not fatal: any point the fleet
+	// failed to deliver is simply simulated locally by the suite.
 	if *coordAddr != "" {
-		if err := distribute(*coordAddr, what, opt, *steal, reg, evlog, fleetView); err != nil {
+		if err := distribute(*coordAddr, what, opt, *steal); err != nil {
 			fmt.Fprintln(os.Stderr, "experiments: distributed sweep:", err)
 		}
 	}
@@ -298,13 +287,13 @@ func realMain() int {
 // distribute runs the coordinator phase of a distributed sweep: plan
 // the points the requested experiments need, drop the ones the journal
 // already holds, and fan the rest out across whatever fleet connects
-// (degrading to local execution if none does).
-func distribute(addr string, what []string, opt experiments.Options, steal bool,
-	reg *obs.Registry, evlog *obs.Log, view *fleet.View) error {
+// (degrading to local execution if none does), reporting to opt.Obs.
+func distribute(addr string, what []string, opt experiments.Options, steal bool) error {
 	specs, err := experiments.PlanPoints(what, opt)
 	if err != nil {
 		return err
 	}
+	opt.Obs.SetTotalPoints(len(specs))
 	todo, skipped, err := experiments.FilterJournalled(opt, specs)
 	if err != nil {
 		return err
@@ -313,8 +302,8 @@ func distribute(addr string, what []string, opt experiments.Options, steal bool,
 		fmt.Fprintf(os.Stderr, "experiments: all %d distributable points already journalled; nothing to distribute\n", skipped)
 		return nil
 	}
-	// The degraded-mode local runner reports nothing to the sweep: the
-	// render pass reports every point on /status.
+	// The degraded-mode local runner reports nothing to the sweep itself:
+	// the coordinator reports its points, as it does a worker's.
 	local := opt
 	local.Obs = nil
 	onResult, onFailure := experiments.CoordinatorSinks(opt.Journal)
@@ -323,13 +312,10 @@ func distribute(addr string, what []string, opt experiments.Options, steal bool,
 		Run:       experiments.FabricRunner(local),
 		OnResult:  onResult,
 		OnFailure: onFailure,
-		Obs:       fabric.NewObs(reg, evlog),
+		Obs:       fabric.NewObs(opt.Obs),
 		Progress:  opt.Progress,
 	})
-	if view != nil {
-		view.SetSource(coord.FleetWorkers)
-		view.SetTotal(len(todo))
-	}
+	opt.Obs.SetWorkers(coord.FleetWorkers)
 	ln, err := fabric.Listen(addr)
 	if err != nil {
 		return err

@@ -3,7 +3,7 @@
 //
 // Usage:
 //
-//	simlint [-C dir] [-tests] [-q] [-no-audit] [-disable rules]
+//	simlint [-C dir] [-tests] [-q] [-disable rules]
 //	        [-sarif file] [-baseline file] [-write-baseline file]
 //	        [packages...]
 //
@@ -19,13 +19,14 @@
 //	floatclock  — float accumulation into Clock/counter fields
 //	hashexclude — core.Config fields out of step with HashExcludedFields,
 //	              the declared config-hash exclusion set
-//	readonly    — observer packages (telemetry, profile, perf, critpath)
-//	              writing through pointers to simulation state or calling
-//	              its mutating methods
+//	readonly    — observer packages (telemetry, profile, perf, critpath,
+//	              sanitizer, obs) writing through pointers to simulation
+//	              state or calling its mutating methods
 //	syncname    — empty or duplicate constant names passed to
 //	              NewBarrierN/NewLock/NewFlag (core.defineSync panics at
 //	              run time on duplicates)
 //	unusedallow — //simlint:allow directives that suppress nothing
+//	              (skip the audit with -disable unusedallow)
 //
 // Findings are silenced with `//simlint:allow <rule>` on or directly
 // above the offending line, or in the enclosing function's doc comment.
@@ -64,7 +65,6 @@ func realMain(args []string, stdout, stderr io.Writer) int {
 		chdir         = fs.String("C", ".", "module directory to lint")
 		tests         = fs.Bool("tests", false, "also lint _test.go files")
 		quiet         = fs.Bool("q", false, "print only the finding count")
-		noAudit       = fs.Bool("no-audit", false, "skip the unused-allow directive audit")
 		disable       = fs.String("disable", "", "comma-separated rules to disable")
 		sarifPath     = fs.String("sarif", "", "write findings as SARIF 2.1.0 to this file (\"-\" for stdout)")
 		baselinePath  = fs.String("baseline", "", "grandfather findings matched by this baseline file")
@@ -78,7 +78,7 @@ func realMain(args []string, stdout, stderr io.Writer) int {
 		patterns = []string{"./..."}
 	}
 
-	opts := &lint.Options{NoAudit: *noAudit}
+	opts := &lint.Options{}
 	if *disable != "" {
 		opts.Disabled = make(map[string]bool)
 		for _, r := range strings.Split(*disable, ",") {

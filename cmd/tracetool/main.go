@@ -39,21 +39,15 @@
 //	tracetool bench BENCH_a.json BENCH_b.json
 //
 // Render a run-event log (the JSONL written by experiments -events),
-// optionally filtered by point or kind, or live-tailed with -f; and
-// validate a Prometheus exposition scraped from a -serve endpoint:
+// optionally filtered by point, kind or worker, or live-tailed with -f;
+// export it as a Chrome trace with one track per fleet worker and one
+// slice per computed point; and validate a Prometheus exposition
+// scraped from a -serve endpoint:
 //
 //	tracetool events sweep.events.jsonl
 //	tracetool events -point ocean-c4-16k -worker w1 -f sweep.events.jsonl
+//	tracetool events -chrome sweep.chrome.json sweep.events.jsonl
 //	curl -s localhost:9090/metrics | tracetool metrics -
-//
-// Render fleet observability artifacts from a distributed sweep — the
-// GET /fleet status document, or a Chrome trace of the coordinator's
-// event log with one track per fleet member and one slice per computed
-// point (one point's timeline is `tracetool events -point NAME` over
-// the same log):
-//
-//	tracetool fleet fleet.json
-//	tracetool fleet -chrome fleet-trace.json coordinator.events.jsonl
 package main
 
 import (
@@ -105,15 +99,13 @@ func run(args []string, out io.Writer) error {
 		return eventsCmd(args[1:], out)
 	case "metrics":
 		return metricsCmd(args[1:], out)
-	case "fleet":
-		return fleetCmd(args[1:], out)
 	default:
 		return usageError()
 	}
 }
 
 func usageError() error {
-	return fmt.Errorf("usage: tracetool record|replay|telemetry|profile|critpath|bench|events|metrics|fleet [flags]")
+	return fmt.Errorf("usage: tracetool record|replay|telemetry|profile|critpath|bench|events|metrics [flags]")
 }
 
 // benchCmd renders one perfbench report as a table, or the regression

@@ -10,10 +10,10 @@ import (
 	"time"
 
 	"clustersim/internal/bench"
+	"clustersim/internal/core"
 	"clustersim/internal/critpath"
 	"clustersim/internal/fabric"
 	"clustersim/internal/obs"
-	"clustersim/internal/obs/fleet"
 	"clustersim/internal/profile"
 	"clustersim/internal/stats"
 	"clustersim/internal/telemetry"
@@ -58,10 +58,9 @@ func TestBadInputsError(t *testing.T) {
 		{"metrics", garbage},
 		{"metrics"},                   // no input at all
 		{"metrics", garbage, garbage}, // too many
-		{"fleet", missing},
-		{"fleet", garbage},
-		{"fleet"}, // no input at all
-		{"fleet", "-chrome", filepath.Join(dir, "out.json"), garbage},
+		{"events", "-chrome", filepath.Join(dir, "out.json"), missing},
+		{"events", "-chrome", filepath.Join(dir, "out.json"), garbage},
+		{"events", "-chrome", filepath.Join(dir, "out.json"), "-f", garbage},
 	}
 	for _, args := range cases {
 		var out bytes.Buffer
@@ -367,11 +366,11 @@ func TestMetricsValidatesExposition(t *testing.T) {
 }
 
 // writeFleetLog records a synthetic coordinator log through the real
-// fabric hooks, mirrored into a fleet view: w1 and w2 compute p1 and
-// p2, w2 replays p3 from its journal, w1's stolen copy of p2 is a
-// duplicate, and the coordinator computes p4 itself. It returns the
-// points computed fresh, keyed by point, with the worker that did so.
-func writeFleetLog(t *testing.T, path string) (*fleet.View, map[string]string) {
+// fabric hooks: w1 and w2 compute p1 and p2, w2 replays p3 from its
+// journal, w1's stolen copy of p2 is dropped as a duplicate, and the
+// coordinator computes p4 itself. It returns the points computed
+// fresh, keyed by point name, with the worker that did so.
+func writeFleetLog(t *testing.T, path string) map[string]string {
 	t.Helper()
 	f, err := os.Create(path)
 	if err != nil {
@@ -381,54 +380,34 @@ func writeFleetLog(t *testing.T, path string) (*fleet.View, map[string]string) {
 	l := obs.NewLog(f, "coord")
 	at := time.Unix(100, 0)
 	l.SetClock(func() time.Time { at = at.Add(5 * time.Second); return at })
-	v := fleet.NewView("coord")
-	l.SetMirror(v.Observe)
-	o := fabric.NewObs(nil, l)
+	o := fabric.NewObs(obs.NewSweep("coord", nil, l))
+	spec := func(app string) fabric.PointSpec { return fabric.PointSpec{App: app, ClusterSize: 1} }
+	p1, p2, p3, p4 := spec("p1"), spec("p2"), spec("p3"), spec("p4")
+	res := &core.Result{ExecTime: 7}
 	o.WorkerJoined("w1")
 	o.WorkerJoined("w2")
-	o.Assigned("w1", "p1", "fresh", 0)
-	o.Assigned("w2", "p2", "fresh", 0)
-	o.ResultOK("w1", "p1", false, 2*time.Second)
-	o.Assigned("w1", "p2", "steal", 0)
-	o.ResultOK("w2", "p2", false, 3*time.Second)
-	o.ResultDuplicate("w1", "p2")
-	o.Assigned("w2", "p3", "fresh", 0)
-	o.ResultOK("w2", "p3", true, 0)
-	o.LocalRun("p4")
-	o.ResultOK("(local)", "p4", false, time.Second)
+	o.Leased("w1", p1, "fresh")
+	o.Leased("w2", p2, "fresh")
+	o.Completed("w1", p1, res, false, 2*time.Second)
+	o.Leased("w1", p2, "steal")
+	o.Completed("w2", p2, res, false, 3*time.Second)
+	o.Dropped("w1", p2, "byte-identical duplicate dropped")
+	o.Leased("w2", p3, "fresh")
+	o.Completed("w2", p3, res, true, 0)
+	o.Leased("(local)", p4, "local")
+	o.Completed("(local)", p4, res, false, time.Second)
 	o.Drained(2)
-	return v, map[string]string{"p1": "w1", "p2": "w2", "p4": "(local)"}
+	return map[string]string{p1.Name(): "w1", p2.Name(): "w2", p4.Name(): "(local)"}
 }
 
-// `tracetool fleet doc.json` renders a /fleet document; `-chrome`
-// exports the coordinator log with one X slice per fresh fabric-result
-// on the named track of the worker that computed it.
-func TestFleetRenderAndChrome(t *testing.T) {
-	dir := t.TempDir()
-	logPath := filepath.Join(dir, "coord.events.jsonl")
-	v, fresh := writeFleetLog(t, logPath)
-
-	docPath := filepath.Join(dir, "fleet.json")
-	js, err := json.Marshal(v.Doc())
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := os.WriteFile(docPath, js, 0o644); err != nil {
-		t.Fatal(err)
-	}
-	var doc bytes.Buffer
-	if err := run([]string{"fleet", docPath}, &doc); err != nil {
-		t.Fatal(err)
-	}
-	for _, want := range []string{"totals: 3 workers (0 live), 4 points (4 assigned): 3 done, 1 replayed, 0 failed",
-		"w1", "w2", "(local)"} {
-		if !strings.Contains(doc.String(), want) {
-			t.Errorf("fleet doc render missing %q:\n%s", want, doc.String())
-		}
-	}
-
-	chromePath := filepath.Join(dir, "fleet.chrome.json")
-	if err := run([]string{"fleet", "-chrome", chromePath, logPath}, &bytes.Buffer{}); err != nil {
+// chromeSlices runs `tracetool events -chrome` with the given filter
+// flags and returns the X slices it wrote, keyed by name, with the
+// label of the track each lies on.
+func chromeSlices(t *testing.T, logPath string, filter ...string) map[string]string {
+	t.Helper()
+	chromePath := filepath.Join(t.TempDir(), "chrome.json")
+	args := append(append([]string{"events"}, filter...), "-chrome", chromePath, logPath)
+	if err := run(args, &bytes.Buffer{}); err != nil {
 		t.Fatal(err)
 	}
 	raw, err := os.ReadFile(chromePath)
@@ -460,12 +439,41 @@ func TestFleetRenderAndChrome(t *testing.T) {
 			t.Errorf("slice %s has no duration", e.Name)
 		}
 	}
+	return slices
+}
+
+// A fleet's log renders like any sweep's, with the worker column
+// (`tracetool events -worker` isolates one machine), and `tracetool
+// events -chrome` exports it with one X slice per freshly computed
+// point, on the named track of the worker that computed it; the filter
+// flags select what it exports.
+func TestFleetRenderAndChrome(t *testing.T) {
+	logPath := filepath.Join(t.TempDir(), "coord.events.jsonl")
+	fresh := writeFleetLog(t, logPath)
+
+	var w1 bytes.Buffer
+	if err := run([]string{"events", "-worker", "w1", logPath}, &w1); err != nil {
+		t.Fatal(err)
+	}
+	for _, want := range []string{"point-start", "steal", "point-done", "p1-c1-inf", "fabric-result-dup", "fabric-worker-join"} {
+		if !strings.Contains(w1.String(), want) {
+			t.Errorf("w1's rows missing %q:\n%s", want, w1.String())
+		}
+	}
+	if strings.Contains(w1.String(), "w2") || strings.Contains(w1.String(), "fabric-drain") {
+		t.Errorf("-worker w1 leaked other rows:\n%s", w1.String())
+	}
+
+	slices := chromeSlices(t, logPath)
 	if len(slices) != len(fresh) {
-		t.Errorf("slices %v, want one per fresh result %v", slices, fresh)
+		t.Errorf("slices %v, want one per fresh completion %v", slices, fresh)
 	}
 	for point, worker := range fresh {
 		if slices[point] != worker {
 			t.Errorf("point %s: slice on track %q, want %q", point, slices[point], worker)
 		}
+	}
+	if got := chromeSlices(t, logPath, "-worker", "w2"); len(got) != 1 || got["p2-c1-inf"] != "w2" {
+		t.Errorf("-worker w2 export sliced %v, want only p2-c1-inf on w2", got)
 	}
 }

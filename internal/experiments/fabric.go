@@ -22,20 +22,21 @@ import (
 	"clustersim/internal/apps"
 	"clustersim/internal/core"
 	"clustersim/internal/fabric"
+	"clustersim/internal/obs"
 	"clustersim/internal/telemetry"
 )
 
 // pointSpec builds the wire spec for one (app, clusterSize, cacheKB)
 // point under opt, including the config hash the worker re-derives and
 // verifies.
-func pointSpec(opt Options, key runKey) (fabric.PointSpec, error) {
-	hash, err := telemetry.HashConfig(opt.config(key.clusterSize, key.cacheKB))
+func pointSpec(opt Options, key obs.Point) (fabric.PointSpec, error) {
+	hash, err := telemetry.HashConfig(opt.config(key.Cluster, key.CacheKB))
 	if err != nil {
 		return fabric.PointSpec{}, err
 	}
 	return fabric.PointSpec{
-		App: key.app, Size: opt.Size.String(),
-		ClusterSize: key.clusterSize, CacheKB: key.cacheKB,
+		App: key.App, Size: opt.Size.String(),
+		ClusterSize: key.Cluster, CacheKB: key.CacheKB,
 		Procs: opt.Procs, Quantum: opt.Quantum, Sanitize: opt.Sanitize,
 		Faults: opt.Faults, ConfigHash: hash,
 	}, nil

@@ -18,7 +18,6 @@ import (
 	"clustersim/internal/core"
 	"clustersim/internal/fabric"
 	"clustersim/internal/obs"
-	"clustersim/internal/obs/fleet"
 )
 
 func fabricOpt() Options {
@@ -195,7 +194,7 @@ func TestFabricRunnerHonoursJournalledFailure(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	spec, err := pointSpec(fabricOpt(), runKey{"lu", 2, 0})
+	spec, err := pointSpec(fabricOpt(), obs.Point{App: "lu", Cluster: 2})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -220,7 +219,7 @@ func TestFabricRunnerHonoursJournalledFailure(t *testing.T) {
 // between points, so the runner clears Stop and StopAfter and an
 // interrupt cannot come back as a point failure.
 func TestFabricRunnerIgnoresStop(t *testing.T) {
-	spec, err := pointSpec(fabricOpt(), runKey{"lu", 2, 0})
+	spec, err := pointSpec(fabricOpt(), obs.Point{App: "lu", Cluster: 2})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -244,7 +243,7 @@ func TestFabricRunnerWritesLocalArtifacts(t *testing.T) {
 	if _, err := NewSuite(artifacts(fabricOpt(), localDir)).Run("lu", 2, 4); err != nil {
 		t.Fatal(err)
 	}
-	spec, err := pointSpec(fabricOpt(), runKey{"lu", 2, 4})
+	spec, err := pointSpec(fabricOpt(), obs.Point{App: "lu", Cluster: 2, CacheKB: 4})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -330,7 +329,7 @@ func TestDistributedSweepByteIdentical(t *testing.T) {
 		LocalGrace:   time.Hour, // the fleet must do the work in this test
 		OnResult:     onResult,
 		OnFailure:    onFailure,
-		Obs:          fabric.NewObs(nil, evlog),
+		Obs:          fabric.NewObs(obs.NewSweep("keystone", nil, evlog)),
 	})
 	go coord.Serve(net.Listener()) //simlint:allow goroutine — test harness
 
@@ -427,8 +426,8 @@ func TestDistributedSweepByteIdentical(t *testing.T) {
 	if kinds[fabric.EventWorkerDead] == 0 {
 		t.Errorf("no %s event despite the scripted crash; kinds = %v", fabric.EventWorkerDead, kinds)
 	}
-	if kinds[fabric.EventResult] != len(specs) {
-		t.Errorf("%d first completions, want %d; kinds = %v", kinds[fabric.EventResult], len(specs), kinds)
+	if n := kinds[obs.EventPointDone] + kinds[obs.EventPointReplay]; n != len(specs) {
+		t.Errorf("%d first completions, want %d; kinds = %v", n, len(specs), kinds)
 	}
 }
 
@@ -436,10 +435,12 @@ func TestDistributedSweepByteIdentical(t *testing.T) {
 // keystone: a chaotic distributed sweep (drop/dup/delay, a mid-sweep
 // worker crash with journal-backed restart, and a network partition
 // that black-holes the other worker past the liveness deadline) must
-// still produce a coordinator timeline in which every assigned point
-// reaches exactly one terminal state, the /fleet totals account for
-// every planned point, and the rendered table is byte-identical to a
-// plain local run.
+// still produce a coordinator timeline in which every planned point was
+// leased to a worker and reached exactly one terminal state, a
+// coordinator /status that accounts for every planned point, and a
+// rendered table byte-identical to a plain local run. The render pass
+// reports to the coordinator's sweep, as in the CLI, and its replays of
+// the points the fleet settled must add nothing.
 func TestFleetTimelineCompleteUnderChaos(t *testing.T) {
 	// Golden: the plain local suite.
 	var local bytes.Buffer
@@ -466,12 +467,18 @@ func TestFleetTimelineCompleteUnderChaos(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	// Coordinator-side fleet plane: the event log mirrors synchronously
-	// into the view, so the fleet timeline is lossless by construction.
+	// The coordinator's sweep, with its whole log captured through the
+	// lossless mirror for the audit below.
 	evlog := obs.NewLog(nil, "keystone")
-	view := fleet.NewView("keystone")
-	evlog.SetMirror(view.Observe)
-	view.SetTotal(len(specs))
+	var logMu sync.Mutex
+	var timeline []obs.Event
+	evlog.SetMirror(func(e obs.Event) {
+		logMu.Lock()
+		timeline = append(timeline, e)
+		logMu.Unlock()
+	})
+	sweep := obs.NewSweep("keystone", nil, evlog)
+	sweep.SetTotalPoints(len(specs))
 	onResult, onFailure := CoordinatorSinks(coordJournal)
 	coord := fabric.NewCoordinator(fabric.CoordinatorConfig{
 		DeadAfter:    250 * time.Millisecond,
@@ -481,9 +488,9 @@ func TestFleetTimelineCompleteUnderChaos(t *testing.T) {
 		LocalGrace:   time.Hour, // the fleet must do the work in this test
 		OnResult:     onResult,
 		OnFailure:    onFailure,
-		Obs:          fabric.NewObs(nil, evlog),
+		Obs:          fabric.NewObs(sweep),
 	})
-	view.SetSource(coord.FleetWorkers)
+	sweep.SetWorkers(coord.FleetWorkers)
 	go coord.Serve(net.Listener()) //simlint:allow goroutine — test harness
 
 	// Each worker runs its own obs plane, as with -events or -serve: a
@@ -602,6 +609,7 @@ func TestFleetTimelineCompleteUnderChaos(t *testing.T) {
 	ropt := fabricOpt()
 	ropt.Out = &dist
 	ropt.Journal = coordJournal
+	ropt.Obs = sweep
 	s := NewSuite(ropt)
 	if err := s.PrintTable7(); err != nil {
 		t.Fatalf("distributed render: %v", err)
@@ -614,55 +622,55 @@ func TestFleetTimelineCompleteUnderChaos(t *testing.T) {
 			local.String(), dist.String())
 	}
 
-	// Completeness: every planned point was assigned and reached exactly
-	// one terminal state, despite the crash, the partition, and the
-	// message chaos.
-	a := view.Audit()
-	if a.Points != len(specs) || a.Assigned != len(specs) {
-		t.Errorf("audit saw %d points (%d assigned), want %d", a.Points, a.Assigned, len(specs))
-	}
-	if len(a.Incomplete) != 0 {
-		t.Errorf("points with no terminal state: %v", a.Incomplete)
-	}
-	if len(a.MultiResult) != 0 {
-		t.Errorf("points with more than one first-completion: %v", a.MultiResult)
-	}
-	if a.Failed != 0 {
-		t.Errorf("audit counted %d failed points, want 0", a.Failed)
-	}
-	if a.Done+a.Replayed != len(specs) {
-		t.Errorf("done %d + replayed %d != %d planned points", a.Done, a.Replayed, len(specs))
-	}
-
-	// The /fleet doc's totals must account for every planned point.
-	doc := view.Doc()
-	if doc.Schema != fleet.SchemaV1 {
-		t.Errorf("fleet doc schema = %q, want %s", doc.Schema, fleet.SchemaV1)
-	}
-	if doc.Totals.Points != len(specs) || doc.Totals.Done+doc.Totals.Replayed != len(specs) || doc.Totals.Failed != 0 {
-		t.Errorf("fleet totals %+v do not account for %d planned points", doc.Totals, len(specs))
-	}
-	if doc.Totals.Workers < 2 {
-		t.Errorf("fleet doc saw %d workers, want at least w1 and w2", doc.Totals.Workers)
-	}
-
-	// Every point's timeline is reachable by name.
-	for _, spec := range specs {
-		if tr, ok := view.Trace(spec.Name()); !ok || len(tr.Events) == 0 {
-			t.Fatalf("no timeline for point %s", spec.Name())
+	// Completeness: every planned point was leased to a worker and
+	// reached exactly one terminal state, carried by a worker (so none
+	// came from the render pass), despite the crash, the partition and
+	// the message chaos.
+	logMu.Lock()
+	evs := append([]obs.Event(nil), timeline...)
+	logMu.Unlock()
+	leased, terminal := map[string]int{}, map[string]int{}
+	dead := 0
+	for _, e := range evs {
+		switch e.Kind {
+		case obs.EventPointStart:
+			if e.Worker != "" {
+				leased[e.Point]++
+			}
+		case obs.EventPointDone, obs.EventPointReplay:
+			terminal[e.Point]++
+			if e.Worker == "" {
+				t.Errorf("%s of %s carries no worker: the render pass reported it", e.Kind, e.Point)
+			}
+		case obs.EventPointFail:
+			t.Errorf("point %s failed: %s", e.Point, e.Error)
+		case fabric.EventWorkerDead:
+			dead++
 		}
 	}
-
+	for _, spec := range specs {
+		name := spec.Name()
+		if leased[name] == 0 {
+			t.Errorf("point %s was never leased to a worker", name)
+		}
+		if terminal[name] != 1 {
+			t.Errorf("point %s has %d terminal events, want 1", name, terminal[name])
+		}
+	}
 	// Both failure injections left liveness footprints.
-	kinds := map[string]int{}
-	for _, e := range evlog.Recent() {
-		kinds[e.Kind]++
+	if dead < 2 {
+		t.Errorf("want at least 2 %s events (crash + partition), got %d", fabric.EventWorkerDead, dead)
 	}
-	if kinds[fabric.EventWorkerDead] < 2 {
-		t.Errorf("want at least 2 %s events (crash + partition), got %d; kinds = %v",
-			fabric.EventWorkerDead, kinds[fabric.EventWorkerDead], kinds)
+
+	// The coordinator's /status accounts for every planned point.
+	doc := sweep.Status()
+	if c := doc.Counts; c.Done+c.Replayed != len(specs) || c.Failed != 0 || len(doc.Points) != len(specs) {
+		t.Errorf("status counts %+v over %d rows do not account for %d planned points", c, len(doc.Points), len(specs))
 	}
-	if kinds[fabric.EventResult] != len(specs) {
-		t.Errorf("%d first completions, want %d; kinds = %v", kinds[fabric.EventResult], len(specs), kinds)
+	if doc.ETA.DonePoints != doc.ETA.TotalPoints || doc.ETA.TotalPoints != len(specs) {
+		t.Errorf("eta %d of %d points, want %d of %d", doc.ETA.DonePoints, doc.ETA.TotalPoints, len(specs), len(specs))
+	}
+	if len(doc.Workers) < 2 {
+		t.Errorf("status workers block %+v, want at least w1 and w2", doc.Workers)
 	}
 }

@@ -9,6 +9,7 @@ import (
 	"strings"
 
 	"clustersim/internal/core"
+	"clustersim/internal/obs"
 	"clustersim/internal/telemetry"
 )
 
@@ -79,7 +80,7 @@ func (j *Journal) pointPath(app, size string, clusterSize, cacheKB int, hash str
 		short = short[:12]
 	}
 	return filepath.Join(j.dir,
-		fmt.Sprintf("%s-%s-c%d-%s-%s.json", app, size, clusterSize, cacheName(cacheKB), short))
+		fmt.Sprintf("%s-%s-c%d-%s-%s.json", app, size, clusterSize, obs.CacheLabel(cacheKB), short))
 }
 
 func (j *Journal) failurePath(app, size string, clusterSize, cacheKB int, hash string) string {
@@ -134,7 +135,7 @@ func (j *Journal) Load(app, size string, clusterSize, cacheKB int, hash string) 
 	if rec.ConfigHash != hash || rec.App != app || rec.Size != size ||
 		rec.ClusterSize != clusterSize || rec.CacheKB != cacheKB {
 		return nil, false, fmt.Errorf("journal: %s does not match the requested point (recorded %s %s c%d %s %s)",
-			filepath.Base(path), rec.App, rec.Size, rec.ClusterSize, cacheName(rec.CacheKB), rec.ConfigHash)
+			filepath.Base(path), rec.App, rec.Size, rec.ClusterSize, obs.CacheLabel(rec.CacheKB), rec.ConfigHash)
 	}
 	if rec.Result == nil {
 		return nil, false, fmt.Errorf("journal: %s has no result", filepath.Base(path))

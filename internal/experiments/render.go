@@ -7,6 +7,7 @@ import (
 	"strings"
 
 	"clustersim/internal/core"
+	"clustersim/internal/obs"
 )
 
 // Stacked-bar rendering for the figures, in the style of the paper's
@@ -23,13 +24,13 @@ func RenderBars(w io.Writer, bars []Bar) {
 	fmt.Fprintf(w, "%-10s %-5s %-4s %-*s %6s\n", "app", "cache", "clus", barWidth+2, "", "total")
 	prevGroup := ""
 	for _, b := range bars {
-		group := b.App + cacheName(b.CacheKB)
+		group := b.App + obs.CacheLabel(b.CacheKB)
 		if prevGroup != "" && group != prevGroup {
 			fmt.Fprintln(w)
 		}
 		prevGroup = group
 		fmt.Fprintf(w, "%-10s %-5s %-4s |%s| %6.1f\n",
-			b.App, cacheName(b.CacheKB), fmt.Sprintf("%dp", b.ClusterSize),
+			b.App, obs.CacheLabel(b.CacheKB), fmt.Sprintf("%dp", b.ClusterSize),
 			renderBar(b.NormalizedBar), b.Total)
 	}
 	fmt.Fprintln(w, "legend: █ cpu  ▒ load  ▓ merge  ░ sync   (bar width 100% =", barWidth, "cols)")

@@ -138,23 +138,17 @@ func (o Options) config(clusterSize, cacheKB int) core.Config {
 	return cfg
 }
 
-type runKey struct {
-	app         string
-	clusterSize int
-	cacheKB     int
-}
-
 // Suite memoizes simulation runs so tables that share configurations
 // (e.g. Figure 4 and Table 6) simulate each point once.
 type Suite struct {
 	Opt      Options
-	runs     map[runKey]*core.Result
+	runs     map[obs.Point]*core.Result
 	fresh    int // points actually simulated (not replayed), for StopAfter
 	replayed int // points served from the journal
 	// dry makes Run a planning pass (PlanPoints): it records each new
 	// point in planned and returns an empty Result instead of simulating.
 	dry     bool
-	planned []runKey
+	planned []obs.Point
 }
 
 // Fresh is how many points this suite actually simulated.
@@ -163,15 +157,9 @@ func (s *Suite) Fresh() int { return s.fresh }
 // Replayed is how many points this suite served from the journal.
 func (s *Suite) Replayed() int { return s.replayed }
 
-// pointName is a point's stable identity across the observability
-// plane: events, /status rows, and artifact file stems all share it.
-func (k runKey) pointName() string {
-	return fmt.Sprintf("%s-c%d-%s", k.app, k.clusterSize, cacheName(k.cacheKB))
-}
-
 // NewSuite creates a suite with the given options.
 func NewSuite(opt Options) *Suite {
-	return &Suite{Opt: opt, runs: make(map[runKey]*core.Result)}
+	return &Suite{Opt: opt, runs: make(map[obs.Point]*core.Result)}
 }
 
 // Run simulates one (application, cluster size, cache size) point,
@@ -181,7 +169,7 @@ func NewSuite(opt Options) *Suite {
 // failure record and error, not a suite crash) and, with PointTimeout,
 // a wall-clock watchdog.
 func (s *Suite) Run(app string, clusterSize, cacheKB int) (*core.Result, error) {
-	key := runKey{app, clusterSize, cacheKB}
+	key := obs.Point{App: app, Cluster: clusterSize, CacheKB: cacheKB}
 	if r, ok := s.runs[key]; ok {
 		return r, nil
 	}
@@ -212,22 +200,22 @@ func (s *Suite) Run(app string, clusterSize, cacheKB int) (*core.Result, error) 
 		if ok {
 			if s.Opt.Progress != nil {
 				fmt.Fprintf(s.Opt.Progress, "replayed %s cluster=%d cache=%s from journal: exec %d cycles\n",
-					app, clusterSize, cacheName(cacheKB), res.ExecTime)
+					app, clusterSize, obs.CacheLabel(cacheKB), res.ExecTime)
 			}
 			s.replayed++
-			s.Opt.Obs.PointReplayed(key.pointName(), app, clusterSize, cacheName(cacheKB), int64(res.ExecTime))
+			s.Opt.Obs.JournalLookup(true)
+			s.Opt.Obs.PointReplayed(key, "", int64(res.ExecTime))
 			s.runs[key] = res
 			return res, nil
 		}
-		s.Opt.Obs.JournalMiss()
+		s.Opt.Obs.JournalLookup(false)
 		if !s.Opt.RetryFailed {
 			if fr, ok, err := s.Opt.Journal.LoadFailure(app, sizeName, clusterSize, cacheKB, hash); err != nil {
 				return nil, err
 			} else if ok {
-				s.Opt.Obs.PointFailed(key.pointName(), app, clusterSize, cacheName(cacheKB),
-					"journalled as failed: "+fr.Error)
+				s.Opt.Obs.PointFailed(key, "", "journalled as failed: "+fr.Error)
 				return nil, fmt.Errorf("%s cluster=%d cache=%s: journalled as failed (re-run with -retry-failed to attempt again): %s",
-					app, clusterSize, cacheName(cacheKB), fr.Error)
+					app, clusterSize, obs.CacheLabel(cacheKB), fr.Error)
 			}
 		}
 	}
@@ -257,14 +245,14 @@ func (s *Suite) Run(app string, clusterSize, cacheKB int) (*core.Result, error) 
 		timer := s.armWatchdog(key, sizeName, hash)
 		defer timer.Stop()
 	}
-	s.Opt.Obs.PointStarted(key.pointName(), app, clusterSize, cacheName(cacheKB))
+	s.Opt.Obs.PointStarted(key, "", "")
 	// Wall timing here feeds the progress line and run manifest only,
 	// never simulated state.
 	start := time.Now() //simlint:allow wallclock
 	res, err := runPoint(w, cfg, s.Opt.Size)
 	if err != nil {
-		s.Opt.Obs.PointFailed(key.pointName(), app, clusterSize, cacheName(cacheKB), err.Error())
-		pointErr := fmt.Errorf("%s cluster=%d cache=%s: %w", app, clusterSize, cacheName(cacheKB), err)
+		s.Opt.Obs.PointFailed(key, "", err.Error())
+		pointErr := fmt.Errorf("%s cluster=%d cache=%s: %w", app, clusterSize, obs.CacheLabel(cacheKB), err)
 		if s.Opt.Journal != nil {
 			if jerr := s.Opt.Journal.StoreFailure(FailureRecord{
 				App: app, Size: sizeName, ClusterSize: clusterSize, CacheKB: cacheKB,
@@ -277,7 +265,7 @@ func (s *Suite) Run(app string, clusterSize, cacheKB int) (*core.Result, error) 
 	}
 	s.fresh++
 	wall := time.Since(start) //simlint:allow wallclock
-	s.Opt.Obs.PointDone(key.pointName(), wall, int64(res.ExecTime))
+	s.Opt.Obs.PointDone(key, "", wall, int64(res.ExecTime))
 	if err := s.export(key, cfg, hash, col, prof, crit, res, wall); err != nil {
 		return nil, err
 	}
@@ -312,12 +300,12 @@ func runPoint(w apps.Runner, cfg core.Config, size apps.Size) (res *core.Result,
 // (so a resume skips it) and the process exits with ExitWatchdog. The
 // failure record is fully precomputed here — the callback runs on a
 // runtime timer goroutine and must not touch suite state.
-func (s *Suite) armWatchdog(key runKey, sizeName, hash string) *time.Timer {
+func (s *Suite) armWatchdog(key obs.Point, sizeName, hash string) *time.Timer {
 	j := s.Opt.Journal
 	sweep := s.Opt.Obs
 	timeout := s.Opt.PointTimeout
 	rec := FailureRecord{
-		App: key.app, Size: sizeName, ClusterSize: key.clusterSize, CacheKB: key.cacheKB,
+		App: key.App, Size: sizeName, ClusterSize: key.Cluster, CacheKB: key.CacheKB,
 		ConfigHash: hash,
 		Error:      fmt.Sprintf("watchdog: point exceeded the %v wall-clock budget", timeout),
 	}
@@ -325,10 +313,10 @@ func (s *Suite) armWatchdog(key runKey, sizeName, hash string) *time.Timer {
 	// against a wedged point and never feeds simulated state.
 	return time.AfterFunc(timeout, func() { //simlint:allow wallclock
 		fmt.Fprintf(os.Stderr, "experiments: watchdog: %s cluster=%d cache=%s still running after %v; aborting\n",
-			key.app, key.clusterSize, cacheName(key.cacheKB), timeout)
+			key.App, key.Cluster, obs.CacheLabel(key.CacheKB), timeout)
 		// Last event of the log: the timer goroutine owns no suite state,
 		// and the sweep's hooks are safe from any goroutine.
-		sweep.PointTimeout(key.pointName(), timeout)
+		sweep.PointTimeout(key, timeout)
 		if j != nil {
 			if err := j.StoreFailure(rec); err != nil {
 				fmt.Fprintln(os.Stderr, "experiments: watchdog:", err)
@@ -353,22 +341,22 @@ func (o Options) exporting() bool {
 
 // artifactPath is one point's artifact file in dir (created if
 // missing), e.g. ocean-c4-16k.profile.json.
-func artifactPath(dir string, key runKey, ext string) (string, error) {
+func artifactPath(dir string, key obs.Point, ext string) (string, error) {
 	if err := os.MkdirAll(dir, 0o755); err != nil {
 		return "", err
 	}
-	return filepath.Join(dir, key.pointName()+ext), nil
+	return filepath.Join(dir, key.Name()+ext), nil
 }
 
 // export emits the per-point observability artifacts: a progress line,
 // a Chrome trace file, a sharing-profile JSON, a critical-path JSON,
 // and a manifest JSONL row. hash is the point's config hash; the files
 // are written atomically, so a crash never leaves a torn artifact.
-func (s *Suite) export(key runKey, cfg core.Config, hash string, col *telemetry.Collector,
+func (s *Suite) export(key obs.Point, cfg core.Config, hash string, col *telemetry.Collector,
 	prof *profile.Collector, crit *critpath.Analyzer, res *core.Result, wall time.Duration) error {
 	if s.Opt.Progress != nil {
 		fmt.Fprintf(s.Opt.Progress, "ran %s cluster=%d cache=%s: exec %d cycles (wall %v)\n",
-			key.app, key.clusterSize, cacheName(key.cacheKB), res.ExecTime, wall.Round(time.Millisecond))
+			key.App, key.Cluster, obs.CacheLabel(key.CacheKB), res.ExecTime, wall.Round(time.Millisecond))
 	}
 	var profReport *profile.Report
 	if prof != nil {
@@ -377,7 +365,7 @@ func (s *Suite) export(key runKey, cfg core.Config, hash string, col *telemetry.
 			top = 10
 		}
 		profReport = prof.Report(top)
-		profReport.App, profReport.Size, profReport.ConfigHash = key.app, s.Opt.Size.String(), hash
+		profReport.App, profReport.Size, profReport.ConfigHash = key.App, s.Opt.Size.String(), hash
 		path, err := artifactPath(s.Opt.ProfileDir, key, ".profile.json")
 		if err != nil {
 			return err
@@ -391,7 +379,7 @@ func (s *Suite) export(key runKey, cfg core.Config, hash string, col *telemetry.
 	var critReport *critpath.Report
 	if crit != nil {
 		critReport = crit.Report(0)
-		critReport.App, critReport.Size, critReport.ConfigHash = key.app, s.Opt.Size.String(), hash
+		critReport.App, critReport.Size, critReport.ConfigHash = key.App, s.Opt.Size.String(), hash
 		path, err := artifactPath(s.Opt.CritpathDir, key, ".critpath.json")
 		if err != nil {
 			return err
@@ -412,7 +400,7 @@ func (s *Suite) export(key runKey, cfg core.Config, hash string, col *telemetry.
 		}
 		if err := telemetry.AtomicFile(path, func(w io.Writer) error {
 			return telemetry.WriteChromeTrace(w, col, map[string]string{
-				"app": key.app, "size": s.Opt.Size.String(), "configHash": hash,
+				"app": key.App, "size": s.Opt.Size.String(), "configHash": hash,
 			})
 		}); err != nil {
 			return err
@@ -422,7 +410,7 @@ func (s *Suite) export(key runKey, cfg core.Config, hash string, col *telemetry.
 		// Compact (one line) so the stream is JSONL.
 		var b bytes.Buffer
 		m := telemetry.Manifest{
-			App:        key.app,
+			App:        key.App,
 			Size:       s.Opt.Size.String(),
 			ConfigHash: hash,
 			Config:     cfg,
@@ -478,13 +466,6 @@ func (s *Suite) barsFor(app string, cacheKB int) ([]Bar, error) {
 	return out, nil
 }
 
-func cacheName(kb int) string {
-	if kb == 0 {
-		return "inf"
-	}
-	return fmt.Sprintf("%dk", kb)
-}
-
 func (o Options) printBars(w io.Writer, bars []Bar) {
 	if o.CSV {
 		if err := WriteBarsCSV(w, bars); err != nil {
@@ -504,7 +485,7 @@ func printBars(w io.Writer, bars []Bar) {
 		"app", "cache", "clus", "total", "cpu", "load", "merge", "sync")
 	for _, b := range bars {
 		fmt.Fprintf(w, "%-10s %-6s %-6s %8.1f %8.1f %8.1f %8.1f %8.1f\n",
-			b.App, cacheName(b.CacheKB), fmt.Sprintf("%dp", b.ClusterSize),
+			b.App, obs.CacheLabel(b.CacheKB), fmt.Sprintf("%dp", b.ClusterSize),
 			b.Total, b.CPU, b.Load, b.Merge, b.Sync)
 	}
 }

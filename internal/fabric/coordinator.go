@@ -10,6 +10,7 @@ import (
 	"time"
 
 	"clustersim/internal/core"
+	"clustersim/internal/obs"
 )
 
 // Coordinator tuning knobs. All timing is wall-clock harness time —
@@ -61,7 +62,8 @@ type CoordinatorConfig struct {
 	// OnFailure receives each point's permanent failure record.
 	OnFailure func(PointSpec, string)
 
-	// Obs feeds fabric metrics and events (nil disables).
+	// Obs reports the points and the fleet's events to the
+	// coordinator's sweep (nil disables).
 	Obs *Obs
 
 	// Progress receives operator-facing lines (nil = silent).
@@ -164,6 +166,9 @@ type workerState struct {
 	idle     bool // sent Steal, awaiting an assignment
 	gone     bool
 	leases   map[uint64]bool
+	// tally counts the worker's settled and dropped completions for
+	// FleetWorkers; a reconnect carries it over.
+	tally obs.WorkerStatus
 }
 
 // Coordinator owns the sweep: it leases points to workers, detects
@@ -241,7 +246,6 @@ func (c *Coordinator) handleConn(conn Conn) {
 		switch m.Type {
 		case MsgHeartbeat:
 			c.touch(id, conn)
-			c.cfg.Obs.Heartbeat(id)
 		case MsgSteal:
 			c.touch(id, conn)
 			c.markIdle(id, conn)
@@ -266,7 +270,10 @@ func (c *Coordinator) register(id string, conn Conn) {
 		c.declareDeadLocked(old, "superseded by reconnect")
 	}
 	w := &workerState{id: id, conn: conn, lastSeen: c.now(), leases: make(map[uint64]bool)}
-	if c.workers[id] == nil {
+	if old := c.workers[id]; old != nil {
+		w.tally = old.tally
+	} else {
+		w.tally.Worker = id
 		c.workerOrder = append(c.workerOrder, id)
 	}
 	c.workers[id] = w
@@ -360,7 +367,7 @@ func (c *Coordinator) retireLeaseLocked(l *lease, reason string, requeue bool) {
 	p.attempts++
 	p.eligible = c.now().Add(c.cfg.backoff(p.attempts))
 	c.queue = append(c.queue, l.key)
-	c.cfg.Obs.Requeued(p.spec.Name(), reason, p.attempts)
+	c.cfg.Obs.Requeued(p.spec, reason, p.attempts)
 }
 
 // newLeaseLocked assigns key to worker w.
@@ -399,7 +406,10 @@ func (c *Coordinator) schedule() {
 		p := c.points[key]
 		spec := p.spec
 		sends = append(sends, sendItem{w.conn, Msg{Type: MsgAssign, Lease: l.id, Point: &spec}})
-		c.cfg.Obs.Assigned(id, spec.Name(), kind, p.attempts)
+		if kind == "reassign" {
+			kind = fmt.Sprintf("reassign attempt=%d", p.attempts)
+		}
+		c.cfg.Obs.Leased(id, spec, kind)
 		c.progressf("assign %s to %s (%s, lease %d)", spec.Name(), id, kind, l.id)
 	}
 	c.mu.Unlock()
@@ -465,23 +475,28 @@ func (c *Coordinator) deliverResult(workerID string, m Msg) {
 		return
 	}
 	name := p.spec.Name()
+	tally := &obs.WorkerStatus{} // the degraded-mode "(local)" runner keeps none
+	if w := c.workers[workerID]; w != nil {
+		tally = &w.tally
+	}
 	if m.Error != "" {
-		if p.state == stateDone {
+		if p.state == stateDone || p.state == stateFailed {
 			// A late failure after a healthy completion (e.g. a stolen
-			// copy hit a worker-side watchdog): the result stands.
-			c.cfg.Obs.ResultFailed(workerID, name, "late failure dropped: "+m.Error)
+			// copy hit a worker-side watchdog), or a repeated one: the
+			// recorded outcome stands.
+			tally.Duplicates++
+			c.cfg.Obs.Dropped(workerID, p.spec, "late failure dropped: "+m.Error)
 			return
 		}
-		if p.state != stateFailed {
-			p.state = stateFailed
-			p.errMsg = m.Error
-			c.remaining--
-			c.retirePointLeasesLocked(p)
-			if c.cfg.OnFailure != nil {
-				c.cfg.OnFailure(p.spec, m.Error)
-			}
+		p.state = stateFailed
+		p.errMsg = m.Error
+		c.remaining--
+		c.retirePointLeasesLocked(p)
+		if c.cfg.OnFailure != nil {
+			c.cfg.OnFailure(p.spec, m.Error)
 		}
-		c.cfg.Obs.ResultFailed(workerID, name, m.Error)
+		tally.Failed++
+		c.cfg.Obs.Failed(workerID, p.spec, m.Error)
 		c.progressf("point %s failed on %s: %s", name, workerID, m.Error)
 		return
 	}
@@ -501,7 +516,8 @@ func (c *Coordinator) deliverResult(workerID string, m Msg) {
 				name, workerID))
 			return
 		}
-		c.cfg.Obs.ResultDuplicate(workerID, name)
+		tally.Duplicates++
+		c.cfg.Obs.Dropped(workerID, p.spec, "byte-identical duplicate dropped (last write wins)")
 		c.progressf("duplicate completion of %s from %s verified byte-identical, dropped", name, workerID)
 	case stateFailed:
 		// A success after a recorded failure: only wall-clock-dependent
@@ -511,14 +527,14 @@ func (c *Coordinator) deliverResult(workerID string, m Msg) {
 		p.errMsg = ""
 		p.result = m.Result
 		p.resJSON = js
-		c.storeLocked(p, m.Resumed, workerID, name, m.WallNS)
+		c.storeLocked(p, m.Resumed, tally, workerID, m.WallNS)
 	default:
 		p.state = stateDone
 		p.result = m.Result
 		p.resJSON = js
 		c.remaining--
 		c.retirePointLeasesLocked(p)
-		c.storeLocked(p, m.Resumed, workerID, name, m.WallNS)
+		c.storeLocked(p, m.Resumed, tally, workerID, m.WallNS)
 	}
 }
 
@@ -531,14 +547,20 @@ func (c *Coordinator) retirePointLeasesLocked(p *point) {
 	}
 }
 
-func (c *Coordinator) storeLocked(p *point, resumed bool, workerID, name string, wallNS int64) {
+func (c *Coordinator) storeLocked(p *point, resumed bool, tally *obs.WorkerStatus, workerID string, wallNS int64) {
+	name := p.spec.Name()
 	if c.cfg.OnResult != nil {
 		if err := c.cfg.OnResult(p.spec, p.result, resumed); err != nil {
 			c.setFatalLocked(fmt.Errorf("fabric: persist result of %s: %w", name, err))
 			return
 		}
 	}
-	c.cfg.Obs.ResultOK(workerID, name, resumed, time.Duration(wallNS))
+	if resumed {
+		tally.Replayed++
+	} else {
+		tally.Done++
+	}
+	c.cfg.Obs.Completed(workerID, p.spec, p.result, resumed, time.Duration(wallNS))
 	c.progressf("point %s completed by %s (resumed=%v)", name, workerID, resumed)
 }
 
@@ -655,27 +677,24 @@ func joinLines(lines []string) string {
 }
 
 // FleetWorkers snapshots every worker this coordinator has seen, in
-// registration order, for the fleet status view: liveness, lease load
-// and heartbeat freshness.
-func (c *Coordinator) FleetWorkers() []WorkerLink {
+// registration order, for the workers block of the sweep's /status:
+// liveness, lease load, heartbeat freshness and the worker's tallies.
+// It takes the coordinator's lock, under which the coordinator reports
+// to the sweep, so the sweep calls it outside its own lock.
+func (c *Coordinator) FleetWorkers() []obs.WorkerStatus {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	now := c.now()
-	out := make([]WorkerLink, 0, len(c.workerOrder))
+	out := make([]obs.WorkerStatus, 0, len(c.workerOrder))
 	for _, id := range c.workerOrder {
 		w := c.workers[id]
-		if w == nil {
-			continue
-		}
-		link := WorkerLink{
-			Worker:     id,
-			Alive:      !w.gone,
-			LeasesHeld: len(w.leases),
-		}
+		row := w.tally
+		row.Alive = !w.gone
+		row.LeasesHeld = len(w.leases)
 		if !w.gone {
-			link.HeartbeatAgeMS = now.Sub(w.lastSeen).Milliseconds()
+			row.HeartbeatAgeMS = now.Sub(w.lastSeen).Milliseconds()
 		}
-		out = append(out, link)
+		out = append(out, row)
 	}
 	return out
 }
@@ -714,7 +733,7 @@ func (c *Coordinator) popEligibleLocalLocked(now time.Time) *point {
 // runLocal executes one point in the coordinator process (no workers
 // left) and feeds it through the normal completion path.
 func (c *Coordinator) runLocal(p *point) {
-	c.cfg.Obs.LocalRun(p.spec.Name())
+	c.cfg.Obs.Leased("(local)", p.spec, "local")
 	c.progressf("no live workers: running %s locally", p.spec.Name())
 	started := c.now()
 	res, resumed, err := c.cfg.Run(p.spec)

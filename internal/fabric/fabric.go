@@ -36,6 +36,7 @@ import (
 
 	"clustersim/internal/core"
 	"clustersim/internal/fault"
+	"clustersim/internal/obs"
 )
 
 // ProtoV1 is the wire-protocol version tag every message carries. A
@@ -85,15 +86,14 @@ func (p PointSpec) Key() string {
 	return fmt.Sprintf("%s-%s-c%d-%dk-%s", p.App, p.Size, p.ClusterSize, p.CacheKB, p.ConfigHash)
 }
 
-// Name is the point's short display name, matching the experiments
-// suite's pointName convention (app-cN-cache).
-func (p PointSpec) Name() string {
-	cache := "inf"
-	if p.CacheKB > 0 {
-		cache = fmt.Sprintf("%dk", p.CacheKB)
-	}
-	return fmt.Sprintf("%s-c%d-%s", p.App, p.ClusterSize, cache)
+// Point is the spec's sweep point, the key the coordinator's sweep
+// tracks it under.
+func (p PointSpec) Point() obs.Point {
+	return obs.Point{App: p.App, Cluster: p.ClusterSize, CacheKB: p.CacheKB}
 }
+
+// Name is the point's display name (app-cN-cache).
+func (p PointSpec) Name() string { return p.Point().Name() }
 
 // Msg is the single wire envelope of the v1 protocol. Type selects
 // which optional fields are meaningful. Decoding ignores unknown
@@ -131,8 +131,8 @@ type Msg struct {
 
 	// WallNS is the worker-measured wall-clock cost of a freshly
 	// computed point (result, success, not resumed). It becomes the
-	// fabric-result event's durNs: the fleet ETA and the point's slice
-	// in the Chrome export. Never enters Result JSON.
+	// coordinator's point-done durNs: the sweep ETA's cost sample and
+	// the point's slice in the Chrome export. Never enters Result JSON.
 	WallNS int64 `json:"wallNs,omitempty"`
 }
 

@@ -52,7 +52,7 @@ func newTestFabric(t *testing.T, plan ChaosPlan, cfg CoordinatorConfig) *testFab
 		t.Fatal(err)
 	}
 	tf := &testFabric{net: n, log: obs.NewLog(nil, "test"), done: make(map[string]*core.Result)}
-	cfg.Obs = NewObs(nil, tf.log)
+	cfg.Obs = NewObs(obs.NewSweep("test", nil, tf.log))
 	if cfg.OnResult == nil {
 		cfg.OnResult = func(spec PointSpec, res *core.Result, resumed bool) error {
 			tf.mu.Lock()
@@ -118,6 +118,18 @@ func (tf *testFabric) eventKinds() map[string]int {
 	return kinds
 }
 
+// count is how many logged events have the kind and, where non-empty,
+// the detail and the worker.
+func (tf *testFabric) count(kind, detail, worker string) int {
+	n := 0
+	for _, e := range tf.log.Recent() {
+		if e.Kind == kind && (detail == "" || e.Detail == detail) && (worker == "" || e.Worker == worker) {
+			n++
+		}
+	}
+	return n
+}
+
 func TestFabricHappyPath(t *testing.T) {
 	tf := newTestFabric(t, ChaosPlan{}, quickCfg())
 	specs := makeSpecs(8)
@@ -135,8 +147,12 @@ func TestFabricHappyPath(t *testing.T) {
 		t.Errorf("w2 exit: %v", err)
 	}
 	kinds := tf.eventKinds()
-	if kinds[EventWorkerJoin] != 2 || kinds[EventResult] != 8 || kinds[EventDrain] != 1 {
-		t.Errorf("event kinds = %v, want 2 joins, 8 results, 1 drain", kinds)
+	if kinds[EventWorkerJoin] != 2 || kinds[obs.EventPointDone] != 8 || kinds[EventDrain] != 1 {
+		t.Errorf("event kinds = %v, want 2 joins, 8 point completions, 1 drain", kinds)
+	}
+	ws := tf.coord.FleetWorkers()
+	if len(ws) != 2 || ws[0].Done+ws[1].Done != 8 {
+		t.Errorf("workers = %+v, want w1 and w2 with 8 completions between them", ws)
 	}
 	// The OnResult sink saw exactly the returned results.
 	tf.mu.Lock()
@@ -207,6 +223,9 @@ func TestFabricDuplicateResultsDropped(t *testing.T) {
 	if kinds := tf.eventKinds(); kinds[EventResultDup] == 0 {
 		t.Errorf("DupPerMille=1000 produced no %s events: %v", EventResultDup, kinds)
 	}
+	if ws := tf.coord.FleetWorkers(); ws[0].Done != len(specs) || ws[0].Duplicates == 0 {
+		t.Errorf("w1 row = %+v, want %d completions and the dropped duplicates", ws[0], len(specs))
+	}
 }
 
 // TestFabricStealDuplicatesSlowPoint pins work stealing: with one slow
@@ -230,13 +249,7 @@ func TestFabricStealDuplicatesSlowPoint(t *testing.T) {
 		t.Fatalf("Run: %v", err)
 	}
 	checkResults(t, specs, results)
-	var stole bool
-	for _, e := range tf.log.Recent() {
-		if e.Kind == EventAssign && e.Detail == "steal" {
-			stole = true
-		}
-	}
-	if !stole {
+	if tf.count(obs.EventPointStart, "steal", "") == 0 {
 		t.Fatalf("no steal assignment happened; events = %v", tf.eventKinds())
 	}
 }
@@ -253,8 +266,8 @@ func TestFabricLocalFallback(t *testing.T) {
 		t.Fatalf("Run: %v", err)
 	}
 	checkResults(t, specs, results)
-	if kinds := tf.eventKinds(); kinds[EventLocal] != 4 {
-		t.Errorf("local-run events = %v, want 4 %s", kinds, EventLocal)
+	if n := tf.count(obs.EventPointStart, "local", "(local)"); n != 4 {
+		t.Errorf("%d local point starts, want 4; kinds = %v", n, tf.eventKinds())
 	}
 }
 
@@ -304,15 +317,10 @@ func TestFabricWorkerStopsAfterCurrentPoint(t *testing.T) {
 	if n := ran.Load(); n != 1 {
 		t.Errorf("worker ran %d points, want only the one in flight at the stop", n)
 	}
-	byW1 := 0
-	for _, e := range tf.log.Recent() {
-		if e.Kind == EventResult && e.Worker == "w1" {
-			byW1++
-		}
-	}
-	if kinds := tf.eventKinds(); byW1 != 1 || kinds[EventLocal] != len(specs)-1 {
+	byW1, local := tf.count(obs.EventPointDone, "", "w1"), tf.count(obs.EventPointStart, "local", "(local)")
+	if byW1 != 1 || local != len(specs)-1 {
 		t.Errorf("w1 delivered %d results, local ran %d points; want 1 and %d (kinds %v)",
-			byW1, kinds[EventLocal], len(specs)-1, kinds)
+			byW1, local, len(specs)-1, tf.eventKinds())
 	}
 }
 
@@ -418,14 +426,11 @@ func TestFabricWorkerRestartResumes(t *testing.T) {
 		t.Error("the point was computed twice despite the journal")
 	default:
 	}
-	var resumed bool
-	for _, e := range tf.log.Recent() {
-		if e.Kind == EventResult && e.Detail == "resumed-from-journal" {
-			resumed = true
-		}
+	if tf.count(obs.EventPointReplay, "", "w1") != 1 {
+		t.Errorf("want one point-replay by w1 for the resumed completion; events = %v", tf.eventKinds())
 	}
-	if !resumed {
-		t.Errorf("no resumed-from-journal completion; events = %v", tf.eventKinds())
+	if ws := tf.coord.FleetWorkers(); len(ws) != 1 || ws[0].Replayed != 1 || ws[0].Done != 0 {
+		t.Errorf("workers = %+v, want one w1 row across both incarnations with one replayed point", ws)
 	}
 }
 
@@ -465,6 +470,12 @@ func TestFabricPermanentFailure(t *testing.T) {
 	defer mu.Unlock()
 	if len(failures) != 1 || !strings.Contains(failures[0], "index out of range") {
 		t.Errorf("OnFailure saw %v, want one annotated panic", failures)
+	}
+	if ws := tf.coord.FleetWorkers(); ws[0].Done != 3 || ws[0].Failed != 1 {
+		t.Errorf("w1 row = %+v, want 3 done and 1 failed", ws[0])
+	}
+	if n := tf.count(obs.EventPointFail, "", "w1"); n != 1 {
+		t.Errorf("%d point-fail events, want 1", n)
 	}
 }
 

@@ -180,7 +180,7 @@ func (w *Worker) RunConn(conn Conn) error {
 // connection instead.
 func (w *Worker) runPoint(conn Conn, lease uint64, spec PointSpec) {
 	w.progressf("running %s (lease %d)", spec.Name(), lease)
-	// Harness wall clock: point cost measurement for the fleet ETA.
+	// Harness wall clock: the point's cost sample for the coordinator's ETA.
 	started := time.Now() //simlint:allow wallclock
 	res, resumed, err := w.cfg.Run(spec)
 	out := Msg{Type: MsgResult, Worker: w.cfg.ID, Lease: lease, Resumed: resumed}

@@ -43,9 +43,10 @@
 //	              silently change the hash contract or leak into Result
 //	              JSON.
 //	readonly    — observer packages (internal/telemetry, internal/profile,
-//	              internal/perf, internal/critpath, internal/sanitizer)
-//	              must not mutate core simulation state: no assignments through pointers to
-//	              state-package types, and no calls to their mutating
+//	              internal/perf, internal/critpath, internal/sanitizer,
+//	              internal/obs) must not mutate core simulation state: no
+//	              assignments through pointers to state-package types,
+//	              and no calls to their mutating
 //	              (pointer-receiver, non-accessor) methods. Mutating
 //	              methods are computed by a fixed point over method
 //	              bodies, so an accessor that merely reads stays callable.
@@ -55,8 +56,8 @@
 //	              in core.defineSync becomes a compile-time finding.
 //	unusedallow — a //simlint:allow directive that no longer suppresses
 //	              any finding is itself reported, so stale exemptions
-//	              cannot accumulate (the unused-allow audit; disable with
-//	              Options.NoAudit).
+//	              cannot accumulate (the unused-allow audit; disable it
+//	              like any rule, through Options.Disabled).
 //
 // A finding is silenced by the directive comment
 //
@@ -134,11 +135,9 @@ func KnownRule(name string) bool { return knownRules[name] }
 // Options tunes a CheckModule run.
 type Options struct {
 	// Disabled names rules to skip entirely (used by tests to prove the
-	// fixture corpus depends on each rule).
+	// fixture corpus depends on each rule). Disabling unusedallow skips
+	// the unused-allow audit.
 	Disabled map[string]bool
-
-	// NoAudit suppresses the unused-allow audit (rule unusedallow).
-	NoAudit bool
 }
 
 func (o *Options) disabled(rule string) bool {
@@ -182,7 +181,7 @@ var simulationPackages = []string{
 // what makes "observed runs are byte-identical to unobserved ones" a
 // checkable contract rather than a convention.
 var observerPackages = []string{
-	"telemetry", "profile", "perf", "critpath", "sanitizer", "obs", "obs/fleet",
+	"telemetry", "profile", "perf", "critpath", "sanitizer", "obs",
 }
 
 func pathInSet(path string, segs []string) bool {
@@ -325,8 +324,8 @@ func collectAllows(fset *token.FileSet, file *ast.File) *fileAllows {
 // cross-package contract rules (readonly's mutating-method fixed point,
 // hashexclude's field-type resolution) see the whole set — and returns
 // the findings that are not silenced by directives, sorted by position.
-// Unless opts.NoAudit is set, directives that silenced nothing are
-// reported under the unusedallow rule.
+// Unless the unusedallow rule is disabled, directives that silenced
+// nothing are reported under it.
 func CheckModule(pkgs []*Package, opts *Options) []Finding {
 	mod := newModule(pkgs)
 	allowsByFile := make(map[string]*fileAllows)
@@ -347,7 +346,7 @@ func CheckModule(pkgs []*Package, opts *Options) []Finding {
 		}
 		out = append(out, f)
 	}
-	if opts == nil || (!opts.NoAudit && !opts.disabled(RuleUnusedAllow)) {
+	if !opts.disabled(RuleUnusedAllow) {
 		out = append(out, auditAllows(allowsByFile)...)
 	}
 	sort.Slice(out, func(i, j int) bool {
@@ -393,7 +392,7 @@ func auditAllows(allowsByFile map[string]*fileAllows) []Finding {
 // rules degrade to whatever type information the package carries;
 // prefer CheckModule for whole-module runs.
 func Check(pkg *Package) []Finding {
-	return CheckModule([]*Package{pkg}, &Options{NoAudit: true})
+	return CheckModule([]*Package{pkg}, &Options{Disabled: map[string]bool{RuleUnusedAllow: true}})
 }
 
 // importNames maps the identifiers a file uses for its imports to import

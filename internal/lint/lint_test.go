@@ -158,7 +158,7 @@ func TestRuleDisabledSilences(t *testing.T) {
 				t.Fatalf("fixture %s carries no want:%s markers", caseName, rule)
 			}
 			pkgs := loadFixture(t, dirs)
-			opts := &Options{Disabled: map[string]bool{rule: true}, NoAudit: rule != RuleUnusedAllow}
+			opts := &Options{Disabled: map[string]bool{rule: true, RuleUnusedAllow: true}}
 			for _, f := range CheckModule(pkgs, opts) {
 				if f.Rule == rule {
 					t.Errorf("disabled rule still fired: %s", f)

@@ -27,13 +27,8 @@ type ETA struct {
 	samples int // computed points contributing to costNS
 }
 
-// NewETA starts the model's wall clock now.
-func NewETA() *ETA {
-	// Host-side progress estimation only; never feeds simulated state.
-	return NewETAAt(func() time.Time { return time.Now() }) //simlint:allow wallclock
-}
-
-// NewETAAt injects the clock (tests use a fake).
+// NewETAAt starts the model on the given clock (the sweep's; tests use
+// a fake).
 func NewETAAt(now func() time.Time) *ETA {
 	e := &ETA{now: now}
 	e.start = now()

@@ -13,10 +13,14 @@ import (
 const EventsSchemaV1 = "clustersim/events/v1"
 
 // Event kinds. Point events are span-shaped: point-start opens a span
-// that exactly one of point-done / point-fail / watchdog closes
-// (carrying the wall duration); the rest are instants. The distributed
-// fabric adds its own fabric-* kinds (see internal/fabric), carrying
-// the worker identity in the Worker field.
+// that the point's terminal event (point-done, carrying the wall
+// duration, point-replay or point-fail) or a watchdog closes; the rest
+// are instants. A sweep counts a point once (see Sweep), so a point
+// has one terminal event unless a success replaced a failure. On a
+// coordinator's log the point events carry the worker in the Worker
+// field, and a steal or a reassignment adds a point-start to an open
+// span. The distributed fabric adds its own fabric-* kinds (see
+// internal/fabric) for what only a fleet has.
 const (
 	EventSweepStart  = "sweep-start"
 	EventSweepDone   = "sweep-done"
@@ -115,9 +119,10 @@ func (l *Log) SetClock(now func() time.Time) {
 }
 
 // SetMirror registers a synchronous secondary sink invoked under the
-// log lock for every emitted event, after stamping. Unlike Subscribe,
-// a mirror is lossless — the fleet view depends on seeing every event
-// to keep its per-point timelines complete — so it must be fast and
+// log lock for every emitted event, after stamping, in seq order.
+// Unlike Subscribe and the /events ring, a mirror is lossless: a
+// consumer that must see every event (a per-point timing digest, an
+// audit of a whole coordinator log) reads it here. It must be fast and
 // must never call back into the log. At most one mirror; nil clears it.
 func (l *Log) SetMirror(fn func(Event)) {
 	if l == nil {

@@ -2,7 +2,9 @@ package obs
 
 import (
 	"bytes"
+	"fmt"
 	"strings"
+	"sync"
 	"testing"
 	"time"
 )
@@ -112,6 +114,44 @@ func TestRecentRingBounded(t *testing.T) {
 	}
 	if recent[0].Seq != 11 || recent[len(recent)-1].Seq != logRingCap+10 {
 		t.Errorf("ring window [%d, %d], want oldest dropped", recent[0].Seq, recent[len(recent)-1].Seq)
+	}
+}
+
+// TestLogMirrorLossless: concurrent emitters push more events than the
+// /events ring holds, and the mirror sees every one exactly once, in
+// seq order, stamped by the log — the guarantee a consumer of a whole
+// log (repobench's per-point timings, the keystone audit) relies on.
+func TestLogMirrorLossless(t *testing.T) {
+	const emitters, each = 4, logRingCap / 2
+	l := NewLog(nil, "coord")
+	var mirrored []Event // appended under the log lock
+	l.SetMirror(func(e Event) { mirrored = append(mirrored, e) })
+	var wg sync.WaitGroup
+	for g := 0; g < emitters; g++ {
+		wg.Add(1)
+		go func(g int) { //simlint:allow goroutine — test harness
+			defer wg.Done()
+			for i := 0; i < each; i++ {
+				l.Emit(Event{Kind: EventPointDone, Detail: fmt.Sprintf("%d/%d", g, i)})
+			}
+		}(g)
+	}
+	wg.Wait()
+	if len(l.Recent()) != logRingCap {
+		t.Fatalf("ring holds %d events, want it full at %d", len(l.Recent()), logRingCap)
+	}
+	if len(mirrored) != emitters*each {
+		t.Fatalf("mirror saw %d events, want %d", len(mirrored), emitters*each)
+	}
+	seen := map[string]bool{}
+	for i, e := range mirrored {
+		if e.Seq != uint64(i+1) || e.Run != "coord" || e.Schema != EventsSchemaV1 {
+			t.Fatalf("mirrored event %d = %+v, want seq %d stamped by the log", i, e, i+1)
+		}
+		if seen[e.Detail] {
+			t.Fatalf("event %s mirrored twice", e.Detail)
+		}
+		seen[e.Detail] = true
 	}
 }
 

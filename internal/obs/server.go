@@ -7,7 +7,6 @@ import (
 	"net"
 	"net/http"
 	"net/http/pprof"
-	"strings"
 	"sync"
 	"time"
 )
@@ -27,28 +26,11 @@ type Server struct {
 	reg   *Registry
 	sweep *Sweep
 	log   *Log
-	extra []extraRoute
 	// done is closed when a graceful Shutdown begins. The ?follow=1
 	// streams select on it: without this signal they would end only when
 	// their client hangs up, and http.Server.Shutdown would wait out its
 	// whole deadline on every attached follower.
 	done chan struct{}
-}
-
-// extraRoute is one endpoint mounted via Handle, kept in registration
-// order so the index and the mux are deterministic.
-type extraRoute struct {
-	pattern string // mux pattern, e.g. "GET /fleet"
-	note    string // one-line index description
-	h       http.Handler
-}
-
-// Handle mounts an additional read-only endpoint on the server (the
-// fleet view uses this for /fleet and /fleet/trace). Must be called
-// before Handler()/Start(); note is the one-line description shown on
-// the index page.
-func (s *Server) Handle(pattern, note string, h http.Handler) {
-	s.extra = append(s.extra, extraRoute{pattern: pattern, note: note, h: h})
 }
 
 // NewServer builds a server over the given sources; any of them may be
@@ -69,9 +51,6 @@ func (s *Server) Handler() http.Handler {
 	mux.HandleFunc("GET /debug/pprof/profile", pprof.Profile)
 	mux.HandleFunc("GET /debug/pprof/symbol", pprof.Symbol)
 	mux.HandleFunc("GET /debug/pprof/trace", pprof.Trace)
-	for _, r := range s.extra {
-		mux.Handle(r.pattern, r.h)
-	}
 	return mux
 }
 
@@ -83,10 +62,6 @@ func (s *Server) handleIndex(w http.ResponseWriter, _ *http.Request) {
   /events        run-event tail (JSONL; ?point=NAME, ?follow=1)
   /debug/pprof/  Go profiling endpoints
 `)
-	for _, r := range s.extra {
-		path := strings.TrimPrefix(r.pattern, "GET ")
-		fmt.Fprintf(w, "  %-14s %s\n", path, r.note)
-	}
 }
 
 func (s *Server) handleMetrics(w http.ResponseWriter, _ *http.Request) {

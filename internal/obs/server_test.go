@@ -43,8 +43,8 @@ func TestServerMetricsEndpoint(t *testing.T) {
 
 func TestServerStatusEndpoint(t *testing.T) {
 	sw := NewSweepAt("run-s", nil, nil, fakeClock(time.Unix(3000, 0), time.Second))
-	sw.PointStarted("fft-c2-inf", "fft", 2, "inf")
-	sw.PointDone("fft-c2-inf", time.Second, 9)
+	sw.PointStarted(Point{"fft", 2, 0}, "", "")
+	sw.PointDone(Point{"fft", 2, 0}, "", time.Second, 9)
 	h := NewServer(nil, sw, nil).Handler()
 
 	rec := get(t, h, "/status")

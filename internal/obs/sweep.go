@@ -28,12 +28,47 @@ const (
 // is exponential.
 var wallBuckets = []float64{0.01, 0.03, 0.1, 0.3, 1, 3, 10, 30, 100, 300, 1000}
 
+// Point identifies one sweep point, the key every Sweep hook takes. Its
+// Name is the one spelling of the point across events, /status rows,
+// artifact file stems and the fabric's progress lines.
+type Point struct {
+	App     string
+	Cluster int
+	CacheKB int // 0 = infinite
+}
+
+// Name is the point's display name, app-cN-cache (e.g. ocean-c4-16k).
+func (p Point) Name() string {
+	return fmt.Sprintf("%s-c%d-%s", p.App, p.Cluster, CacheLabel(p.CacheKB))
+}
+
+// CacheLabel spells a per-processor cache size as point names do: "inf"
+// for the infinite cache (0), otherwise the size in KB with a k suffix.
+func CacheLabel(kb int) string {
+	if kb == 0 {
+		return "inf"
+	}
+	return fmt.Sprintf("%dk", kb)
+}
+
 // Sweep tracks one sweep's live state for the observability plane: the
 // per-point state machine behind GET /status, the sweep-level series
 // in the metrics registry, and the structured events in the run-event
 // log. Registry and log are both optional (nil disables that output),
 // and a nil *Sweep disables the whole plane, so the experiments suite
-// calls these hooks unconditionally.
+// and the fabric coordinator call these hooks unconditionally.
+//
+// A point counts once: its first terminal report (done, replayed or
+// failed) moves the counts, the ETA and the metrics, and a later one
+// changes nothing and emits nothing — except that a success replaces a
+// failure, in the row and the event stream, without counting the point
+// again. A distributed sweep leans on this: stolen and reassigned
+// points report twice, and the coordinator's render pass replays every
+// point the fleet already settled.
+//
+// Lock order is caller → sweep → log: the fabric coordinator reports
+// while holding its own lock, so the sweep never calls out (the workers
+// source included) while holding its lock.
 //
 // Everything here is wall-clock-side harness state: the only
 // simulation-derived inputs are finished Results' exec times, passed
@@ -47,8 +82,9 @@ type Sweep struct {
 	started time.Time
 	now     func() time.Time
 
-	points map[string]*PointStatus
-	order  []string
+	points  map[Point]*PointStatus
+	order   []Point
+	workers func() []WorkerStatus
 
 	journalHits   int
 	journalMisses int
@@ -70,9 +106,12 @@ type Sweep struct {
 	hWall          *Histogram
 }
 
-// PointStatus is one point's row in the /status document.
+// PointStatus is one point's row in the /status document. Worker is
+// the fleet worker that settled (or is running) the point; it is empty
+// in a local sweep.
 type PointStatus struct {
 	Point      string     `json:"point"`
+	Worker     string     `json:"worker,omitempty"`
 	App        string     `json:"app"`
 	Cluster    int        `json:"cluster"`
 	Cache      string     `json:"cache"`
@@ -80,6 +119,19 @@ type PointStatus struct {
 	WallMS     int64      `json:"wallMs,omitempty"`
 	VirtCycles int64      `json:"virtCycles,omitempty"`
 	Error      string     `json:"error,omitempty"`
+}
+
+// WorkerStatus is one fleet worker's row in a coordinator's /status:
+// the coordinator's live link state and its per-worker tallies.
+type WorkerStatus struct {
+	Worker         string `json:"worker"`
+	Alive          bool   `json:"alive"`
+	LeasesHeld     int    `json:"leasesHeld"`
+	HeartbeatAgeMS int64  `json:"heartbeatAgeMs,omitempty"`
+	Done           int    `json:"done"`
+	Replayed       int    `json:"replayed"`
+	Failed         int    `json:"failed"`
+	Duplicates     int    `json:"duplicates"`
 }
 
 // JournalStats is the journal cache-hit split of the /status document.
@@ -107,18 +159,19 @@ type PointCounts struct {
 
 // StatusDoc is the GET /status response (schema clustersim/status/v1).
 type StatusDoc struct {
-	Schema        string        `json:"schema"`
-	Run           string        `json:"run"`
-	Args          string        `json:"args,omitempty"`
-	Procs         int           `json:"procs,omitempty"`
-	Size          string        `json:"size,omitempty"`
-	State         string        `json:"state"` // running | done | failed | interrupted
-	StartedUnixMS int64         `json:"startedUnixMs"`
-	Counts        PointCounts   `json:"counts"`
-	Journal       JournalStats  `json:"journal"`
-	ETA           Estimate      `json:"eta"`
-	Host          HostStatus    `json:"host"`
-	Points        []PointStatus `json:"points"`
+	Schema        string         `json:"schema"`
+	Run           string         `json:"run"`
+	Args          string         `json:"args,omitempty"`
+	Procs         int            `json:"procs,omitempty"`
+	Size          string         `json:"size,omitempty"`
+	State         string         `json:"state"` // running | done | failed | interrupted
+	StartedUnixMS int64          `json:"startedUnixMs"`
+	Counts        PointCounts    `json:"counts"`
+	Journal       JournalStats   `json:"journal"`
+	ETA           Estimate       `json:"eta"`
+	Host          HostStatus     `json:"host"`
+	Workers       []WorkerStatus `json:"workers,omitempty"`
+	Points        []PointStatus  `json:"points"`
 }
 
 // NewSweep creates a tracker labelled run, feeding the registry and
@@ -133,7 +186,7 @@ func NewSweepAt(run string, reg *Registry, log *Log, now func() time.Time) *Swee
 	s := &Sweep{
 		run:    run,
 		now:    now,
-		points: make(map[string]*PointStatus),
+		points: make(map[Point]*PointStatus),
 		eta:    NewETAAt(now),
 		log:    log,
 		reg:    reg,
@@ -173,6 +226,19 @@ func (s *Sweep) SetTotalPoints(n int) {
 	s.eta.SetTotal(n)
 }
 
+// SetWorkers installs the source of the /status workers block (a
+// coordinator passes its FleetWorkers). Status calls it outside the
+// sweep's lock, because the source takes the lock its caller holds
+// while reporting points.
+func (s *Sweep) SetWorkers(fn func() []WorkerStatus) {
+	if s == nil {
+		return
+	}
+	s.mu.Lock()
+	s.workers = fn
+	s.mu.Unlock()
+}
+
 // Log returns the attached event log (nil-safe), so the process can
 // route additional events through the sweep's stream.
 func (s *Sweep) Log() *Log {
@@ -182,139 +248,180 @@ func (s *Sweep) Log() *Log {
 	return s.log
 }
 
-// point finds or creates a point row.
-func (s *Sweep) point(name, app string, cluster int, cache string) *PointStatus {
-	p := s.points[name]
-	if p == nil {
-		p = &PointStatus{Point: name, App: app, Cluster: cluster, Cache: cache, State: PointPending}
-		s.points[name] = p
-		s.order = append(s.order, name)
+// row finds or creates a point's row (caller holds s.mu).
+func (s *Sweep) row(p Point) *PointStatus {
+	r := s.points[p]
+	if r == nil {
+		r = &PointStatus{Point: p.Name(), App: p.App, Cluster: p.Cluster, Cache: CacheLabel(p.CacheKB), State: PointPending}
+		s.points[p] = r
+		s.order = append(s.order, p)
 		s.eta.Saw()
 	}
-	return p
+	return r
 }
 
-// PointStarted marks a point as simulating now.
-func (s *Sweep) PointStarted(name, app string, cluster int, cache string) {
-	if s == nil {
-		return
-	}
-	s.mu.Lock()
-	p := s.point(name, app, cluster, cache)
-	p.State = PointRunning
-	s.mu.Unlock()
-	if s.cRunning != nil {
-		s.cRunning.Add(1)
-	}
-	s.log.Emit(Event{Kind: EventPointStart, Span: SpanBegin, Point: name, App: app, Cluster: cluster, Cache: cache})
+// event is a point event carrying the row's identity.
+func event(kind, span string, r *PointStatus, worker string) Event {
+	return Event{Kind: kind, Span: span, Point: r.Point, Worker: worker, App: r.App, Cluster: r.Cluster, Cache: r.Cache}
 }
 
-// PointDone marks a freshly computed point finished. Idempotent per
-// point: in a distributed sweep a stolen point can complete on two
-// workers, and the byte-identical duplicate is delivered again — the
-// second completion must not count twice toward the counters or the
-// ETA's completed-cost mean (pinned by
-// TestSweepDuplicateCompletionCountsOnce).
-func (s *Sweep) PointDone(name string, wall time.Duration, virtCycles int64) {
-	if s == nil {
-		return
-	}
-	s.mu.Lock()
-	p := s.points[name]
-	if p == nil || p.State == PointDone {
-		s.mu.Unlock()
-		return
-	}
-	p.State = PointDone
-	p.WallMS = wall.Milliseconds()
-	p.VirtCycles = virtCycles
-	app, cluster, cache := p.App, p.Cluster, p.Cache
-	s.mu.Unlock()
-	s.eta.Completed(wall)
-	if s.reg != nil {
-		s.cRunning.Add(-1)
-		s.cDone.Inc()
-		s.cVirtCycles.Add(float64(virtCycles))
-		s.hWall.Observe(wall.Seconds())
-	}
-	s.log.Emit(Event{Kind: EventPointDone, Span: SpanEnd, Point: name, App: app, Cluster: cluster, Cache: cache,
-		VirtCycles: virtCycles, DurNS: int64(wall)})
-}
-
-// PointReplayed marks a point served from the journal (a cache hit —
-// no simulation work).
-func (s *Sweep) PointReplayed(name, app string, cluster int, cache string, virtCycles int64) {
-	if s == nil {
-		return
-	}
-	s.mu.Lock()
-	p := s.point(name, app, cluster, cache)
-	p.State = PointReplayed
-	p.VirtCycles = virtCycles
-	s.journalHits++
-	s.mu.Unlock()
-	s.eta.CompletedFree()
-	if s.reg != nil {
-		s.cReplayed.Inc()
-		s.cJournalHits.Inc()
-		s.cVirtCycles.Add(float64(virtCycles))
-	}
-	s.log.Emit(Event{Kind: EventPointReplay, Point: name, App: app, Cluster: cluster, Cache: cache, VirtCycles: virtCycles})
-}
-
-// JournalMiss records a journal lookup that found nothing (the point
-// will simulate).
-func (s *Sweep) JournalMiss() {
-	if s == nil {
-		return
-	}
-	s.mu.Lock()
-	s.journalMisses++
-	s.mu.Unlock()
-	if s.cJournalMisses != nil {
-		s.cJournalMisses.Inc()
-	}
-}
-
-// PointFailed marks a running point failed (panic, engine error, or a
-// journalled failure surfacing on replay).
-func (s *Sweep) PointFailed(name, app string, cluster int, cache string, errMsg string) {
-	if s == nil {
-		return
-	}
-	s.mu.Lock()
-	p := s.point(name, app, cluster, cache)
-	wasRunning := p.State == PointRunning
-	p.State = PointFailed
-	p.Error = errMsg
-	s.mu.Unlock()
-	s.eta.CompletedFree()
-	if s.reg != nil {
-		if wasRunning {
+// settle applies a terminal report under the count-once rule (caller
+// holds s.mu). ok is false when the report must be dropped; first is
+// true when it is the point's first terminal transition, the only one
+// that moves the counts, the ETA and the metrics. span is SpanEnd when
+// the report closes a running point.
+func (s *Sweep) settle(p Point, to PointState, worker string) (r *PointStatus, first bool, span string, ok bool) {
+	r = s.row(p)
+	switch r.State {
+	case PointDone, PointReplayed:
+		return r, false, "", false
+	case PointFailed:
+		if to == PointFailed {
+			return r, false, "", false
+		}
+	case PointRunning:
+		first, span = true, SpanEnd
+		if s.cRunning != nil {
 			s.cRunning.Add(-1)
 		}
-		s.cFailed.Inc()
+	default:
+		first = true
 	}
-	span := ""
-	if wasRunning {
-		span = SpanEnd
+	r.State, r.Worker, r.Error = to, worker, ""
+	return r, first, span, true
+}
+
+// PointStarted marks a point as simulating on worker ("" in a local
+// sweep); detail says why, for a fabric lease: fresh, reassign
+// attempt=N, steal or local. Only a pending point moves to running; a
+// start for any other point (a steal or a reassignment of one already
+// running) is recorded as an event only.
+func (s *Sweep) PointStarted(p Point, worker, detail string) {
+	if s == nil {
+		return
 	}
-	s.log.Emit(Event{Kind: EventPointFail, Span: span, Point: name, App: app, Cluster: cluster, Cache: cache, Error: errMsg})
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	r := s.row(p)
+	if r.State == PointPending {
+		r.State, r.Worker = PointRunning, worker
+		if s.cRunning != nil {
+			s.cRunning.Add(1)
+		}
+	}
+	e := event(EventPointStart, SpanBegin, r, worker)
+	e.Detail = detail
+	s.log.Emit(e)
+}
+
+// PointDone marks a point freshly computed on worker, at the given
+// wall cost.
+func (s *Sweep) PointDone(p Point, worker string, wall time.Duration, virtCycles int64) {
+	if s == nil {
+		return
+	}
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	r, first, span, ok := s.settle(p, PointDone, worker)
+	if !ok {
+		return
+	}
+	r.WallMS, r.VirtCycles = wall.Milliseconds(), virtCycles
+	if first {
+		s.eta.Completed(wall)
+		if s.reg != nil {
+			s.cDone.Inc()
+			s.cVirtCycles.Add(float64(virtCycles))
+			s.hWall.Observe(wall.Seconds())
+		}
+	}
+	e := event(EventPointDone, span, r, worker)
+	e.VirtCycles, e.DurNS = virtCycles, int64(wall)
+	s.log.Emit(e)
+}
+
+// PointReplayed marks a point served from a journal (a cache hit — no
+// simulation work): the sweep's own, or on a coordinator the journal
+// of the worker that resumed it.
+func (s *Sweep) PointReplayed(p Point, worker string, virtCycles int64) {
+	if s == nil {
+		return
+	}
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	r, first, span, ok := s.settle(p, PointReplayed, worker)
+	if !ok {
+		return
+	}
+	r.VirtCycles = virtCycles
+	if first {
+		s.eta.CompletedFree()
+		if s.reg != nil {
+			s.cReplayed.Inc()
+			s.cVirtCycles.Add(float64(virtCycles))
+		}
+	}
+	e := event(EventPointReplay, span, r, worker)
+	e.VirtCycles = virtCycles
+	s.log.Emit(e)
+}
+
+// JournalLookup records one lookup in the sweep's own journal: a hit
+// (the point replays) or a miss (it will simulate). It counts every
+// lookup, including a replay of a point already settled.
+func (s *Sweep) JournalLookup(hit bool) {
+	if s == nil {
+		return
+	}
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	n, c := &s.journalMisses, s.cJournalMisses
+	if hit {
+		n, c = &s.journalHits, s.cJournalHits
+	}
+	*n++
+	if c != nil {
+		c.Inc()
+	}
+}
+
+// PointFailed marks a point failed on worker (panic, engine error, or a
+// journalled failure surfacing on replay).
+func (s *Sweep) PointFailed(p Point, worker, errMsg string) {
+	if s == nil {
+		return
+	}
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	r, first, span, ok := s.settle(p, PointFailed, worker)
+	if !ok {
+		return
+	}
+	r.Error = errMsg
+	if first {
+		s.eta.CompletedFree()
+		if s.reg != nil {
+			s.cFailed.Inc()
+		}
+	}
+	e := event(EventPointFail, span, r, worker)
+	e.Error = errMsg
+	s.log.Emit(e)
 }
 
 // PointTimeout records the watchdog firing on a wedged point; the
 // process exits right after, so this is the last event of the log.
-func (s *Sweep) PointTimeout(name string, budget time.Duration) {
+func (s *Sweep) PointTimeout(p Point, budget time.Duration) {
 	if s == nil {
 		return
 	}
 	s.mu.Lock()
-	if p := s.points[name]; p != nil {
-		p.State = PointFailed
-		p.Error = "watchdog timeout"
+	if r := s.points[p]; r != nil {
+		r.State = PointFailed
+		r.Error = "watchdog timeout"
 	}
 	s.mu.Unlock()
-	s.log.Emit(Event{Kind: EventWatchdog, Span: SpanEnd, Point: name, DurNS: int64(budget),
+	s.log.Emit(Event{Kind: EventWatchdog, Span: SpanEnd, Point: p.Name(), DurNS: int64(budget),
 		Error: "point exceeded the wall-clock budget"})
 }
 
@@ -352,14 +459,24 @@ func formatSummary(c PointCounts) string {
 }
 
 // Status renders the current /status document. The host block reads
-// the live runtime gauges at call time.
+// the live runtime gauges at call time; the workers block, when a
+// source is set, is read before the sweep's lock is taken.
 func (s *Sweep) Status() *StatusDoc {
 	if s == nil {
 		return nil
 	}
 	s.mu.Lock()
+	source := s.workers
+	s.mu.Unlock()
+	var workers []WorkerStatus
+	if source != nil {
+		workers = source()
+	}
+	s.mu.Lock()
 	defer s.mu.Unlock()
-	return s.statusLocked()
+	doc := s.statusLocked()
+	doc.Workers = workers
+	return doc
 }
 
 func (s *Sweep) statusLocked() *StatusDoc {
@@ -375,10 +492,10 @@ func (s *Sweep) statusLocked() *StatusDoc {
 	}
 	doc.Host.Host = perf.ReadHost()
 	doc.Host.HeapBytes, doc.Host.Goroutines = perf.ReadHostGauges()
-	for _, name := range s.order {
-		p := *s.points[name]
-		doc.Points = append(doc.Points, p)
-		switch p.State {
+	for _, p := range s.order {
+		r := *s.points[p]
+		doc.Points = append(doc.Points, r)
+		switch r.State {
 		case PointPending:
 			doc.Counts.Pending++
 		case PointRunning:

@@ -52,7 +52,7 @@ type chromeTrace struct {
 // WriteChromeEvents is the one Chrome trace-event writer: it encodes
 // events as the JSON-object flavour of the format. meta, if non-nil,
 // lands in the file's otherData block (app name, config hash, ...).
-// WriteChromeTrace and tracetool's fleet export both go through it.
+// WriteChromeTrace and `tracetool events -chrome` both go through it.
 func WriteChromeEvents(w io.Writer, events []ChromeEvent, meta map[string]string) error {
 	return json.NewEncoder(w).Encode(chromeTrace{TraceEvents: events, DisplayTimeUnit: "ms", OtherData: meta})
 }
