@@ -44,17 +44,16 @@ package main
 import (
 	"flag"
 	"fmt"
-	"io"
 	"os"
 	"os/signal"
 	"strings"
 	"syscall"
-	"time"
 
 	"clustersim/internal/apps"
 	"clustersim/internal/apps/registry"
 	"clustersim/internal/core"
 	"clustersim/internal/critpath"
+	"clustersim/internal/experiments"
 	"clustersim/internal/fault"
 	"clustersim/internal/obs"
 	"clustersim/internal/perf"
@@ -149,28 +148,24 @@ func main() {
 		fatal(fmt.Errorf("-sample %d: interval must be non-negative", *sample))
 	}
 
-	// Any observability flag attaches a collector. -progress and -serve
-	// both ride the interval sampler, so either one without an explicit
+	// The instruments, the artifacts and the sweep reports are the
+	// shared per-point runner's (experiments.RunPoint), so a single run
+	// records exactly what a suite point does. -progress and -serve both
+	// ride the interval sampler, so either one without an explicit
 	// -sample gets the default grid (see effectiveSampleInterval).
-	sampleEvery := effectiveSampleInterval(*sample, *progress || *serve != "")
-	var col *telemetry.Collector
-	if *traceOut != "" || *jsonOut || sampleEvery > 0 {
-		col = telemetry.New()
-		if *progress {
-			col.SetProgress(os.Stderr, *app)
+	art := experiments.Artifacts{
+		TracePath:    *traceOut,
+		ProfilePath:  *profOut,
+		ProfileTop:   *topLines,
+		CritpathPath: *critOut,
+		SampleEvery:  effectiveSampleInterval(*sample, *progress || *serve != ""),
+		Manifest:     *jsonOut,
+	}
+	if *progress {
+		art.OnSample = func(at telemetry.Clock, t telemetry.ClusterSample) {
+			fmt.Fprintf(os.Stderr, "%s cycle %d: refs +%d  rd-miss +%d  merge +%d  inval +%d\n",
+				*app, at, t.Refs.References(), t.Refs.ReadMisses, t.Refs.Merges, t.Coh.InvalidationsSent)
 		}
-		cfg.Telemetry = col
-		cfg.SampleEvery = sampleEvery
-	}
-	var prof *profile.Collector
-	if *profOut != "" {
-		prof = profile.New()
-		cfg.Profile = prof
-	}
-	var crit *critpath.Analyzer
-	if *critOut != "" {
-		crit = critpath.New()
-		cfg.Critpath = crit
 	}
 	// The manifest's host block comes from the performance monitor; it
 	// observes through the engine's token discipline and never perturbs
@@ -187,7 +182,6 @@ func main() {
 	// span. Wall-clock-side only — the run's Result and config hash are
 	// byte-identical with or without it.
 	var sweep *obs.Sweep
-	point := obs.Point{App: *app, Cluster: *cluster, CacheKB: *cacheKB}
 	if *serve != "" {
 		runID := fmt.Sprintf("clustersim-%d", os.Getpid())
 		reg := obs.NewRegistry()
@@ -200,13 +194,17 @@ func main() {
 		rdMiss := reg.Counter("clustersim_run_read_misses_total", "Read misses accumulated over telemetry samples.")
 		merges := reg.Counter("clustersim_run_merges_total", "Fill merges accumulated over telemetry samples.")
 		invals := reg.Counter("clustersim_run_invalidations_total", "Invalidations sent, accumulated over telemetry samples.")
-		col.SetOnSample(func(at telemetry.Clock, t telemetry.ClusterSample) {
+		progressLine := art.OnSample
+		art.OnSample = func(at telemetry.Clock, t telemetry.ClusterSample) {
+			if progressLine != nil {
+				progressLine(at, t)
+			}
 			vt.Set(float64(at))
 			refs.Add(float64(t.Refs.References()))
 			rdMiss.Add(float64(t.Refs.ReadMisses))
 			merges.Add(float64(t.Refs.Merges))
 			invals.Add(float64(t.Coh.InvalidationsSent))
-		})
+		}
 		srv, err := obs.NewServer(reg, sweep, evlog).Start(*serve)
 		if err != nil {
 			fatal(err)
@@ -218,6 +216,11 @@ func main() {
 	if err := cfg.Validate(); err != nil {
 		fatal(err)
 	}
+	// Every artifact names the configuration it came from.
+	hash, err := telemetry.HashConfig(cfg)
+	if err != nil {
+		fatal(err)
+	}
 	if *cpuprofile != "" {
 		stop, err := perf.StartCPUProfile(*cpuprofile)
 		if err != nil {
@@ -225,82 +228,31 @@ func main() {
 		}
 		defer stop()
 	}
-	sweep.PointStarted(point, "", "")
-	// Wall timing feeds the observability plane only, never the machine.
-	start := time.Now() //simlint:allow wallclock
-	res, err := w.Run(cfg, sz)
+	run, err := experiments.RunPoint(w, cfg, sz, hash, art, sweep)
 	if err != nil {
-		sweep.PointFailed(point, "", err.Error())
 		fatal(err)
 	}
-	sweep.PointDone(point, "", time.Since(start), int64(res.ExecTime)) //simlint:allow wallclock
 	sweep.Finish(0)
 	if *memprofile != "" {
 		if err := perf.WriteHeapProfile(*memprofile); err != nil {
 			fatal(err)
 		}
 	}
-
-	// Every artifact names the configuration it came from.
-	hash, err := telemetry.HashConfig(cfg)
-	if err != nil {
-		fatal(err)
-	}
-	var profReport *profile.Report
-	if prof != nil {
-		profReport = prof.Report(*topLines)
-		profReport.App, profReport.Size, profReport.ConfigHash = *app, sz.String(), hash
-		if err := telemetry.AtomicFile(*profOut, func(w io.Writer) error {
-			return profile.WriteReport(w, profReport)
-		}); err != nil {
-			fatal(err)
-		}
+	if *profOut != "" {
 		fmt.Fprintf(os.Stderr, "clustersim: wrote sharing profile to %s (render with `tracetool profile %s`)\n",
 			*profOut, *profOut)
 	}
-
-	var critReport *critpath.Report
-	if crit != nil {
-		critReport = crit.Report(0)
-		critReport.App, critReport.Size, critReport.ConfigHash = *app, sz.String(), hash
-		if err := telemetry.AtomicFile(*critOut, func(w io.Writer) error {
-			return critpath.WriteReport(w, critReport)
-		}); err != nil {
-			fatal(err)
-		}
+	if *critOut != "" {
 		fmt.Fprintf(os.Stderr, "clustersim: wrote critical-path analysis to %s (render with `tracetool critpath %s`)\n",
 			*critOut, *critOut)
 	}
-
 	if *traceOut != "" {
-		if err := telemetry.AtomicFile(*traceOut, func(w io.Writer) error {
-			return telemetry.WriteChromeTrace(w, col, map[string]string{
-				"app": *app, "size": sz.String(), "configHash": hash,
-			})
-		}); err != nil {
-			fatal(err)
-		}
 		fmt.Fprintf(os.Stderr, "clustersim: wrote trace to %s (open at ui.perfetto.dev)\n", *traceOut)
 	}
 
 	if *jsonOut {
-		m := telemetry.Manifest{
-			App:       *app,
-			Size:      sz.String(),
-			Config:    cfg,
-			Result:    res,
-			Memory:    res.MemoryReport(),
-			Telemetry: col.SelfReport(),
-		}
-		if mon != nil {
-			m.Host = mon.Report().Host
-		}
-		if profReport != nil {
-			m.Profile = profReport.Summary()
-		}
-		if critReport != nil {
-			m.Critpath = critReport.Summary()
-		}
+		m := *run.Manifest
+		m.Host = mon.Report().Host
 		if err := telemetry.WriteManifest(os.Stdout, m); err != nil {
 			fatal(err)
 		}
@@ -308,14 +260,14 @@ func main() {
 	}
 
 	fmt.Printf("%s (%s size)\n", w.Name, sz)
-	res.WriteSummary(os.Stdout)
-	if profReport != nil {
+	run.Result.WriteSummary(os.Stdout)
+	if run.Profile != nil {
 		fmt.Println()
-		profile.WriteFlat(os.Stdout, profReport)
+		profile.WriteFlat(os.Stdout, run.Profile)
 	}
-	if critReport != nil {
+	if run.Critpath != nil {
 		fmt.Println()
-		critpath.WriteFlat(os.Stdout, critReport)
+		critpath.WriteFlat(os.Stdout, run.Critpath)
 	}
 }
 

@@ -3,8 +3,7 @@
 //
 // Usage:
 //
-//	simlint [-C dir] [-tests] [-q] [-disable rules]
-//	        [-sarif file] [-baseline file] [-write-baseline file]
+//	simlint [-C dir] [-tests] [-q] [-disable rules] [-sarif file]
 //	        [packages...]
 //
 // where packages are directories or "dir/..." wildcards relative to the
@@ -20,21 +19,21 @@
 //	hashexclude — core.Config fields out of step with HashExcludedFields,
 //	              the declared config-hash exclusion set
 //	readonly    — observer packages (telemetry, profile, perf, critpath,
-//	              sanitizer, obs) writing through pointers to simulation
-//	              state or calling its mutating methods
+//	              sanitizer, obs, trace) writing through pointers to
+//	              simulation state or calling its mutating methods
 //	syncname    — empty or duplicate constant names passed to
 //	              NewBarrierN/NewLock/NewFlag (core.defineSync panics at
 //	              run time on duplicates)
 //	unusedallow — //simlint:allow directives that suppress nothing
 //	              (skip the audit with -disable unusedallow)
 //
-// Findings are silenced with `//simlint:allow <rule>` on or directly
-// above the offending line, or in the enclosing function's doc comment.
+// A finding is exempted only by `//simlint:allow <rule>` on or directly
+// above the offending line, or in the enclosing function's doc comment;
+// the unusedallow audit keeps those directives honest. -tests lints
+// _test.go files as well and reports every finding the plain pass
+// does, so one -tests pass gates the whole tree.
 //
 // -sarif writes the findings as a SARIF 2.1.0 log ("-" for stdout).
-// -baseline grandfathers findings matched by the given baseline file;
-// only fresh findings gate (stale baseline entries are warned about).
-// -write-baseline snapshots the current findings as a new baseline.
 // Exit status: 0 clean, 1 findings, 2 usage or load error.
 package main
 
@@ -62,13 +61,11 @@ func realMain(args []string, stdout, stderr io.Writer) int {
 	fs := flag.NewFlagSet("simlint", flag.ContinueOnError)
 	fs.SetOutput(stderr)
 	var (
-		chdir         = fs.String("C", ".", "module directory to lint")
-		tests         = fs.Bool("tests", false, "also lint _test.go files")
-		quiet         = fs.Bool("q", false, "print only the finding count")
-		disable       = fs.String("disable", "", "comma-separated rules to disable")
-		sarifPath     = fs.String("sarif", "", "write findings as SARIF 2.1.0 to this file (\"-\" for stdout)")
-		baselinePath  = fs.String("baseline", "", "grandfather findings matched by this baseline file")
-		writeBaseline = fs.String("write-baseline", "", "snapshot current findings to this baseline file and exit")
+		chdir     = fs.String("C", ".", "module directory to lint")
+		tests     = fs.Bool("tests", false, "also lint _test.go files")
+		quiet     = fs.Bool("q", false, "print only the finding count")
+		disable   = fs.String("disable", "", "comma-separated rules to disable")
+		sarifPath = fs.String("sarif", "", "write findings as SARIF 2.1.0 to this file (\"-\" for stdout)")
 	)
 	if err := fs.Parse(args); err != nil {
 		return exitUsage
@@ -97,34 +94,7 @@ func realMain(args []string, stdout, stderr io.Writer) int {
 		fmt.Fprintln(stderr, "simlint:", err)
 		return exitUsage
 	}
-	root := loader.ModRoot()
-
 	findings := lint.CheckModule(pkgs, opts)
-
-	if *writeBaseline != "" {
-		b := lint.NewBaseline(findings, root)
-		if err := b.WriteFile(*writeBaseline); err != nil {
-			fmt.Fprintln(stderr, "simlint:", err)
-			return exitUsage
-		}
-		fmt.Fprintf(stdout, "simlint: wrote baseline %s covering %d finding(s)\n", *writeBaseline, len(findings))
-		return exitOK
-	}
-
-	grandfathered := 0
-	if *baselinePath != "" {
-		b, err := lint.LoadBaseline(*baselinePath)
-		if err != nil {
-			fmt.Fprintln(stderr, "simlint:", err)
-			return exitUsage
-		}
-		var stale []lint.BaselineEntry
-		findings, grandfathered, stale = b.Apply(findings, root)
-		for _, e := range stale {
-			fmt.Fprintf(stderr, "simlint: baseline entry matches nothing (fixed? remove it): %s %s %q\n",
-				e.Rule, e.File, e.Msg)
-		}
-	}
 
 	if *sarifPath != "" {
 		w := stdout
@@ -137,7 +107,7 @@ func realMain(args []string, stdout, stderr io.Writer) int {
 			}
 			w = f
 		}
-		err = lint.WriteSARIF(w, findings, root)
+		err = lint.WriteSARIF(w, findings, loader.ModRoot())
 		if f != nil {
 			if cerr := f.Close(); err == nil {
 				err = cerr
@@ -155,11 +125,7 @@ func realMain(args []string, stdout, stderr io.Writer) int {
 		}
 	}
 	if len(findings) > 0 {
-		fmt.Fprintf(stderr, "simlint: %d finding(s) in %d package(s)", len(findings), len(pkgs))
-		if grandfathered > 0 {
-			fmt.Fprintf(stderr, " (+%d grandfathered by baseline)", grandfathered)
-		}
-		fmt.Fprintln(stderr)
+		fmt.Fprintf(stderr, "simlint: %d finding(s) in %d package(s)\n", len(findings), len(pkgs))
 		return exitFindings
 	}
 	return exitOK

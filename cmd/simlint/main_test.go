@@ -155,61 +155,3 @@ func TestSARIFFlag(t *testing.T) {
 		t.Errorf("-sarif - must print only the SARIF log:\n%s", out)
 	}
 }
-
-func TestBaselineFlags(t *testing.T) {
-	root := writeModule(t)
-	baseline := filepath.Join(t.TempDir(), "baseline.json")
-
-	code, out, _ := run(t, "-C", root, "-write-baseline", baseline)
-	if code != exitOK || !strings.Contains(out, "covering 1 finding(s)") {
-		t.Fatalf("write-baseline: exit %d out %q", code, out)
-	}
-
-	// Grandfathered by the baseline: clean exit.
-	code, _, stderr := run(t, "-C", root, "-baseline", baseline)
-	if code != exitOK {
-		t.Fatalf("baselined run: exit %d, want %d (%s)", code, exitOK, stderr)
-	}
-
-	// A new violation still gates, and the summary reports both counts.
-	extra := filepath.Join(root, "internal/core/more.go")
-	src := "package core\n\nimport \"time\"\n\n// Later leaks more wall-clock time.\nfunc Later() int64 { return time.Now().Unix() }\n"
-	if err := os.WriteFile(extra, []byte(src), 0o644); err != nil {
-		t.Fatal(err)
-	}
-	code, out, stderr = run(t, "-C", root, "-baseline", baseline)
-	if code != exitFindings {
-		t.Fatalf("fresh finding past baseline: exit %d, want %d", code, exitFindings)
-	}
-	if !strings.Contains(out, "more.go") || strings.Contains(out, "clock.go") {
-		t.Errorf("only the fresh finding should print:\n%s", out)
-	}
-	if !strings.Contains(stderr, "+1 grandfathered") {
-		t.Errorf("summary should count grandfathered findings: %s", stderr)
-	}
-
-	// Fixing the baselined file makes its entry stale: warned, not fatal.
-	if err := os.Remove(filepath.Join(root, "internal/core/clock.go")); err != nil {
-		t.Fatal(err)
-	}
-	if err := os.Remove(extra); err != nil {
-		t.Fatal(err)
-	}
-	clean := "package core\n\n// Quiet has no findings.\nfunc Quiet() {}\n"
-	if err := os.WriteFile(filepath.Join(root, "internal/core/clock.go"), []byte(clean), 0o644); err != nil {
-		t.Fatal(err)
-	}
-	code, _, stderr = run(t, "-C", root, "-baseline", baseline)
-	if code != exitOK || !strings.Contains(stderr, "matches nothing") {
-		t.Fatalf("stale baseline entry: exit %d stderr %q", code, stderr)
-	}
-
-	// Schema mismatch is a usage error.
-	if err := os.WriteFile(baseline, []byte(`{"schema":"wrong/v0","findings":[]}`), 0o644); err != nil {
-		t.Fatal(err)
-	}
-	code, _, _ = run(t, "-C", root, "-baseline", baseline)
-	if code != exitUsage {
-		t.Fatalf("bad baseline schema: exit %d, want %d", code, exitUsage)
-	}
-}

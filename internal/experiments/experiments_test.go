@@ -2,6 +2,7 @@ package experiments
 
 import (
 	"strings"
+	"sync"
 	"testing"
 
 	"clustersim/internal/apps"
@@ -29,10 +30,12 @@ func TestSuiteMemoizes(t *testing.T) {
 	}
 }
 
+// fig2Suite memoizes Figure 2's points once per test binary, so its
+// data and print tests simulate each point once.
+var fig2Suite = sync.OnceValue(func() *Suite { return NewSuite(quickOpts(new(strings.Builder))) })
+
 func TestFig2DataShape(t *testing.T) {
-	var buf strings.Builder
-	s := NewSuite(quickOpts(&buf))
-	bars, err := s.Fig2Data()
+	bars, err := fig2Suite().Fig2Data()
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -55,7 +58,9 @@ func TestFig2DataShape(t *testing.T) {
 
 func TestFig2Prints(t *testing.T) {
 	var buf strings.Builder
-	if err := NewSuite(quickOpts(&buf)).PrintFig2(); err != nil {
+	s := fig2Suite()
+	s.Opt.Out = &buf
+	if err := s.PrintFig2(); err != nil {
 		t.Fatal(err)
 	}
 	out := buf.String()

@@ -2,6 +2,7 @@ package experiments
 
 import (
 	"fmt"
+	"io"
 
 	"clustersim/internal/apps/registry"
 	"clustersim/internal/core"
@@ -77,10 +78,13 @@ func ExtAssociativityData(opt Options) ([]AssocRow, error) {
 // ExtAssociativity prints the destructive-interference study.
 func ExtAssociativity(opt Options) error {
 	rows, err := ExtAssociativityData(opt)
-	if err != nil {
-		return err
+	if err == nil {
+		writeAssociativity(opt.out(), rows)
 	}
-	w := opt.out()
+	return err
+}
+
+func writeAssociativity(w io.Writer, rows []AssocRow) {
 	fmt.Fprintln(w, "Extension A: Destructive Interference from Limited Associativity")
 	fmt.Fprintln(w, "(4 KB per processor; the paper's main study is fully associative)")
 	fmt.Fprintf(w, "%-10s %-6s %-6s %12s %12s %12s\n",
@@ -93,7 +97,6 @@ func ExtAssociativity(opt Options) error {
 		fmt.Fprintf(w, "%-10s %-6s %-6s %12d %12d %12d\n",
 			r.App, ways, fmt.Sprintf("%dp", r.ClusterSize), r.ExecTime, r.ReadMisses, r.Evictions)
 	}
-	return nil
 }
 
 // OrgRow is one cell of the cluster-organisation comparison.
@@ -147,10 +150,13 @@ func ExtOrganizationsData(opt Options) ([]OrgRow, error) {
 // ExtOrganizations prints the cluster-organisation comparison.
 func ExtOrganizations(opt Options) error {
 	rows, err := ExtOrganizationsData(opt)
-	if err != nil {
-		return err
+	if err == nil {
+		writeOrganizations(opt.out(), rows)
 	}
-	w := opt.out()
+	return err
+}
+
+func writeOrganizations(w io.Writer, rows []OrgRow) {
 	fmt.Fprintln(w, "Extension B: Shared-Cache vs Shared-Main-Memory Clusters")
 	fmt.Fprintln(w, "(4 KB per processor; shared-memory clusters add an infinite attraction memory)")
 	fmt.Fprintf(w, "%-10s %-14s %-6s %12s %14s\n",
@@ -160,7 +166,6 @@ func ExtOrganizations(opt Options) error {
 			r.App, r.Organization, fmt.Sprintf("%dp", r.ClusterSize),
 			r.ExecTime, 100*r.IntraFrac)
 	}
-	return nil
 }
 
 // ScaleRow is one cell of the processor-scaling study.

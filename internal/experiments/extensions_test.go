@@ -2,14 +2,25 @@ package experiments
 
 import (
 	"strings"
+	"sync"
 	"testing"
 
 	"clustersim/internal/core"
 )
 
+// The associativity and organisation studies are simulated once per
+// test binary: their data and print tests share the rows.
+var (
+	assocRows = sync.OnceValues(func() ([]AssocRow, error) {
+		return ExtAssociativityData(quickOpts(new(strings.Builder)))
+	})
+	orgRows = sync.OnceValues(func() ([]OrgRow, error) {
+		return ExtOrganizationsData(quickOpts(new(strings.Builder)))
+	})
+)
+
 func TestExtAssociativityShowsInterference(t *testing.T) {
-	var buf strings.Builder
-	rows, err := ExtAssociativityData(quickOpts(&buf))
+	rows, err := assocRows()
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -33,18 +44,19 @@ func TestExtAssociativityShowsInterference(t *testing.T) {
 }
 
 func TestExtAssociativityPrints(t *testing.T) {
-	var buf strings.Builder
-	if err := ExtAssociativity(quickOpts(&buf)); err != nil {
+	rows, err := assocRows()
+	if err != nil {
 		t.Fatal(err)
 	}
+	var buf strings.Builder
+	writeAssociativity(&buf, rows)
 	if !strings.Contains(buf.String(), "full") || !strings.Contains(buf.String(), "ocean") {
 		t.Errorf("output incomplete:\n%s", buf.String())
 	}
 }
 
 func TestExtOrganizationsData(t *testing.T) {
-	var buf strings.Builder
-	rows, err := ExtOrganizationsData(quickOpts(&buf))
+	rows, err := orgRows()
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -71,10 +83,12 @@ func TestExtOrganizationsData(t *testing.T) {
 }
 
 func TestExtOrganizationsPrints(t *testing.T) {
-	var buf strings.Builder
-	if err := ExtOrganizations(quickOpts(&buf)); err != nil {
+	rows, err := orgRows()
+	if err != nil {
 		t.Fatal(err)
 	}
+	var buf strings.Builder
+	writeOrganizations(&buf, rows)
 	out := buf.String()
 	if !strings.Contains(out, "shared-memory") || !strings.Contains(out, "in-cluster") {
 		t.Errorf("output incomplete:\n%s", out)

@@ -7,7 +7,6 @@
 package experiments
 
 import (
-	"bytes"
 	"encoding/json"
 	"fmt"
 	"io"
@@ -18,10 +17,8 @@ import (
 	"clustersim/internal/apps"
 	"clustersim/internal/apps/registry"
 	"clustersim/internal/core"
-	"clustersim/internal/critpath"
 	"clustersim/internal/fault"
 	"clustersim/internal/obs"
-	"clustersim/internal/profile"
 	"clustersim/internal/telemetry"
 )
 
@@ -164,10 +161,12 @@ func NewSuite(opt Options) *Suite {
 
 // Run simulates one (application, cluster size, cache size) point,
 // memoized. With a Journal attached, a previously journalled point is
-// replayed instead of re-simulated and a fresh one is journalled; the
-// point executes under panic isolation (a panic becomes a per-point
-// failure record and error, not a suite crash) and, with PointTimeout,
-// a wall-clock watchdog.
+// replayed instead of re-simulated and a fresh one is journalled. A
+// fresh point runs through RunPoint, which attaches the instruments the
+// options ask for and writes the point's artifacts under their
+// directories; a failure becomes a journalled failure record and an
+// error, not a suite crash. With PointTimeout a wall-clock watchdog
+// guards the point.
 func (s *Suite) Run(app string, clusterSize, cacheKB int) (*core.Result, error) {
 	key := obs.Point{App: app, Cluster: clusterSize, CacheKB: cacheKB}
 	if r, ok := s.runs[key]; ok {
@@ -186,11 +185,9 @@ func (s *Suite) Run(app string, clusterSize, cacheKB int) (*core.Result, error) 
 	sizeName := s.Opt.Size.String()
 	// One hash per point: the journal key, the watchdog's failure record
 	// and every artifact's configHash share it.
-	var hash string
-	if s.Opt.Journal != nil || s.Opt.PointTimeout > 0 || s.Opt.exporting() {
-		if hash, err = telemetry.HashConfig(cfg); err != nil {
-			return nil, err
-		}
+	hash, err := telemetry.HashConfig(cfg)
+	if err != nil {
+		return nil, err
 	}
 	if s.Opt.Journal != nil {
 		res, ok, err := s.Opt.Journal.Load(app, sizeName, clusterSize, cacheKB, hash)
@@ -225,33 +222,12 @@ func (s *Suite) Run(app string, clusterSize, cacheKB int) (*core.Result, error) 
 	if s.Opt.StopAfter > 0 && s.fresh >= s.Opt.StopAfter {
 		return nil, ErrInterrupted
 	}
-	var col *telemetry.Collector
-	if s.Opt.observing() {
-		col = telemetry.New()
-		cfg.Telemetry = col
-		cfg.SampleEvery = s.Opt.SampleEvery
-	}
-	var prof *profile.Collector
-	if s.Opt.ProfileDir != "" {
-		prof = profile.New()
-		cfg.Profile = prof
-	}
-	var crit *critpath.Analyzer
-	if s.Opt.CritpathDir != "" {
-		crit = critpath.New()
-		cfg.Critpath = crit
-	}
 	if s.Opt.PointTimeout > 0 {
 		timer := s.armWatchdog(key, sizeName, hash)
 		defer timer.Stop()
 	}
-	s.Opt.Obs.PointStarted(key, "", "")
-	// Wall timing here feeds the progress line and run manifest only,
-	// never simulated state.
-	start := time.Now() //simlint:allow wallclock
-	res, err := runPoint(w, cfg, s.Opt.Size)
-	if err != nil {
-		s.Opt.Obs.PointFailed(key, "", err.Error())
+	run, err := RunPoint(w, cfg, s.Opt.Size, hash, s.Opt.artifacts(key), s.Opt.Obs)
+	if run == nil {
 		pointErr := fmt.Errorf("%s cluster=%d cache=%s: %w", app, clusterSize, obs.CacheLabel(cacheKB), err)
 		if s.Opt.Journal != nil {
 			if jerr := s.Opt.Journal.StoreFailure(FailureRecord{
@@ -264,35 +240,33 @@ func (s *Suite) Run(app string, clusterSize, cacheKB int) (*core.Result, error) 
 		return nil, pointErr
 	}
 	s.fresh++
-	wall := time.Since(start) //simlint:allow wallclock
-	s.Opt.Obs.PointDone(key, "", wall, int64(res.ExecTime))
-	if err := s.export(key, cfg, hash, col, prof, crit, res, wall); err != nil {
+	if err != nil {
 		return nil, err
+	}
+	if s.Opt.Progress != nil {
+		fmt.Fprintf(s.Opt.Progress, "ran %s cluster=%d cache=%s: exec %d cycles (wall %v)\n",
+			app, clusterSize, obs.CacheLabel(cacheKB), run.Result.ExecTime, run.Wall.Round(time.Millisecond))
+	}
+	if s.Opt.ManifestOut != nil {
+		// Compact, one line per point, so the stream is JSONL.
+		line, err := json.Marshal(run.Manifest)
+		if err == nil {
+			_, err = s.Opt.ManifestOut.Write(append(line, '\n'))
+		}
+		if err != nil {
+			return nil, err
+		}
 	}
 	if s.Opt.Journal != nil {
 		if err := s.Opt.Journal.Store(PointRecord{
 			App: app, Size: sizeName, ClusterSize: clusterSize, CacheKB: cacheKB,
-			ConfigHash: hash, Result: res,
+			ConfigHash: hash, Result: run.Result,
 		}); err != nil {
 			return nil, err
 		}
 	}
-	s.runs[key] = res
-	return res, nil
-}
-
-// runPoint executes one workload under panic isolation: a panic that
-// escapes the engine (application setup or verification code running
-// outside Scheduler.Run) is converted to an error carrying the
-// workload's coordinates instead of killing the whole suite. Engine-
-// internal panics are already annotated and converted by the scheduler.
-func runPoint(w apps.Runner, cfg core.Config, size apps.Size) (res *core.Result, err error) {
-	defer func() {
-		if r := recover(); r != nil {
-			err = fmt.Errorf("point panicked outside the engine: %v", r)
-		}
-	}()
-	return w.Run(cfg, size)
+	s.runs[key] = run.Result
+	return run.Result, nil
 }
 
 // armWatchdog starts the per-point wall-clock watchdog: if the point is
@@ -328,115 +302,23 @@ func (s *Suite) armWatchdog(key obs.Point, sizeName, hash string) *time.Timer {
 	})
 }
 
-// observing reports whether runs need a telemetry collector attached.
-func (o Options) observing() bool {
-	return o.SampleEvery > 0 || o.TraceDir != "" || o.ManifestOut != nil
-}
-
-// exporting reports whether runs write artifacts that carry the
-// point's config hash.
-func (o Options) exporting() bool {
-	return o.TraceDir != "" || o.ProfileDir != "" || o.CritpathDir != "" || o.ManifestOut != nil
-}
-
-// artifactPath is one point's artifact file in dir (created if
-// missing), e.g. ocean-c4-16k.profile.json.
-func artifactPath(dir string, key obs.Point, ext string) (string, error) {
-	if err := os.MkdirAll(dir, 0o755); err != nil {
-		return "", err
+// artifacts names one point's files in the options' artifact
+// directories, e.g. ocean-c4-16k.profile.json.
+func (o Options) artifacts(key obs.Point) Artifacts {
+	in := func(dir, ext string) string {
+		if dir == "" {
+			return ""
+		}
+		return filepath.Join(dir, key.Name()+ext)
 	}
-	return filepath.Join(dir, key.Name()+ext), nil
-}
-
-// export emits the per-point observability artifacts: a progress line,
-// a Chrome trace file, a sharing-profile JSON, a critical-path JSON,
-// and a manifest JSONL row. hash is the point's config hash; the files
-// are written atomically, so a crash never leaves a torn artifact.
-func (s *Suite) export(key obs.Point, cfg core.Config, hash string, col *telemetry.Collector,
-	prof *profile.Collector, crit *critpath.Analyzer, res *core.Result, wall time.Duration) error {
-	if s.Opt.Progress != nil {
-		fmt.Fprintf(s.Opt.Progress, "ran %s cluster=%d cache=%s: exec %d cycles (wall %v)\n",
-			key.App, key.Cluster, obs.CacheLabel(key.CacheKB), res.ExecTime, wall.Round(time.Millisecond))
+	return Artifacts{
+		TracePath:    in(o.TraceDir, ".trace.json"),
+		ProfilePath:  in(o.ProfileDir, ".profile.json"),
+		ProfileTop:   o.ProfileTop,
+		CritpathPath: in(o.CritpathDir, ".critpath.json"),
+		SampleEvery:  o.SampleEvery,
+		Manifest:     o.ManifestOut != nil,
 	}
-	var profReport *profile.Report
-	if prof != nil {
-		top := s.Opt.ProfileTop
-		if top <= 0 {
-			top = 10
-		}
-		profReport = prof.Report(top)
-		profReport.App, profReport.Size, profReport.ConfigHash = key.App, s.Opt.Size.String(), hash
-		path, err := artifactPath(s.Opt.ProfileDir, key, ".profile.json")
-		if err != nil {
-			return err
-		}
-		if err := telemetry.AtomicFile(path, func(w io.Writer) error {
-			return profile.WriteReport(w, profReport)
-		}); err != nil {
-			return err
-		}
-	}
-	var critReport *critpath.Report
-	if crit != nil {
-		critReport = crit.Report(0)
-		critReport.App, critReport.Size, critReport.ConfigHash = key.App, s.Opt.Size.String(), hash
-		path, err := artifactPath(s.Opt.CritpathDir, key, ".critpath.json")
-		if err != nil {
-			return err
-		}
-		if err := telemetry.AtomicFile(path, func(w io.Writer) error {
-			return critpath.WriteReport(w, critReport)
-		}); err != nil {
-			return err
-		}
-	}
-	if col == nil {
-		return nil
-	}
-	if s.Opt.TraceDir != "" {
-		path, err := artifactPath(s.Opt.TraceDir, key, ".trace.json")
-		if err != nil {
-			return err
-		}
-		if err := telemetry.AtomicFile(path, func(w io.Writer) error {
-			return telemetry.WriteChromeTrace(w, col, map[string]string{
-				"app": key.App, "size": s.Opt.Size.String(), "configHash": hash,
-			})
-		}); err != nil {
-			return err
-		}
-	}
-	if s.Opt.ManifestOut != nil {
-		// Compact (one line) so the stream is JSONL.
-		var b bytes.Buffer
-		m := telemetry.Manifest{
-			App:        key.App,
-			Size:       s.Opt.Size.String(),
-			ConfigHash: hash,
-			Config:     cfg,
-			Result:     res,
-			Memory:     res.MemoryReport(),
-			Telemetry:  col.SelfReport(),
-		}
-		if profReport != nil {
-			m.Profile = profReport.Summary()
-		}
-		if critReport != nil {
-			m.Critpath = critReport.Summary()
-		}
-		if err := telemetry.WriteManifest(&b, m); err != nil {
-			return err
-		}
-		var compact bytes.Buffer
-		if err := json.Compact(&compact, b.Bytes()); err != nil {
-			return err
-		}
-		compact.WriteByte('\n')
-		if _, err := s.Opt.ManifestOut.Write(compact.Bytes()); err != nil {
-			return err
-		}
-	}
-	return nil
 }
 
 // Bar is one stacked bar of a paper figure.

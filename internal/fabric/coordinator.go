@@ -40,18 +40,14 @@ type CoordinatorConfig struct {
 	// (MP3D vs Barnes). Safe because results are deterministic.
 	Steal bool
 
-	// DisableLocal turns off the degraded mode in which the
-	// coordinator runs pending points itself when no live workers
-	// exist. With local execution on (the default), a sweep always
-	// completes, even if no worker ever connects.
-	DisableLocal bool
-
 	// LocalGrace is how long the coordinator waits for (re)connecting
 	// workers before running points locally. Default 2s.
 	LocalGrace time.Duration
 
-	// Run executes one point locally (degraded mode). Required unless
-	// DisableLocal.
+	// Run executes one point locally in the degraded mode, in which the
+	// coordinator runs pending points itself when no live workers
+	// exist, so a sweep completes even if no worker ever connects. A
+	// nil Run disables the degraded mode.
 	Run Runner
 
 	// OnResult receives each point's first completion (the sink the
@@ -609,11 +605,7 @@ func (c *Coordinator) Run(specs []PointSpec) (map[string]*core.Result, error) {
 		c.queue = append(c.queue, key)
 		c.remaining++
 	}
-	if c.cfg.DisableLocal {
-		c.localAt = time.Time{}
-	} else {
-		c.localAt = c.now().Add(c.cfg.localGrace())
-	}
+	c.localAt = c.now().Add(c.cfg.localGrace())
 	total := len(c.points)
 	c.mu.Unlock()
 	c.progressf("distributing %d points", total)
@@ -625,8 +617,8 @@ func (c *Coordinator) Run(specs []PointSpec) (map[string]*core.Result, error) {
 		fatal := c.fatal
 		remaining := c.remaining
 		var local *point
-		if fatal == nil && remaining > 0 && !c.cfg.DisableLocal && c.cfg.Run != nil &&
-			c.liveWorkersLocked() == 0 && !c.localAt.IsZero() && !now.Before(c.localAt) {
+		if fatal == nil && remaining > 0 && c.cfg.Run != nil &&
+			c.liveWorkersLocked() == 0 && !now.Before(c.localAt) {
 			local = c.popEligibleLocalLocked(now)
 		}
 		c.mu.Unlock()

@@ -358,7 +358,6 @@ func TestFabricStoppedWorkerTakesNoWork(t *testing.T) {
 // instead of recomputing.
 func TestFabricWorkerRestartResumes(t *testing.T) {
 	cfg := quickCfg()
-	cfg.DisableLocal = true
 	cfg.Run = nil
 	tf := newTestFabric(t, ChaosPlan{}, cfg)
 	specs := makeSpecs(1)

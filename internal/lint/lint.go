@@ -44,9 +44,9 @@
 //	              JSON.
 //	readonly    — observer packages (internal/telemetry, internal/profile,
 //	              internal/perf, internal/critpath, internal/sanitizer,
-//	              internal/obs) must not mutate core simulation state: no
-//	              assignments through pointers to state-package types,
-//	              and no calls to their mutating
+//	              internal/obs, internal/trace) must not mutate core
+//	              simulation state: no assignments through pointers to
+//	              state-package types, and no calls to their mutating
 //	              (pointer-receiver, non-accessor) methods. Mutating
 //	              methods are computed by a fixed point over method
 //	              bodies, so an accessor that merely reads stays callable.
@@ -181,7 +181,7 @@ var simulationPackages = []string{
 // what makes "observed runs are byte-identical to unobserved ones" a
 // checkable contract rather than a convention.
 var observerPackages = []string{
-	"telemetry", "profile", "perf", "critpath", "sanitizer", "obs",
+	"telemetry", "profile", "perf", "critpath", "sanitizer", "obs", "trace",
 }
 
 func pathInSet(path string, segs []string) bool {

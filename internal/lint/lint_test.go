@@ -170,8 +170,7 @@ func TestRuleDisabledSilences(t *testing.T) {
 
 // TestTreeClean runs the full linter — contract rules and unused-allow
 // audit included — over the module itself, including test files: the
-// tree must stay clean with an empty baseline (this is the in-test twin
-// of `make lint`).
+// tree must stay clean (this is the in-test twin of `make simlint`).
 func TestTreeClean(t *testing.T) {
 	if testing.Short() {
 		t.Skip("type-checks the whole module against GOROOT source")
@@ -191,7 +190,7 @@ func TestTreeClean(t *testing.T) {
 // finding. Every package in the observer set is seeded in turn, so a
 // package silently dropping out of the set fails the test.
 func TestSeededObserverMutation(t *testing.T) {
-	for _, pkg := range []string{"perf", "obs", "sanitizer"} {
+	for _, pkg := range []string{"perf", "obs", "sanitizer", "trace"} {
 		t.Run(pkg, func(t *testing.T) {
 			root := t.TempDir()
 			if err := os.WriteFile(filepath.Join(root, "go.mod"), []byte("module clustersim\n\ngo 1.21\n"), 0o644); err != nil {
@@ -284,6 +283,7 @@ func TestIsObserverPackage(t *testing.T) {
 		"clustersim/internal/critpath/sub":  true,
 		"clustersim/internal/sanitizer":     true,
 		"clustersim/internal/obs":           true,
+		"clustersim/internal/trace":         true,
 		"clustersim/internal/core":          false,
 		"clustersim/internal/telemetryfake": false,
 		"clustersim/internal/observatory":   false,

@@ -65,8 +65,8 @@ func (l *Loader) Load(dir string, patterns []string) ([]*Package, error) {
 }
 
 // ModRoot returns the module root directory of the last Load, the base
-// that findings' absolute file names are made relative to in baselines
-// and SARIF output.
+// that findings' absolute file names are made relative to in SARIF
+// output.
 func (l *Loader) ModRoot() string { return l.modRoot }
 
 // LoadDir parses one directory as a single package under the given

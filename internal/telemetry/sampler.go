@@ -1,8 +1,6 @@
 package telemetry
 
 import (
-	"fmt"
-
 	"clustersim/internal/coherence"
 	"clustersim/internal/stats"
 )
@@ -94,16 +92,8 @@ func (c *Collector) Sample(at Clock, cumulative []ClusterSample) {
 		c.prev[i] = cur
 	}
 	c.samples = append(c.samples, s)
-	if c.progress != nil || c.onSample != nil {
-		t := s.Total()
-		if c.progress != nil {
-			fmt.Fprintf(c.progress, "%s cycle %d: refs +%d  rd-miss +%d  merge +%d  inval +%d\n",
-				c.label, at, t.Refs.References(), t.Refs.ReadMisses, t.Refs.Merges,
-				t.Coh.InvalidationsSent)
-		}
-		if c.onSample != nil {
-			c.onSample(at, t)
-		}
+	if c.onSample != nil {
+		c.onSample(at, s.Total())
 	}
 }
 

@@ -21,7 +21,6 @@ package telemetry
 
 import (
 	"fmt"
-	"io"
 	"slices"
 
 	"clustersim/internal/coherence"
@@ -170,9 +169,6 @@ type Collector struct {
 	samples     []Sample
 	prev        []ClusterSample // cumulative snapshot at the previous sample
 
-	progress io.Writer
-	label    string
-
 	// onSample, when set, observes each interval sample as it lands
 	// (machine-wide counter deltas at a simulated instant); see
 	// SetOnSample.
@@ -184,19 +180,12 @@ type Collector struct {
 // New creates an empty collector.
 func New() *Collector { return &Collector{} }
 
-// SetProgress directs a one-line-per-sample progress feed (labelled
-// with label) to w; typically os.Stderr.
-func (c *Collector) SetProgress(w io.Writer, label string) {
-	c.progress = w
-	c.label = label
-}
-
 // SetOnSample registers a callback observing each interval sample as it
 // lands: the machine-wide counter deltas over the interval ending at
 // simulated time at. The callback runs on the engine's token-holding
 // goroutine, so it must be fast and must not touch simulated state —
-// it exists to feed wall-clock-side observers (the obs gauges behind
-// the -serve endpoints).
+// it exists to feed wall-clock-side observers (clustersim's -progress
+// line and the obs gauges behind its -serve endpoints).
 func (c *Collector) SetOnSample(fn func(at Clock, total ClusterSample)) {
 	c.onSample = fn
 }

@@ -285,6 +285,8 @@ func Read(r io.Reader) (*Trace, error) {
 // have the same processor count) and returns its result. Addresses are
 // rebuilt by re-allocating the recorded regions in order; placements,
 // sync objects and the measured phase are reapplied as recorded.
+//
+//simlint:allow readonly — Replay is not the observer: it builds and drives a machine of its own, as an application does
 func Replay(cfg core.Config, t *Trace) (*core.Result, error) {
 	if cfg.Procs != t.Procs {
 		return nil, fmt.Errorf("trace: trace has %d processors, config %d", t.Procs, cfg.Procs)
