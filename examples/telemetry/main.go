@@ -61,7 +61,7 @@ func main() {
 	fmt.Printf("run: exec %d cycles over %d PEs, %d clusters\n",
 		res.ExecTime, col.NumPEs(), col.NumClusters())
 	sched := col.Sched()
-	fmt.Printf("scheduler: %d token handoffs, ready-heap depth max %d / mean %.1f\n",
+	fmt.Printf("scheduler: %d token handoffs, ready-set depth max %d / mean %.1f\n",
 		sched.Handoffs, sched.MaxReadyDepth, sched.MeanReadyDepth())
 	totals := col.SliceTotals(0)
 	fmt.Printf("PE 0 timeline: compute %d  load-stall %d  merge-stall %d  sync-wait %d (sum = final clock %d)\n",

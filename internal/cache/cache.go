@@ -8,9 +8,19 @@
 // filled by an outstanding READ or WRITE miss are additionally pending
 // until the fill's ready time; a read that finds a pending line is a
 // MERGE miss and blocks until the data returns.
+//
+// Resident lines are found by line number through a table the package
+// owns (lineTable): open addressing over a power-of-two slice of *Line,
+// Fibonacci hashing of the tag and linear probing against the resident
+// line's Tag, doubled at half load, with backward-shift deletion. An
+// LRU list threads the same lines, so iteration (ForEach) and victim
+// choice follow recency, never the table's layout.
 package cache
 
-import "fmt"
+import (
+	"fmt"
+	"math/bits"
+)
 
 // Clock mirrors engine.Clock to avoid a dependency cycle.
 type Clock = int64
@@ -66,7 +76,7 @@ type Line struct {
 type Cache struct {
 	capacity int // lines; 0 means infinite
 	policy   ReplacePolicy
-	lines    map[uint64]*Line
+	lines    lineTable
 	head     *Line // most recently used
 	tail     *Line // least recently used
 	free     *Line // recycled Line structs
@@ -83,7 +93,7 @@ func New(capacityLines int, policy ReplacePolicy) *Cache {
 	return &Cache{
 		capacity: capacityLines,
 		policy:   policy,
-		lines:    make(map[uint64]*Line),
+		lines:    newLineTable(capacityLines),
 	}
 }
 
@@ -91,13 +101,13 @@ func New(capacityLines int, policy ReplacePolicy) *Cache {
 func (c *Cache) Capacity() int { return c.capacity }
 
 // Len returns the number of resident lines.
-func (c *Cache) Len() int { return len(c.lines) }
+func (c *Cache) Len() int { return c.lines.n }
 
 // Lookup returns the resident line for tag, or nil, resolving an expired
 // pending fill (now >= ReadyAt) to its final state first. It does not
 // update recency; call Touch on a hit.
 func (c *Cache) Lookup(tag uint64, now Clock) *Line {
-	l := c.lines[tag]
+	l := c.lines.get(tag)
 	if l == nil {
 		return nil
 	}
@@ -112,7 +122,7 @@ func (c *Cache) Lookup(tag uint64, now Clock) *Line {
 // or updating recency — the sanitizer's non-mutating view. A pending
 // line whose ReadyAt has passed is still reported Pending; readers must
 // use FillState for its effective coherence state.
-func (c *Cache) Peek(tag uint64) *Line { return c.lines[tag] }
+func (c *Cache) Peek(tag uint64) *Line { return c.lines.get(tag) }
 
 // Touch marks the line most recently used.
 func (c *Cache) Touch(l *Line) {
@@ -132,10 +142,10 @@ func (c *Cache) Touch(l *Line) {
 // send a writeback or replacement hint to the directory. Inserting a tag
 // that is already resident panics — callers must Lookup first.
 func (c *Cache) Insert(tag uint64, fillState State, now, readyAt Clock) (victim Line, evicted bool) {
-	if _, dup := c.lines[tag]; dup {
+	if c.lines.get(tag) != nil {
 		panic(fmt.Sprintf("cache: duplicate insert of line %#x", tag))
 	}
-	if c.capacity != 0 && len(c.lines) >= c.capacity {
+	if c.capacity != 0 && c.lines.n >= c.capacity {
 		v := c.chooseVictim(now)
 		if v != nil {
 			victim = *v
@@ -150,7 +160,7 @@ func (c *Cache) Insert(tag uint64, fillState State, now, readyAt Clock) (victim 
 	l.Pending = true
 	l.ReadyAt = readyAt
 	l.FillState = fillState
-	c.lines[tag] = l
+	c.lines.put(l)
 	c.pushFront(l)
 	return victim, evicted
 }
@@ -159,7 +169,7 @@ func (c *Cache) Insert(tag uint64, fillState State, now, readyAt Clock) (victim 
 // in the paper's protocol and may target a pending line). It reports
 // whether the line was resident.
 func (c *Cache) Invalidate(tag uint64) bool {
-	l := c.lines[tag]
+	l := c.lines.get(tag)
 	if l == nil {
 		return false
 	}
@@ -169,7 +179,7 @@ func (c *Cache) Invalidate(tag uint64) bool {
 
 // Downgrade moves an Exclusive line to Shared (remote read of dirty data).
 func (c *Cache) Downgrade(tag uint64) {
-	l := c.lines[tag]
+	l := c.lines.get(tag)
 	if l == nil {
 		return
 	}
@@ -210,7 +220,7 @@ func (c *Cache) ForEach(fn func(*Line)) {
 
 func (c *Cache) remove(l *Line) {
 	c.unlink(l)
-	delete(c.lines, l.Tag)
+	c.lines.delete(l)
 	l.prev, l.next = nil, c.free
 	c.free = l
 }
@@ -249,4 +259,94 @@ func (c *Cache) unlink(l *Line) {
 		c.tail = l.prev
 	}
 	l.prev, l.next = nil, nil
+}
+
+// lineTable maps line numbers to resident lines by open addressing: a
+// line lives at the first free slot probing forward, wrapping, from its
+// tag's home slot. The table doubles before it passes half load, and
+// deletion shifts later lines of the probe run back instead of leaving
+// tombstones, so a probe always ends at a nil slot within a short run.
+type lineTable struct {
+	slots []*Line // power-of-two length
+	shift uint    // 64 - log2(len(slots)): keeps the hash's top bits
+	n     int     // resident lines
+}
+
+// minSlots sizes the table of an infinite cache, which grows on demand.
+const minSlots = 16
+
+// newLineTable sizes a table so that capacity lines (0 = unbounded)
+// stay at or below half load.
+func newLineTable(capacity int) lineTable {
+	size := minSlots
+	if capacity > 0 {
+		size = 2
+		for size < 2*capacity {
+			size *= 2
+		}
+	}
+	return lineTable{slots: make([]*Line, size), shift: uint(64 - bits.TrailingZeros(uint(size)))}
+}
+
+// home is tag's first probe slot: Fibonacci hashing, which spreads the
+// dense and strided line numbers of a bump allocator over the table.
+func (t *lineTable) home(tag uint64) int {
+	return int((tag * 0x9E3779B97F4A7C15) >> t.shift)
+}
+
+// get returns the resident line for tag, or nil.
+func (t *lineTable) get(tag uint64) *Line {
+	mask := len(t.slots) - 1
+	for i := t.home(tag); ; i = (i + 1) & mask {
+		if l := t.slots[i]; l == nil || l.Tag == tag {
+			return l
+		}
+	}
+}
+
+// put stores l, whose tag must not be resident, doubling the table
+// first if l would take it past half load.
+func (t *lineTable) put(l *Line) {
+	if 2*(t.n+1) > len(t.slots) {
+		old := t.slots
+		t.slots = make([]*Line, 2*len(old))
+		t.shift--
+		for _, o := range old {
+			if o != nil {
+				t.place(o)
+			}
+		}
+	}
+	t.place(l)
+	t.n++
+}
+
+// place stores l at the first free slot of its probe run.
+func (t *lineTable) place(l *Line) {
+	mask := len(t.slots) - 1
+	i := t.home(l.Tag)
+	for t.slots[i] != nil {
+		i = (i + 1) & mask
+	}
+	t.slots[i] = l
+}
+
+// delete removes the resident line l, then walks the rest of its probe
+// run: a line whose distance from its home reaches back to the hole
+// moves into it, leaving a new hole, so every remaining line stays
+// reachable from its home without tombstones.
+func (t *lineTable) delete(l *Line) {
+	mask := len(t.slots) - 1
+	hole := t.home(l.Tag)
+	for t.slots[hole] != l {
+		hole = (hole + 1) & mask
+	}
+	for j := (hole + 1) & mask; t.slots[j] != nil; j = (j + 1) & mask {
+		if dist := (j - t.home(t.slots[j].Tag)) & mask; dist >= (j-hole)&mask {
+			t.slots[hole] = t.slots[j]
+			hole = j
+		}
+	}
+	t.slots[hole] = nil
+	t.n--
 }

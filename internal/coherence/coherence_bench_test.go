@@ -21,13 +21,24 @@ func benchSystem(b *testing.B, cacheLines int) (*System, memory.Addr) {
 	return s, as.Alloc(1<<22, "bench")
 }
 
-// BenchmarkProtocolReadHit measures the hot path: repeated hits.
+// BenchmarkProtocolReadHit measures the hot path: read hits spread over
+// 4096 resident lines in each of 8 clusters' infinite caches, visited
+// at a stride so that consecutive hits land on different lines and
+// clusters, as a kernel's sweep over its data does. One op is one Read.
 func BenchmarkProtocolReadHit(b *testing.B) {
+	const clusters, lines, stride = 8, 4096, 2731 // odd stride: every line
 	s, base := benchSystem(b, 0)
-	s.Read(0, 0, base, 0)
+	for c := 0; c < clusters; c++ {
+		for l := 0; l < lines; l++ {
+			s.Read(c, c, base+uint64(l)*64, 0)
+		}
+	}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		s.Read(0, 0, base, Clock(i)+100)
+		c := i % clusters
+		if a := s.Read(c, c, base+uint64(i*stride%lines)*64, Clock(i)+1000); a.Class != Hit {
+			b.Fatalf("read %d: %v, want a hit", i, a.Class)
+		}
 	}
 }
 

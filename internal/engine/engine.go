@@ -3,7 +3,7 @@
 // Package engine implements the deterministic discrete-event core of the
 // clustered-multiprocessor simulator, in the style of Tango-lite: every
 // simulated processor runs its workload as a coroutine (iter.Pull), and
-// one dispatch loop owns the ready heap and resumes exactly one of them
+// one dispatch loop owns the ready set and resumes exactly one of them
 // at a time. Control passes from processor to processor through that
 // loop by direct runtime coroutine switches, never through the Go
 // scheduler, so references to the shared memory-system model are always
@@ -23,12 +23,19 @@
 // fewer handoffs on large parameter sweeps.
 //
 // Ties in virtual time are broken by processor ID, so simulations are
-// bit-reproducible.
+// bit-reproducible. The ready set is a tournament (winner) tree with one
+// leaf per processor holding the packed key time<<shift | id, so the
+// (time, id) minimum is its root: a pop replays one leaf-to-root path
+// and an insert stops at the first ancestor already smaller. A ready
+// processor's clock may therefore be at most 2^(64-shift)-2 cycles,
+// where shift is the bit width of NumPE-1 (2^58-2 at 64 processors); a
+// larger clock fails the run rather than misorder it.
 package engine
 
 import (
 	"fmt"
 	"iter"
+	"math/bits"
 	"runtime/debug"
 	"sort"
 	"strings"
@@ -45,7 +52,7 @@ type Probe interface {
 	// Handoff fires every time the dispatch loop passes the execution
 	// token on. from is the yielding processor (-1 for the initial
 	// dispatch), to the resuming one; fromTime and toTime are their
-	// virtual clocks and readyDepth is the ready-heap population after
+	// virtual clocks and readyDepth is the ready-set population after
 	// the pop. The skew fromTime-toTime is the quantum slack actually
 	// exploited.
 	Handoff(from, to int, fromTime, toTime Clock, readyDepth int)
@@ -54,7 +61,7 @@ type Probe interface {
 // Timer observes where the host's wall-clock time goes — the engine
 // half of the perf monitor. EnterSched fires when a processor's kernel
 // suspends (Yield handing off, Block, Await), so everything the dispatch
-// loop does — heap maintenance, the coroutine switches, and performing
+// loop does — ready-set maintenance, the coroutine switches, and performing
 // buffered work through the step function — falls between it and the
 // next EnterApp, which fires when a coroutine resumes application
 // execution. The first EnterSched opens Run, before any processor
@@ -79,7 +86,7 @@ type PE struct {
 	id      int
 	sched   *Scheduler
 	time    Clock
-	blocked bool                    // parked on a synchronisation object, out of the heap
+	blocked bool                    // parked on a synchronisation object, out of the ready set
 	pending bool                    // suspended with buffered work for the step function
 	resume  func() (struct{}, bool) // runs the kernel until it next suspends
 	yield   func(struct{}) bool     // suspends the kernel back to the dispatch loop
@@ -119,7 +126,7 @@ func (pe *PE) Yield() {
 		if s.timer != nil {
 			s.timer.EnterSched()
 		}
-		s.heapPush(pe)
+		s.push(pe)
 		pe.suspend()
 	}
 }
@@ -164,7 +171,7 @@ func (pe *PE) Unblock(target *PE, at Clock) {
 	}
 	target.SetTime(at)
 	target.blocked = false
-	pe.sched.heapPush(target)
+	pe.sched.push(target)
 }
 
 // Fail aborts the whole simulation with err. It does not return.
@@ -188,7 +195,7 @@ func (pe *PE) suspend() {
 // Scheduler owns the processors of one simulation run.
 type Scheduler struct {
 	pes       []*PE
-	heap      []*PE
+	ready     readySet
 	quantum   Clock
 	nFinished int
 	probe     Probe
@@ -207,7 +214,7 @@ func NewScheduler(n int, quantum Clock) *Scheduler {
 	if quantum < 0 {
 		panic("engine: negative quantum")
 	}
-	s := &Scheduler{quantum: quantum}
+	s := &Scheduler{quantum: quantum, ready: newReadySet(n)}
 	s.pes = make([]*PE, n)
 	for i := range s.pes {
 		s.pes[i] = &PE{id: i, sched: s}
@@ -264,7 +271,7 @@ func (s *Scheduler) Run(kernel func(*PE)) error {
 		// Stopping a parked PE makes its yield return false, so it
 		// unwinds and no coroutine outlives Run.
 		defer stop()
-		s.heapPush(pe)
+		s.push(pe)
 	}
 	s.loop()
 	if s.err != nil {
@@ -276,8 +283,8 @@ func (s *Scheduler) Run(kernel func(*PE)) error {
 	return nil
 }
 
-// loop passes the token to the (time, id) minimum until the heap is
-// empty or the run has failed. A step panics here, outside every
+// loop passes the token to the (time, id) minimum until the ready set
+// is empty or the run has failed. A step panics here, outside every
 // coroutine; it is recovered into the same annotated error as a kernel
 // panic (a step's Fail has recorded its own error first, and record
 // keeps the first), and Run still stops every coroutine.
@@ -289,10 +296,10 @@ func (s *Scheduler) loop() {
 		}
 	}()
 	from, fromTime := -1, Clock(0)
-	for len(s.heap) > 0 {
-		next = s.heapPopMin()
+	for s.ready.n > 0 {
+		next = s.pes[s.ready.pop()]
 		if s.probe != nil {
-			s.probe.Handoff(from, next.id, fromTime, next.time, len(s.heap))
+			s.probe.Handoff(from, next.id, fromTime, next.time, s.ready.n)
 		}
 		s.dispatch(next)
 		if s.err != nil {
@@ -304,14 +311,14 @@ func (s *Scheduler) loop() {
 
 // dispatch runs pe until it passes the token on. Work pe buffered before
 // suspending is performed first, one step at a time; while a ready
-// processor is more than the quantum earlier, pe goes back on the heap
-// with the rest still buffered. The coroutine resumes only once the
-// buffer is empty.
+// processor is more than the quantum earlier, pe goes back into the
+// ready set with the rest still buffered. The coroutine resumes only
+// once the buffer is empty.
 func (s *Scheduler) dispatch(pe *PE) {
 	for {
 		for pe.pending {
 			if s.behind(pe) {
-				s.heapPush(pe)
+				s.push(pe)
 				return
 			}
 			pe.pending = s.step(pe)
@@ -327,7 +334,26 @@ func (s *Scheduler) dispatch(pe *PE) {
 // earlier than pe, so pe must hand the token on before its next event:
 // the rule Yield applies, and dispatch before each buffered event.
 func (s *Scheduler) behind(pe *PE) bool {
-	return len(s.heap) > 0 && s.heap[0].time+s.quantum < pe.time
+	return s.ready.n > 0 && s.ready.minTime()+s.quantum < pe.time
+}
+
+// push makes pe ready at its clock. A clock too large to pack below the
+// empty-leaf sentinel fails the run with an error naming pe: it would
+// otherwise be dispatched out of order. Like Fail, push then unwinds
+// whichever coroutine — or the dispatch loop — called it.
+func (s *Scheduler) push(pe *PE) {
+	if uint64(pe.time) > s.ready.maxTime {
+		s.clockOverflow(pe)
+	}
+	s.ready.insert(pe.id, uint64(pe.time)<<s.ready.shift|uint64(pe.id))
+}
+
+// clockOverflow is push's failure path, kept out of line so that the
+// formatting it needs does not weigh on push, which runs every handoff.
+func (s *Scheduler) clockOverflow(pe *PE) {
+	s.record(fmt.Errorf("engine: app %q: processor %d's clock %d exceeds the ready set's limit of %d cycles at %d processors",
+		s.labelOrDefault(), pe.id, pe.time, s.ready.maxTime, len(s.pes)))
+	panic(abortPanic{})
 }
 
 // coroutine wraps kernel as pe's body. A kernel panic is recovered here,
@@ -398,52 +424,72 @@ func (s *Scheduler) deadlockError() error {
 	return fmt.Errorf("%s", b.String())
 }
 
-// --- ready heap, ordered by (time, id) --------------------------------
+// --- ready set: a winner tree of (time, id) keys ---------------------
 
-func peLess(a, b *PE) bool {
-	if a.time != b.time {
-		return a.time < b.time
-	}
-	return a.id < b.id
+// empty is the key of a leaf whose processor is not ready; every packed
+// key is smaller.
+const empty = ^uint64(0)
+
+// readySet holds the ready processors ordered by (time, id). It is a
+// winner tree over processor ids: tree[leaves+i] holds processor i's key
+// time<<shift | i while it is ready and empty otherwise, and every inner
+// node v holds the smaller of tree[2v] and tree[2v+1], so tree[1] is the
+// minimum. Ids are unique, so the order is exactly (time, id) order.
+type readySet struct {
+	tree    []uint64
+	leaves  int    // the next power of two >= NumPE
+	shift   uint   // log2(leaves): the id bits below the time
+	maxTime uint64 // the largest clock whose keys all stay below empty
+	n       int    // ready processors
 }
 
-func (s *Scheduler) heapPush(pe *PE) {
-	s.heap = append(s.heap, pe)
-	i := len(s.heap) - 1
-	for i > 0 {
-		parent := (i - 1) / 2
-		if !peLess(s.heap[i], s.heap[parent]) {
+func newReadySet(numPE int) readySet {
+	shift := uint(bits.Len(uint(numPE - 1)))
+	r := readySet{
+		tree:    make([]uint64, 2<<shift),
+		leaves:  1 << shift,
+		shift:   shift,
+		maxTime: empty>>shift - 1,
+	}
+	for i := range r.tree {
+		r.tree[i] = empty
+	}
+	return r
+}
+
+// minTime returns the clock of the earliest ready processor; the set
+// must not be empty.
+func (r *readySet) minTime() Clock { return Clock(r.tree[1] >> r.shift) }
+
+// insert makes processor id, which must not be ready, ready with key.
+// Its leaf only falls, so each node on the path becomes min(node, key)
+// and the walk stops at the first one that is already smaller.
+func (r *readySet) insert(id int, key uint64) {
+	i := r.leaves + id
+	r.tree[i] = key
+	for i > 1 {
+		i >>= 1
+		if r.tree[i] <= key {
 			break
 		}
-		s.heap[i], s.heap[parent] = s.heap[parent], s.heap[i]
-		i = parent
+		r.tree[i] = key
 	}
+	r.n++
 }
 
-func (s *Scheduler) heapPopMin() *PE {
-	min := s.heap[0]
-	last := len(s.heap) - 1
-	s.heap[0] = s.heap[last]
-	s.heap = s.heap[:last]
-	s.siftDown(0)
-	return min
-}
-
-func (s *Scheduler) siftDown(i int) {
-	n := len(s.heap)
-	for {
-		left, right := 2*i+1, 2*i+2
-		smallest := i
-		if left < n && peLess(s.heap[left], s.heap[smallest]) {
-			smallest = left
-		}
-		if right < n && peLess(s.heap[right], s.heap[smallest]) {
-			smallest = right
-		}
-		if smallest == i {
-			return
-		}
-		s.heap[i], s.heap[smallest] = s.heap[smallest], s.heap[i]
-		i = smallest
+// pop removes the (time, id) minimum and returns its id; the set must
+// not be empty. The winner's leaf becomes empty and its path is
+// replayed against the siblings.
+func (r *readySet) pop() int {
+	id := int(r.tree[1] & uint64(r.leaves-1))
+	i := r.leaves + id
+	v := empty
+	r.tree[i] = v
+	for i > 1 {
+		v = min(v, r.tree[i^1])
+		i >>= 1
+		r.tree[i] = v
 	}
+	r.n--
+	return id
 }

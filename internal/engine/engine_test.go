@@ -11,7 +11,6 @@ import (
 	"strings"
 	"sync/atomic"
 	"testing"
-	"testing/quick"
 	"time"
 )
 
@@ -77,9 +76,10 @@ func TestQuantumBoundsSkew(t *testing.T) {
 		for i := 0; i < 300; i++ {
 			pe.Advance(Clock(r.Intn(10)))
 			pe.Yield()
-			// At this point every heap entry must be >= pe.time - q.
-			for _, other := range pe.sched.heap {
-				if other.time+q < pe.Now() {
+			// At this point every ready processor's clock must be
+			// >= pe.time - q.
+			for _, tm := range pe.sched.ready.times() {
+				if tm+q < pe.Now() {
 					bad++
 				}
 			}
@@ -294,42 +294,157 @@ func TestFinishWakesRemaining(t *testing.T) {
 	}
 }
 
-// TestHeapOrderingProperty drives the ready heap directly with random
-// push/pop sequences and checks it always yields the (time, id) minimum.
-func TestHeapOrderingProperty(t *testing.T) {
-	f := func(times []uint16) bool {
-		if len(times) == 0 {
-			return true
+// times returns the clocks held in the ready set's leaves, in id order.
+func (r *readySet) times() []Clock {
+	var out []Clock
+	for _, key := range r.tree[r.leaves:] {
+		if key != empty {
+			out = append(out, Clock(key>>r.shift))
 		}
-		if len(times) > 64 {
-			times = times[:64]
-		}
-		s := NewScheduler(len(times), 0)
-		for i, tm := range times {
-			s.pes[i].time = Clock(tm)
-			s.heapPush(s.pes[i])
-		}
-		type key struct {
-			time Clock
-			id   int
-		}
-		var got []key
-		for len(s.heap) > 0 {
-			pe := s.heapPopMin()
-			got = append(got, key{pe.time, pe.id})
-		}
-		if !sort.SliceIsSorted(got, func(i, j int) bool {
-			if got[i].time != got[j].time {
-				return got[i].time < got[j].time
-			}
-			return got[i].id < got[j].id
-		}) {
-			return false
-		}
-		return len(got) == len(times)
 	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 200}); err != nil {
-		t.Fatal(err)
+	return out
+}
+
+// TestReadySetOracle drives the ready set with random interleavings of
+// the three things the engine does to it — Unblock's insert of a parked
+// processor at an arbitrary clock (ties included), Yield's and
+// dispatch's re-insert of the popped processor at a later clock, and
+// the loop's pop — and checks every popped (time, id), the minimum
+// clock and the population against a sorted-slice oracle after every
+// step.
+func TestReadySetOracle(t *testing.T) {
+	type key struct {
+		time Clock
+		id   int
+	}
+	r := rand.New(rand.NewSource(1))
+	for _, n := range []int{1, 2, 3, 7, 64, 65, 100} {
+		for round := 0; round < 20; round++ {
+			s := NewScheduler(n, 0)
+			var oracle []key // ready processors, sorted by (time, id)
+			parked := make([]int, n)
+			for i := range parked {
+				parked[i] = i
+			}
+			running := -1 // popped and not yet re-inserted
+			insert := func(id int, at Clock) {
+				s.pes[id].time = at
+				s.push(s.pes[id])
+				k := key{at, id}
+				i := sort.Search(len(oracle), func(i int) bool {
+					o := oracle[i]
+					return o.time > k.time || o.time == k.time && o.id > k.id
+				})
+				oracle = append(oracle, key{})
+				copy(oracle[i+1:], oracle[i:])
+				oracle[i] = k
+			}
+			for step := 0; step < 400; step++ {
+				switch op := r.Intn(3); {
+				case op == 0 && len(parked) > 0:
+					// Unblock: small range of clocks, so ties are common.
+					i := r.Intn(len(parked))
+					id := parked[i]
+					parked = append(parked[:i], parked[i+1:]...)
+					insert(id, Clock(r.Intn(40)))
+				case op == 1 && running >= 0:
+					insert(running, s.pes[running].time+Clock(r.Intn(5)))
+					running = -1
+				case s.ready.n > 0:
+					if running >= 0 {
+						parked = append(parked, running) // it blocked
+					}
+					running = s.ready.pop()
+					want := oracle[0]
+					oracle = oracle[1:]
+					if got := (key{s.pes[running].time, running}); got != want {
+						t.Fatalf("n=%d round %d step %d: popped %+v, want %+v", n, round, step, got, want)
+					}
+				}
+				if s.ready.n != len(oracle) {
+					t.Fatalf("n=%d round %d step %d: %d ready, want %d", n, round, step, s.ready.n, len(oracle))
+				}
+				if len(oracle) > 0 && s.ready.minTime() != oracle[0].time {
+					t.Fatalf("n=%d round %d step %d: minimum clock %d, want %d", n, round, step, s.ready.minTime(), oracle[0].time)
+				}
+			}
+		}
+	}
+}
+
+// TestClockBeyondReadySetFails: a clock too large to pack into a ready
+// key fails the run with an error naming the processor and the clock,
+// whether the processor re-enters the ready set from Yield, from
+// Unblock or from the dispatch loop performing its buffered work.
+func TestClockBeyondReadySetFails(t *testing.T) {
+	const huge = Clock(1) << 58 // 64 processors leave 58 bits for the clock
+	want := fmt.Sprintf("processor 5's clock %d exceeds", huge)
+	kernels := map[string]func(s *Scheduler) func(*PE){
+		"yield": func(*Scheduler) func(*PE) {
+			return func(pe *PE) {
+				if pe.ID() == 5 {
+					pe.SetTime(huge)
+				}
+				pe.Yield()
+				pe.Advance(1)
+				pe.Yield()
+			}
+		},
+		"unblock": func(s *Scheduler) func(*PE) {
+			return func(pe *PE) {
+				switch pe.ID() {
+				case 5:
+					pe.Block(reason("wait for 6"))
+				case 6:
+					pe.Advance(1)
+					pe.Yield()
+					pe.Unblock(s.PEs()[5], huge)
+				}
+			}
+		},
+		"step": func(s *Scheduler) func(*PE) {
+			steps := 0
+			s.SetStep(func(pe *PE) bool {
+				pe.SetTime(huge)
+				steps++
+				return steps == 1 // the loop re-inserts pe after the first
+			})
+			return func(pe *PE) {
+				if pe.ID() == 5 {
+					pe.Await()
+				}
+				pe.Advance(1)
+				pe.Yield()
+			}
+		},
+	}
+	for name, kernel := range kernels {
+		s := NewScheduler(64, 0)
+		err := s.Run(kernel(s))
+		if err == nil || !strings.Contains(err.Error(), want) {
+			t.Errorf("%s: Run error = %v, want one containing %q", name, err, want)
+		}
+	}
+	// One fewer bit of id leaves the same clock in range.
+	s := NewScheduler(32, 0)
+	if err := s.Run(kernels["yield"](s)); err != nil {
+		t.Errorf("32 processors: Run: %v", err)
+	}
+	// The limit is exact: the highest id's key at the largest clock
+	// stays below the empty sentinel, and one cycle more fails.
+	for _, at := range []Clock{huge - 2, huge - 1} {
+		s := NewScheduler(64, 0)
+		err := s.Run(func(pe *PE) {
+			if pe.ID() == 63 {
+				pe.SetTime(at)
+			}
+			pe.Yield()
+			pe.Advance(1)
+			pe.Yield()
+		})
+		if fits := at == huge-2; fits != (err == nil) {
+			t.Errorf("PE 63 at clock %d: Run error = %v, want error: %v", at, err, !fits)
+		}
 	}
 }
 

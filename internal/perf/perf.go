@@ -16,7 +16,7 @@
 // instant, so a single global phase register plus one monotonic-clock
 // read per transition attributes every wall nanosecond to exactly one
 // of three phases. App is the kernels' own code. Sched is the dispatch
-// loop: heap maintenance, the runtime coroutine switches, and on a
+// loop: ready-set maintenance, the runtime coroutine switches, and on a
 // machine declared race-free the perform half of every buffered event
 // (statistics and observer calls; see core.Proc). Coherence is the
 // memory-system model (cache, directory and latency model), wherever
@@ -42,7 +42,7 @@ const (
 	// issue half of every reference — on an undeclared machine also the
 	// perform half (statistics, observer calls), which runs inline.
 	PhaseApp Phase = iota
-	// PhaseSched is the engine's dispatch loop: ready-heap maintenance,
+	// PhaseSched is the engine's dispatch loop: ready-set maintenance,
 	// the coroutine switches into and out of it, and on a race-free
 	// machine the perform half of every buffered event.
 	PhaseSched

@@ -102,12 +102,12 @@ type Mark struct {
 // SchedMetrics are the engine scheduler's self-measurements.
 type SchedMetrics struct {
 	Handoffs      uint64 `json:"handoffs"`      // token handoffs, incl. initial dispatch
-	MaxReadyDepth int    `json:"maxReadyDepth"` // peak ready-heap population at a handoff
+	MaxReadyDepth int    `json:"maxReadyDepth"` // peak ready-set population at a handoff
 	depthSum      uint64 // for the mean
 	MaxSkew       Clock  `json:"maxQuantumSkew"` // max (yielder clock - resumer clock) at a handoff
 }
 
-// MeanReadyDepth returns the average ready-heap population at handoff.
+// MeanReadyDepth returns the average ready-set population at handoff.
 func (s SchedMetrics) MeanReadyDepth() float64 {
 	if s.Handoffs == 0 {
 		return 0
