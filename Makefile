@@ -34,7 +34,9 @@ sarif:
 
 # Short reproduction sweep with the runtime sanitizer attached: every
 # coherence transaction is cross-validated against the directory, so a
-# protocol regression fails loudly rather than skewing the tables.
+# protocol regression fails loudly rather than skewing the tables, and
+# the happens-before race check holds every interval an application
+# declared race-free to its promise.
 sanitize-suite: build
 	$(GO) run ./cmd/experiments -procs 16 -size test -sanitize fig2 table3
 
@@ -242,8 +244,9 @@ race:
 	$(GO) test -race ./...
 
 # Machine-readable benchmark harness (cmd/perfbench): run the fixed
-# matrix once per point with the host performance monitor attached and
-# write BENCH_<stamp>.json into $(BENCH_OUT) (schema in EXPERIMENTS.md;
+# matrix five times, as whole passes, with the host performance monitor
+# attached and write BENCH_<stamp>.json into $(BENCH_OUT): median wall
+# times with quartiles (schema in EXPERIMENTS.md;
 # render or diff with `tracetool bench`). The classic Go
 # microbenchmarks remain available as `make bench-go`.
 BENCH_OUT ?= /tmp/clustersim-bench
@@ -275,13 +278,14 @@ bench-baseline: build
 	@echo "bench-baseline: regenerated bench_baseline.json"
 
 # Regenerate every table and figure at the scaled default sizes (about
-# 5 minutes on one core).
+# 3 minutes on one core).
 experiments: build
 	$(GO) run ./cmd/experiments -procs 64 -size default all
 
 # Reproduction check: regenerate every table and figure at the scaled
 # default sizes and require stdout byte-identical to the committed
-# results_default.txt. It takes about 5 minutes, so CI does not run it.
+# results_default.txt. It takes about 3 minutes on a 2-vCPU host; CI
+# runs it.
 REPRO_OUT ?= /tmp/clustersim-repro
 repro-check: build
 	@mkdir -p $(REPRO_OUT)

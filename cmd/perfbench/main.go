@@ -1,7 +1,9 @@
 // Command perfbench is the machine-readable benchmark harness: it runs
-// the fixed matrix of the repo's Go benchmarks (bench_test.go) exactly
-// once per point with the host performance monitor attached and writes
-// one BENCH_<stamp>.json report (schema in EXPERIMENTS.md).
+// the fixed matrix of the repo's Go benchmarks (bench_test.go) five
+// times, as whole passes (bench.Passes), with the host performance
+// monitor attached to every point, and writes one BENCH_<stamp>.json
+// report (schema in EXPERIMENTS.md): each benchmark's median wall time
+// and quartiles, and its median allocations.
 //
 // Run the full matrix and write a report into the current directory:
 //
@@ -11,13 +13,15 @@
 //
 //	perfbench -apps mp3d,ocean,fft -baseline bench_baseline.json
 //
-// With -baseline the process exits 1 when a deterministic counter
-// (points, simcycles, handoffs, refs) drifts or allocations grow past
-// -tolerance; wall-clock metrics never gate. Exit codes: 0 clean,
-// 1 regression, 2 usage or I/O error.
+// The process exits 1 when a deterministic counter (points, simcycles,
+// handoffs, refs) differs between passes and, with -baseline, when one
+// drifts from the baseline or allocations grow past -tolerance;
+// wall-clock metrics never gate. Exit codes: 0 clean, 1 regression,
+// 2 usage or I/O error.
 package main
 
 import (
+	"errors"
 	"flag"
 	"fmt"
 	"io"
@@ -85,6 +89,15 @@ func realMain(args []string, stdout, stderr io.Writer) int {
 		return exitOK
 	}
 
+	// Read the baseline first: a bad path fails before the matrix runs.
+	var base *bench.Report
+	if *baseline != "" {
+		if base, err = readReport(*baseline); err != nil {
+			fmt.Fprintln(stderr, "perfbench:", err)
+			return exitUsage
+		}
+	}
+
 	if *cpuprofile != "" {
 		stop, err := perf.StartCPUProfile(*cpuprofile)
 		if err != nil {
@@ -102,6 +115,9 @@ func realMain(args []string, stdout, stderr io.Writer) int {
 	measurements, err := bench.Run(specs, opt)
 	if err != nil {
 		fmt.Fprintln(stderr, "perfbench:", err)
+		if errors.Is(err, bench.ErrNotRepeatable) {
+			return exitRegression
+		}
 		return exitUsage
 	}
 	host := perf.ReadHost()
@@ -111,6 +127,7 @@ func realMain(args []string, stdout, stderr io.Writer) int {
 		Stamp:      stampOrNow(*stamp),
 		Procs:      *procs,
 		Size:       *size,
+		Passes:     bench.Passes,
 		Host:       host,
 		Benchmarks: measurements,
 	}
@@ -132,12 +149,7 @@ func realMain(args []string, stdout, stderr io.Writer) int {
 		}
 	}
 
-	if *baseline != "" {
-		base, err := readReport(*baseline)
-		if err != nil {
-			fmt.Fprintln(stderr, "perfbench:", err)
-			return exitUsage
-		}
+	if base != nil {
 		deltas, regressions := bench.Compare(base, report, bench.Tolerance{Allocs: *tolerance})
 		bench.WriteDiff(stdout, base, report, deltas, regressions)
 		if regressions > 0 {

@@ -463,6 +463,11 @@ func Run(cfg core.Config, pr Params) (*core.Result, error) {
 	if err != nil {
 		return nil, err
 	}
+	// Race-free outside the tree build: every other phase reads only
+	// what the processor wrote itself or what was written before the
+	// last barrier. The build's descent reads cells that other
+	// processors are filling and splitting, so it runs inside Racy.
+	m.DeclareRaceFree()
 	n := pr.Bodies
 	maxCells := 4*n + 64
 	t := &tree{
@@ -512,12 +517,14 @@ func Run(cfg core.Config, pr Params) (*core.Result, error) {
 			}
 			bar.Wait(p)
 			// Phase 2: parallel tree build under per-cell locks.
-			for b := lo; b < hi; b++ {
-				for d := 0; d < 3; d++ {
-					t.bodies.Read(p, b, uint64(bPos+8*d))
+			p.Racy(func() {
+				for b := lo; b < hi; b++ {
+					for d := 0; d < 3; d++ {
+						t.bodies.Read(p, b, uint64(bPos+8*d))
+					}
+					t.insert(p, locks, b)
 				}
-				t.insert(p, locks, b)
-			}
+			})
 			bar.Wait(p)
 			// Phase 3: centre-of-mass pass, parallel over depth-2
 			// subtrees, then a cheap upper-level combine by processor 0.

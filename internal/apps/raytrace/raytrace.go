@@ -388,6 +388,11 @@ func Run(cfg core.Config, pr Params) (*core.Result, error) {
 	if err != nil {
 		return nil, err
 	}
+	// Race-free outside the task queues: the scene is published before
+	// the measured phase and every pixel block is rendered and written
+	// by the one processor that took it. TaskQueues.Next runs inside
+	// Racy.
+	m.DeclareRaceFree()
 	spheres := buildFlake(pr.FlakeLevel)
 	bounds, starts, list := buildGrid(spheres)
 	sc := &scene{

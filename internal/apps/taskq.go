@@ -49,7 +49,19 @@ func (q *TaskQueues) Init(p *core.Proc, lo, hi int) {
 // Next returns the next task for processor p: from its own queue head,
 // or stolen from the tail of the first non-empty victim. ok is false
 // when every queue is empty.
+//
+// Next is a racy interval (core.Proc.Racy), so the code between two
+// calls can run ahead on a machine declared race-free: its unlocked
+// peek reads queue words that other processors write under their
+// locks, and even the locked accesses must run inline, because a
+// locked write issued ahead would reach the Go-side queue state before
+// its simulated time, where another processor's peek could see it.
 func (q *TaskQueues) Next(p *core.Proc) (task int, ok bool) {
+	p.Racy(func() { task, ok = q.next(p) })
+	return task, ok
+}
+
+func (q *TaskQueues) next(p *core.Proc) (task int, ok bool) {
 	id := p.ID()
 	// Own queue: take from the head.
 	q.locks[id].Acquire(p)

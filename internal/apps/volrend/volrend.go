@@ -339,6 +339,11 @@ func Run(cfg core.Config, pr Params) (*core.Result, error) {
 	if err != nil {
 		return nil, err
 	}
+	// Race-free outside the task queues: the volume and its octree are
+	// published before the measured phase and every pixel block is
+	// rendered and written by the one processor that took it.
+	// TaskQueues.Next runs inside Racy.
+	m.DeclareRaceFree()
 	v := &volume{edge: e, data: buildVolume(e)}
 	v.buildOctree()
 	v.vox = apps.NewU8(m, e*e*e, "volume")

@@ -2,18 +2,21 @@ package bench
 
 import (
 	"bytes"
+	"errors"
 	"strings"
 	"testing"
 
 	"clustersim/internal/apps"
 	"clustersim/internal/apps/registry"
+	"clustersim/internal/perf"
 )
 
-// smallSpecs is a two-benchmark matrix cheap enough for unit tests.
+// smallSpecs is a two-benchmark matrix of one application, cheap
+// enough for unit tests at Passes passes.
 func smallSpecs() []Spec {
 	return []Spec{
 		{Name: "fig2/fft", App: "fft", Clusters: []int{1, 2}, CachesKB: []int{0}},
-		{Name: "finite/mp3d", App: "mp3d", Clusters: []int{2}, CachesKB: []int{4, 0}},
+		{Name: "finite/fft", App: "fft", Clusters: []int{2}, CachesKB: []int{4, 0}},
 	}
 }
 
@@ -58,8 +61,8 @@ func TestFilterApps(t *testing.T) {
 	}
 }
 
-// TestRunMeasures: the harness populates every metric class and its
-// deterministic counters reproduce exactly across two runs.
+// TestRunMeasures: the harness populates every metric class, over
+// Passes passes whose deterministic counters Run requires to be equal.
 func TestRunMeasures(t *testing.T) {
 	first, err := Run(smallSpecs(), smallOptions())
 	if err != nil {
@@ -81,19 +84,52 @@ func TestRunMeasures(t *testing.T) {
 		if sum := m.Phases.AppNS + m.Phases.SchedNS + m.Phases.CoherenceNS; sum != m.WallNS {
 			t.Errorf("%s: phase spans sum to %d ns, wall is %d ns", m.Name, sum, m.WallNS)
 		}
+		if !(m.WallQ1NS > 0 && m.WallQ1NS <= m.WallNS && m.WallNS <= m.WallQ3NS) {
+			t.Errorf("%s: wall quartiles %d, median %d, %d out of order", m.Name, m.WallQ1NS, m.WallNS, m.WallQ3NS)
+		}
 	}
 	if first[0].Points != 2 || first[1].Points != 2 {
 		t.Errorf("point counts = %d, %d; want 2, 2", first[0].Points, first[1].Points)
 	}
-	second, err := Run(smallSpecs(), smallOptions())
+}
+
+// TestAggregate: over the passes, a benchmark reports the pass with the
+// median wall time, the wall quartiles and the median allocations; a
+// deterministic counter that differs between passes is an error.
+func TestAggregate(t *testing.T) {
+	walls := []int64{50, 10, 40, 20, 30}
+	allocs := []uint64{7, 9, 5, 8, 6}
+	passes := make([][]Measurement, len(walls))
+	for i, w := range walls {
+		passes[i] = []Measurement{{Name: "b", Points: 2, SimCycles: 100, Handoffs: 3, Refs: 40,
+			WallNS: w, Allocs: allocs[i], AllocBytes: 10 * allocs[i], Phases: perf.PhaseBreakdown{AppNS: w}}}
+	}
+	got, err := aggregate(passes)
 	if err != nil {
 		t.Fatal(err)
 	}
-	for i := range first {
-		a, b := first[i], second[i]
-		if a.SimCycles != b.SimCycles || a.Handoffs != b.Handoffs || a.Refs != b.Refs || a.Points != b.Points {
-			t.Errorf("%s: deterministic counters drifted:\n run 1: %+v\n run 2: %+v", a.Name, a, b)
+	m := got[0]
+	if m.WallNS != 30 || m.WallQ1NS != 20 || m.WallQ3NS != 40 || m.Phases.AppNS != 30 {
+		t.Errorf("wall median [q1-q3] = %d [%d-%d], phases %+v; want 30 [20-40] from the median pass",
+			m.WallNS, m.WallQ1NS, m.WallQ3NS, m.Phases)
+	}
+	if m.Allocs != 7 || m.AllocBytes != 70 {
+		t.Errorf("allocs %d, bytes %d; want the medians 7 and 70", m.Allocs, m.AllocBytes)
+	}
+	if q := quantile([]int64{10, 20, 30, 40}, 0.25); q != 17 {
+		t.Errorf("first quartile of 10,20,30,40 = %d, want 17 (linear interpolation)", q)
+	}
+	for _, drift := range []func(*Measurement){
+		func(m *Measurement) { m.Points++ },
+		func(m *Measurement) { m.SimCycles++ },
+		func(m *Measurement) { m.Handoffs++ },
+		func(m *Measurement) { m.Refs++ },
+	} {
+		drift(&passes[3][0])
+		if _, err := aggregate(passes); !errors.Is(err, ErrNotRepeatable) || !strings.Contains(err.Error(), "pass 4") {
+			t.Errorf("a counter differing in pass 4: error %v", err)
 		}
+		passes[3][0] = passes[0][0]
 	}
 }
 

@@ -14,12 +14,15 @@ import (
 const SchemaV1 = "clustersim/bench/v1"
 
 // Report is one BENCH_<stamp>.json document: the harness configuration,
-// the host block, and one Measurement per benchmark.
+// the host block, and one Measurement per benchmark. Passes is how many
+// times the matrix ran (absent, one, in reports written before the
+// harness repeated passes).
 type Report struct {
 	Schema     string        `json:"schema"`
 	Stamp      string        `json:"stamp,omitempty"` // wall-clock label; never compared
 	Procs      int           `json:"procs"`
 	Size       string        `json:"size"`
+	Passes     int           `json:"passes,omitempty"`
 	Host       perf.Host     `json:"host"`
 	Benchmarks []Measurement `json:"benchmarks"`
 }
@@ -133,20 +136,32 @@ func delta(bench, metric string, base, cur float64) Delta {
 	return d
 }
 
-// WriteTable renders a report as a human-readable table.
+// WriteTable renders a report as a human-readable table. Wall time is
+// the median pass's, with the quartiles over the passes in brackets
+// when the report has them.
 func WriteTable(w io.Writer, r *Report) {
-	fmt.Fprintf(w, "bench %s  procs=%d size=%s  %s %s/%s gomaxprocs=%d\n",
-		stampOr(r.Stamp, "(unstamped)"), r.Procs, r.Size,
+	fmt.Fprintf(w, "bench %s  procs=%d size=%s passes=%d  %s %s/%s gomaxprocs=%d\n",
+		stampOr(r.Stamp, "(unstamped)"), r.Procs, r.Size, max(r.Passes, 1),
 		r.Host.GoVersion, r.Host.GOOS, r.Host.GOARCH, r.Host.GOMAXPROCS)
-	fmt.Fprintf(w, "%-18s %6s %12s %14s %12s %12s %8s %8s %8s\n",
-		"benchmark", "points", "wall-ms", "simcycles", "cycles/s", "allocs", "app%", "sched%", "coh%")
+	fmt.Fprintf(w, "%-18s %6s %24s %14s %12s %12s %8s %8s %8s\n",
+		"benchmark", "points", "wall-ms median [q1-q3]", "simcycles", "cycles/s", "allocs", "app%", "sched%", "coh%")
 	for i := range r.Benchmarks {
 		m := &r.Benchmarks[i]
 		app, sched, coh := phasePercents(m)
-		fmt.Fprintf(w, "%-18s %6d %12.1f %14d %12.3g %12d %7.1f%% %7.1f%% %7.1f%%\n",
-			m.Name, m.Points, float64(m.WallNS)/1e6, m.SimCycles, m.CyclesPerSec, m.Allocs,
+		fmt.Fprintf(w, "%-18s %6d %24s %14d %12.3g %12d %7.1f%% %7.1f%% %7.1f%%\n",
+			m.Name, m.Points, wallCell(m), m.SimCycles, m.CyclesPerSec, m.Allocs,
 			app, sched, coh)
 	}
+}
+
+// wallCell renders a benchmark's wall time in milliseconds: the median
+// and, when recorded, its quartiles.
+func wallCell(m *Measurement) string {
+	ms := func(ns int64) float64 { return float64(ns) / 1e6 }
+	if m.WallQ1NS == 0 && m.WallQ3NS == 0 {
+		return fmt.Sprintf("%.1f", ms(m.WallNS))
+	}
+	return fmt.Sprintf("%.1f [%.1f-%.1f]", ms(m.WallNS), ms(m.WallQ1NS), ms(m.WallQ3NS))
 }
 
 func phasePercents(m *Measurement) (app, sched, coh float64) {
@@ -161,9 +176,11 @@ func phasePercents(m *Measurement) (app, sched, coh float64) {
 
 // WriteDiff renders the Compare deltas (cur against base): regressions
 // first, then every changed metric, then a one-line verdict. Unchanged
-// deterministic counters are elided to keep the diff readable.
+// deterministic counters are elided to keep the diff readable. Wall
+// times are the reports' medians (see WriteTable).
 func WriteDiff(w io.Writer, base, cur *Report, deltas []Delta, regressions int) {
-	fmt.Fprintf(w, "bench diff: %s -> %s\n", stampOr(base.Stamp, "base"), stampOr(cur.Stamp, "cur"))
+	fmt.Fprintf(w, "bench diff: %s (%d passes) -> %s (%d passes)\n",
+		stampOr(base.Stamp, "base"), max(base.Passes, 1), stampOr(cur.Stamp, "cur"), max(cur.Passes, 1))
 	for _, d := range deltas {
 		if !d.Regression && d.Base == d.Cur {
 			continue // unchanged: elide

@@ -23,9 +23,10 @@ type Machine struct {
 	stats []stats.Proc // per-processor statistics, indexed by ID
 	ran   bool
 
-	// raceFree records DeclareRaceFree: the kernels run ahead of
-	// simulated time.
-	raceFree bool
+	// runAhead records DeclareRaceFree or DeclareFixedStreams: the
+	// kernels run ahead of simulated time. fixedStreams records the
+	// latter, whose kernels promise the race check nothing.
+	runAhead, fixedStreams bool
 
 	// origin is the virtual time at which measurement began (see
 	// BeginMeasurement); ExecTime is reported relative to it.
@@ -114,31 +115,53 @@ func (m *Machine) Config() Config { return m.cfg }
 
 // DeclareRaceFree lets every kernel run ahead of simulated time (see
 // Proc); call it before Run. It is a promise about the application:
-// between two synchronisation operations (barrier, lock or flag), no
-// processor's addresses or control flow depend on data that another
-// processor writes. Each processor's reference stream between two such
-// operations is then the same in every interleaving, so issuing it
-// early and performing it in exact virtual-time order reproduces an
-// undeclared run bit for bit: the same Result, and the same observer
-// events in the same order. A wrong declaration silently changes
-// results. The layout is fixed once Run starts: Alloc, AllocLocal and
-// Place panic, because the machine cannot order them against the
+// outside the intervals a kernel runs inside Proc.Racy, between two
+// synchronisation operations (barrier, lock or flag), no processor's
+// addresses or control flow depend on data that another processor
+// writes. Each processor's reference stream between two such operations
+// is then the same in every interleaving, so issuing it early and
+// performing it in exact virtual-time order reproduces an undeclared
+// run bit for bit: the same Result, and the same observer events in the
+// same order. A racy interval runs inline, as on an undeclared machine.
+// A wrong declaration changes results; Config.Sanitize attaches a
+// happens-before race check that fails the run on any conflicting pair
+// of accesses not ordered by a barrier, lock or flag of which one was
+// issued ahead. The layout is fixed once Run starts: Alloc, AllocLocal
+// and Place panic, because the machine cannot order them against the
 // references still buffered.
 func (m *Machine) DeclareRaceFree() {
 	if m.ran {
 		panic("core: DeclareRaceFree after Run")
 	}
-	m.raceFree = true
+	m.runAhead = true
 	m.sched.SetStep(m.step)
 	for _, p := range m.procs {
 		p.buf = make([]op, 0, runAheadOps)
 	}
 }
 
+// DeclareFixedStreams lets every kernel run ahead of simulated time, as
+// DeclareRaceFree does, for kernels whose reference streams were fixed
+// before the run (trace replay): their addresses and control flow
+// depend on no simulated data, so run-ahead reproduces an inline run
+// whatever races the streams record. It promises nothing about races,
+// so the race check treats their accesses as inline.
+func (m *Machine) DeclareFixedStreams() {
+	m.DeclareRaceFree()
+	m.fixedStreams = true
+}
+
+// issuedAhead reports whether processor pe is issuing its references
+// ahead under DeclareRaceFree's promise, outside Racy: the accesses the
+// sanitizer's race check holds to that promise.
+func (m *Machine) issuedAhead(pe int) bool {
+	return !m.fixedStreams && m.procs[pe].buf != nil
+}
+
 // layoutFixed panics when what would change the address layout during a
 // race-free Run (see DeclareRaceFree).
 func (m *Machine) layoutFixed(what string) {
-	if m.raceFree && m.ran {
+	if m.runAhead && m.ran {
 		panic(fmt.Sprintf("core: %s during Run on a machine declared race-free; allocate and place shared data before Run", what))
 	}
 }

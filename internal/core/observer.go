@@ -92,7 +92,9 @@ func (m *Machine) observe(cfg Config) fanout {
 	if cfg.Sanitize {
 		// Global monotonicity is safe to assert because Validate rejects
 		// Sanitize with a nonzero Quantum.
-		f = append(f, sanitizer.New(m.sys, cfg.Procs, true))
+		c := sanitizer.New(m.sys, cfg.Procs, true)
+		c.CheckRaces(m.issuedAhead)
+		f = append(f, c)
 	}
 	if cfg.Tracer != nil {
 		f = append(f, cfg.Tracer)

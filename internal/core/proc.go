@@ -15,17 +15,17 @@ import (
 // statistics, the stall accounting and the observer event. On an
 // undeclared machine the issue half waits its turn in virtual-time
 // order (engine.PE.Yield) and performs inline. On a machine declared
-// race-free (Machine.DeclareRaceFree: between two synchronisation
-// operations, no processor's addresses or control flow depend on data
-// that another processor writes) it only appends the event to a
-// buffer of runAheadOps entries, so the kernel runs ahead of simulated
-// time until the buffer fills or it reaches a synchronisation
-// operation; the engine's dispatch loop then performs the buffered
-// events (Machine.step) in the order and at the virtual times an
-// undeclared machine would. A Compute issued into an empty buffer
-// performs inline: nothing is pending ahead of it.
-// Synchronisation operations, BeginMeasurement, Now, Stats and the
-// kernel's return first wait for the buffer to drain.
+// race-free (Machine.DeclareRaceFree: outside the intervals a kernel
+// runs inside Racy, no processor's addresses or control flow depend on
+// data that another processor writes between two synchronisation
+// operations) it only appends the event to a buffer of runAheadOps
+// entries, so the kernel runs ahead of simulated time until the buffer
+// fills or it reaches a synchronisation operation; the engine's
+// dispatch loop then performs the buffered events (Machine.step) in the
+// order and at the virtual times an undeclared machine would. A Compute
+// issued into an empty buffer performs inline: nothing is pending ahead
+// of it. Synchronisation operations, BeginMeasurement, Now, Stats, Racy
+// and the kernel's return first wait for the buffer to drain.
 type Proc struct {
 	pe      *engine.PE
 	m       *Machine
@@ -33,7 +33,7 @@ type Proc struct {
 	stats   *stats.Proc // the machine's record for this processor
 
 	// buf holds the events issued but not yet performed, from index
-	// next on; it is nil on an undeclared machine.
+	// next on; it is nil on an undeclared machine and inside Racy.
 	buf  []op
 	next int
 }
@@ -111,6 +111,26 @@ func (p *Proc) Write(addr Addr) {
 	}
 	p.pe.Yield()
 	p.write(addr)
+}
+
+// Racy runs fn as a racy interval: one whose addresses or control flow
+// depend on data other processors write, such as a descent through a
+// tree they are building or a scan of their work queues. On a machine
+// declared race-free, p's buffered events are performed first; fn then
+// runs with every reference, compute and synchronisation operation
+// performed inline, each reference after Yield, exactly as on an
+// undeclared machine; afterwards p runs ahead again. On an undeclared
+// machine, and inside another Racy, it just calls fn.
+func (p *Proc) Racy(fn func()) {
+	buf := p.buf
+	if buf == nil {
+		fn()
+		return
+	}
+	p.drain()
+	p.buf = nil
+	fn()
+	p.buf = buf[:0]
 }
 
 // issue buffers one event and, once the buffer is full, waits for the

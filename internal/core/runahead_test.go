@@ -80,8 +80,12 @@ type runFingerprint struct {
 // construction: every processor draws its addresses and its control
 // flow from its own seeded generator, never from shared data. It
 // exercises references and computes, lock-protected references, a
-// flag, barriers and the measured phase.
-func randomRaceFreeProgram(t *testing.T, cfg Config, seed int64, declare bool) runFingerprint {
+// flag, barriers and the measured phase. With racy set, every tenth
+// iteration also runs a racy interval (Proc.Racy) that reads and
+// advances a host value all processors share, in simulated-time order,
+// and draws an address and a branch from it; it nests a second Racy
+// around a locked store.
+func randomRaceFreeProgram(t *testing.T, cfg Config, seed int64, declare, racy bool) runFingerprint {
 	t.Helper()
 	obs := &hashingObserver{}
 	cfg.Tracer = obs
@@ -99,6 +103,29 @@ func randomRaceFreeProgram(t *testing.T, cfg Config, seed int64, declare bool) r
 	bar := m.NewBarrier()
 	lk := m.NewLock("l")
 	flag := m.NewFlag("f")
+	var ctr Addr
+	if racy {
+		ctr = m.Alloc(64, "counter")
+	}
+	var shared uint64 // host state read and written only inside Racy
+	racyStep := func(p *Proc) {
+		p.Read(ctr)
+		v := shared
+		shared = v*5 + uint64(p.ID()) + 1
+		p.Write(ctr)
+		off := v % 512 * 64
+		if v%3 == 0 {
+			p.Write(a + off)
+			return
+		}
+		p.Read(a + off)
+		p.Compute(Clock(v % 7))
+		p.Racy(func() {
+			lk.Acquire(p)
+			p.Write(a + v*7%512*64)
+			lk.Release(p)
+		})
+	}
 	res, err := m.Run(func(p *Proc) {
 		r := rand.New(rand.NewSource(seed + int64(p.ID())*7919))
 		for i := 0; i < 40; i++ {
@@ -126,6 +153,9 @@ func randomRaceFreeProgram(t *testing.T, cfg Config, seed int64, declare bool) r
 				lk.Release(p)
 			default:
 				p.Read(a + off)
+			}
+			if racy && i%10 == 5 {
+				p.Racy(func() { racyStep(p) })
 			}
 			if i == 100 {
 				if p.ID() == 0 {
@@ -156,8 +186,10 @@ func randomRaceFreeProgram(t *testing.T, cfg Config, seed int64, declare bool) r
 // performs the buffered references) is indistinguishable from an
 // undeclared one — byte-identical Result JSON, the same observer event
 // stream and the same engine handoff stream — on both organisations,
-// at exact ordering and with a quantum. It depends on no application's
-// declaration.
+// at exact ordering and with a quantum. The same holds for the programs
+// with racy intervals, whose addresses and branches depend on a value
+// other processors write: Proc.Racy runs them inline. It depends on no
+// application's declaration.
 func TestRaceFreeEquivalenceProperty(t *testing.T) {
 	f := func(seed int64, clusterSeed, cacheSeed uint8) bool {
 		clusterSizes := []int{1, 2, 4}
@@ -166,16 +198,18 @@ func TestRaceFreeEquivalenceProperty(t *testing.T) {
 		cfg.Procs = 8
 		cfg.ClusterSize = clusterSizes[int(clusterSeed)%len(clusterSizes)]
 		cfg.CacheKBPerProc = cacheKBs[int(cacheSeed)%len(cacheKBs)]
-		for _, org := range []Organization{SharedCache, SharedMemory} {
-			for _, quantum := range []Clock{0, 7} {
-				cfg.Organization, cfg.Quantum = org, quantum
-				want := randomRaceFreeProgram(t, cfg, seed, false)
-				got := randomRaceFreeProgram(t, cfg, seed, true)
-				if got != want {
-					t.Logf("seed %d cluster %d cache %d %v quantum %d: declared run differs\n declared   %d events, %d handoffs, %s\n undeclared %d events, %d handoffs, %s",
-						seed, cfg.ClusterSize, cfg.CacheKBPerProc, org, quantum,
-						got.nEvents, got.nHands, got.result, want.nEvents, want.nHands, want.result)
-					return false
+		for _, racy := range []bool{false, true} {
+			for _, org := range []Organization{SharedCache, SharedMemory} {
+				for _, quantum := range []Clock{0, 7} {
+					cfg.Organization, cfg.Quantum = org, quantum
+					want := randomRaceFreeProgram(t, cfg, seed, false, racy)
+					got := randomRaceFreeProgram(t, cfg, seed, true, racy)
+					if got != want {
+						t.Logf("seed %d cluster %d cache %d %v quantum %d racy %v: declared run differs\n declared   %d events, %d handoffs, %s\n undeclared %d events, %d handoffs, %s",
+							seed, cfg.ClusterSize, cfg.CacheKBPerProc, org, quantum, racy,
+							got.nEvents, got.nHands, got.result, want.nEvents, want.nHands, want.result)
+						return false
+					}
 				}
 			}
 		}
@@ -268,6 +302,96 @@ func TestRaceFreeLayoutFixedDuringRun(t *testing.T) {
 		})
 		if err == nil || !strings.Contains(err.Error(), c.name+" during Run on a machine declared race-free") {
 			t.Errorf("%s during Run: error %v", c.name, err)
+		}
+	}
+}
+
+// sharedCounterProgram runs a declared program under the sanitizer.
+// Outside its racy interval every conflicting pair is ordered: each
+// processor writes its own slice, then reads its neighbour's after a
+// barrier, reads after a flag what processor 0 wrote before setting
+// it, and updates one word under a lock. The racy interval bumps a
+// counter word that every processor reads and writes with no lock and
+// reads a word chosen by the count; marked selects whether it runs
+// inside Proc.Racy.
+func sharedCounterProgram(t *testing.T, marked bool) (*Machine, Addr, error) {
+	t.Helper()
+	cfg := tiny(4, 2)
+	cfg.Sanitize = true
+	m := mustMachine(t, cfg)
+	m.DeclareRaceFree()
+	data := m.Alloc(1<<13, "data")
+	ctr := m.Alloc(64, "counter")
+	bar, lk, flag := m.NewBarrier(), m.NewLock("l"), m.NewFlag("f")
+	var shared uint64
+	bump := func(p *Proc) {
+		p.Read(ctr)
+		v := shared
+		shared = v + uint64(p.ID()) + 1
+		p.Write(ctr)
+		p.Read(data + v%64*64)
+	}
+	_, err := m.Run(func(p *Proc) {
+		id := uint64(p.ID())
+		for j := uint64(0); j < 16; j++ {
+			p.Write(data + (id*16+j)*64)
+		}
+		bar.Wait(p)
+		for j := uint64(0); j < 16; j++ {
+			p.Read(data + ((id+1)%4*16+j)*64)
+		}
+		if id == 0 {
+			p.Write(data + 4096)
+			flag.Set(p)
+		} else {
+			flag.Wait(p)
+		}
+		p.Read(data + 4096)
+		lk.Acquire(p)
+		p.Read(data + 4160)
+		p.Write(data + 4160)
+		lk.Release(p)
+		for i := 0; i < 5; i++ {
+			if marked {
+				p.Racy(func() { bump(p) })
+			} else {
+				bump(p)
+			}
+			p.Compute(Clock(3 + id))
+		}
+		bar.Wait(p)
+	})
+	return m, ctr, err
+}
+
+// TestRaceCheckAllowsRacyIntervals: under Sanitize, barrier-, flag- and
+// lock-ordered write→read pairs between accesses issued ahead are not
+// races, and the conflicts inside Racy intervals are allowed and
+// counted, not reported.
+func TestRaceCheckAllowsRacyIntervals(t *testing.T) {
+	m, _, err := sharedCounterProgram(t, true)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if n := m.Sanitizer().InlineRaces(); n == 0 {
+		t.Error("the race check saw no race inside the Racy intervals; the program does not exercise it")
+	}
+}
+
+// TestRaceCheckFailsUnmarkedInterval: the same program with its Racy
+// call removed races ahead of simulated time, and the sanitizer fails
+// the run naming the address, its region and both processors.
+func TestRaceCheckFailsUnmarkedInterval(t *testing.T) {
+	_, ctr, err := sharedCounterProgram(t, false)
+	if err == nil {
+		t.Fatal("an unmarked racy interval passed the race check")
+	}
+	for _, want := range []string{
+		fmt.Sprintf("data race on %#x", ctr), `(region "counter")`,
+		"(issued ahead) at virtual time", "not ordered by a barrier, lock or flag",
+	} {
+		if !strings.Contains(err.Error(), want) {
+			t.Errorf("race error lacks %q:\n%v", want, err)
 		}
 	}
 }

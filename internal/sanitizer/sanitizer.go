@@ -8,7 +8,11 @@
 // always, and globally across the machine, which the token-passing
 // engine guarantees at Quantum 0 (ties broken by processor ID). A full
 // O(resident lines) audit additionally runs every AuditEvery
-// transactions and once more when the run finishes.
+// transactions and once more when the run finishes. A happens-before
+// race check (CheckRaces, which core arms) holds every access a
+// race-free kernel issues ahead of simulated time to its promise: no
+// conflicting access from another processor may be unordered with it
+// by barriers, locks and flags.
 //
 // A violation is fatal by default: the checker panics with the failed
 // invariant and a replayable dump of the last transactions (sequence
@@ -35,7 +39,8 @@ type Clock = int64
 // machine-wide invariant audit. The per-line spot check runs on every
 // state-changing transaction regardless, so the full audit only guards
 // against corruption in lines no transaction is touching; a sparse
-// period keeps the sanitizer's overhead within the <2x budget.
+// period keeps the protocol checks' overhead within a 2x budget (the
+// race check costs about as much again; see the README).
 const DefaultAuditEvery = 4096
 
 // ringCap is the capacity of the replay ring: enough context to replay
@@ -99,6 +104,7 @@ type Checker struct {
 	ring       [ringCap]Event
 	seq        uint64 // transactions seen; ring[(seq-1)%ringCap] is newest
 	nviol      uint64
+	race       *raceCheck // nil until CheckRaces
 }
 
 // New builds a checker over the given memory system. global asserts
@@ -112,6 +118,27 @@ func New(sys coherence.MemoryModel, procs int, global bool) *Checker {
 		global:     global,
 		lastPE:     make([]Clock, procs),
 	}
+}
+
+// CheckRaces arms the happens-before race check; call it before the run.
+// ahead reports whether a processor is issuing its references ahead of
+// simulated time under a race-free promise: an unordered conflict
+// involving such an access is a violation, while one between two
+// inline accesses is allowed (see InlineRaces). The check follows the
+// synchronisation events the checker observes, so a checker driven
+// without them must leave it off.
+func (c *Checker) CheckRaces(ahead func(proc int) bool) {
+	c.race = newRaceCheck(len(c.lastPE), ahead)
+}
+
+// InlineRaces returns the number of unordered conflicting pairs of
+// inline accesses the race check allowed: an undeclared machine's,
+// those inside Proc.Racy, a replayed trace's.
+func (c *Checker) InlineRaces() uint64 {
+	if c.race == nil {
+		return 0
+	}
+	return c.race.inline
 }
 
 // Violations returns the number of violations delivered so far (always
@@ -180,6 +207,11 @@ func (c *Checker) Ref(proc, cluster int, write bool, addr memory.Addr, now Clock
 			c.violate(err)
 		}
 	}
+	if c.race != nil {
+		if err := c.race.ref(proc, write, addr, now); err != nil {
+			c.violate(err)
+		}
+	}
 }
 
 // Final runs the end-of-run full audit at the machine's final time.
@@ -192,14 +224,37 @@ func (c *Checker) Final(now Clock) {
 // End implements core.Observer with the final audit.
 func (c *Checker) End(clocks []Clock) { c.Final(slices.Max(clocks)) }
 
-// The checker validates memory transactions only; it ignores the
-// other core.Observer events.
-func (c *Checker) Attach(*memory.AddressSpace, coherence.MemoryModel, []stats.Proc) {}
-func (c *Checker) Place(memory.Addr, uint64, int)                                   {}
-func (c *Checker) Compute(int, Clock, Clock)                                        {}
-func (c *Checker) DefineSync(int, stats.SyncKind, string, int)                      {}
-func (c *Checker) Sync(int, int, bool, Clock)                                       {}
-func (c *Checker) SyncWait(int, int, Clock, Clock)                                  {}
-func (c *Checker) Invalidated(uint64, int, int, int, Clock)                         {}
-func (c *Checker) Evicted(uint64, int, Clock)                                       {}
-func (c *Checker) Reset(int, Clock)                                                 {}
+// Attach implements core.Observer: the race check names regions from
+// the address space.
+func (c *Checker) Attach(as *memory.AddressSpace, _ coherence.MemoryModel, _ []stats.Proc) {
+	if c.race != nil {
+		c.race.as = as
+	}
+}
+
+// DefineSync, Sync and SyncWait implement core.Observer: they carry the
+// happens-before edges of the race check.
+func (c *Checker) DefineSync(id int, kind stats.SyncKind, _ string, _ int) {
+	if c.race != nil {
+		c.race.defineSync(id, kind)
+	}
+}
+
+func (c *Checker) Sync(pe, id int, release bool, _ Clock) {
+	if c.race != nil {
+		c.race.sync(pe, id, release)
+	}
+}
+
+func (c *Checker) SyncWait(pe, id int, _, _ Clock) {
+	if c.race != nil {
+		c.race.syncWait(pe, id)
+	}
+}
+
+// The checker ignores the other core.Observer events.
+func (c *Checker) Place(memory.Addr, uint64, int)           {}
+func (c *Checker) Compute(int, Clock, Clock)                {}
+func (c *Checker) Invalidated(uint64, int, int, int, Clock) {}
+func (c *Checker) Evicted(uint64, int, Clock)               {}
+func (c *Checker) Reset(int, Clock)                         {}

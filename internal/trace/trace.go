@@ -295,8 +295,9 @@ func Replay(cfg core.Config, t *Trace) (*core.Result, error) {
 	if err != nil {
 		return nil, err
 	}
-	// A recorded stream's addresses are fixed, so replay cannot race.
-	m.DeclareRaceFree()
+	// A recorded stream's addresses are fixed, so run-ahead reproduces
+	// the inline replay whatever races the stream records.
+	m.DeclareFixedStreams()
 	for _, r := range t.Regions {
 		m.Alloc(r.Size, r.Name)
 	}

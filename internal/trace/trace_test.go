@@ -208,6 +208,31 @@ func TestReplayMatchesOriginalConfig(t *testing.T) {
 	}
 }
 
+// TestReplayRacyTraceUnderSanitize: Replay runs ahead because a
+// recorded stream is fixed, not because it is race-free, so the
+// sanitizer's race check holds it to no promise. MP3D races by design
+// (its move loop); its replayed trace must pass with Sanitize set.
+func TestReplayRacyTraceUnderSanitize(t *testing.T) {
+	w, err := registry.Lookup("mp3d")
+	if err != nil {
+		t.Fatal(err)
+	}
+	cfg := core.DefaultConfig()
+	cfg.Procs = 8
+	cfg.ClusterSize = 2
+	cfg.CacheKBPerProc = 4
+	col := trace.NewCollector(cfg.Procs)
+	cfg.Tracer = col
+	if _, err := w.Run(cfg, apps.SizeTest); err != nil {
+		t.Fatal(err)
+	}
+	cfg.Tracer = nil
+	cfg.Sanitize = true
+	if _, err := trace.Replay(cfg, col.Finish()); err != nil {
+		t.Fatalf("replaying MP3D's trace under the sanitizer: %v", err)
+	}
+}
+
 func TestReplayAcrossConfigurations(t *testing.T) {
 	// The point of traces: record once, replay under different cluster
 	// sizes and cache sizes.
