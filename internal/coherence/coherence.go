@@ -9,15 +9,18 @@
 // outstanding READ or WRITE miss is a MERGE miss that blocks until the
 // data returns. Invalidations are instantaneous and may invalidate
 // pending lines.
+//
+// The paper's two cluster organisations differ only inside a cluster:
+// System shares one cache per cluster, MemClusterSystem puts private
+// caches on a snoopy bus to an attraction memory. Between clusters both
+// run the same directory protocol, which each embeds (protocol.go).
 package coherence
 
 import (
 	"fmt"
-	"math/bits"
 
 	"clustersim/internal/cache"
 	"clustersim/internal/directory"
-	"clustersim/internal/fault"
 	"clustersim/internal/memory"
 )
 
@@ -192,18 +195,11 @@ type Stats struct {
 	FaultCycles uint64 `json:",omitempty"` // injected fault latency charged to this cluster's requests
 }
 
-// System is the machine-wide memory system: one shared cache per cluster,
-// the directory, and the protocol connecting them.
+// System is the paper's main organisation: one shared cache per
+// cluster, kept coherent between clusters by the directory protocol.
 type System struct {
-	as          *memory.AddressSpace
-	dir         *directory.Directory
-	caches      []cache.Store
-	lat         Latencies
-	lineShift   uint
-	numClusters int
-	clusterStat []Stats
-	obs         Observer
-	inj         *fault.Injector
+	protocol
+	caches []cache.Store
 
 	// disableHints suppresses replacement hints (ablation): the
 	// directory keeps stale sharer bits for silently dropped clean
@@ -224,26 +220,12 @@ func NewSystem(as *memory.AddressSpace, numClusters, cacheLines int, lineBytes u
 // configuration the paper defers to future work.
 func NewSystemAssoc(as *memory.AddressSpace, numClusters, cacheLines, ways int, lineBytes uint64,
 	lat Latencies, policy cache.ReplacePolicy) (*System, error) {
-	if numClusters != as.NumClusters() {
-		return nil, fmt.Errorf("coherence: %d clusters but address space has %d",
-			numClusters, as.NumClusters())
-	}
-	if lineBytes == 0 || lineBytes&(lineBytes-1) != 0 {
-		return nil, fmt.Errorf("coherence: line size %d must be a power of two", lineBytes)
-	}
-	dir, err := directory.New(numClusters)
+	p, err := newProtocol(as, numClusters, lineBytes, lat)
 	if err != nil {
 		return nil, err
 	}
-	s := &System{
-		as:          as,
-		dir:         dir,
-		lat:         lat,
-		lineShift:   uint(bits.TrailingZeros64(lineBytes)),
-		numClusters: numClusters,
-		clusterStat: make([]Stats, numClusters),
-	}
-	s.caches = make([]cache.Store, numClusters)
+	s := &System{protocol: p, caches: make([]cache.Store, numClusters)}
+	s.copies = s
 	for i := range s.caches {
 		if ways == 0 {
 			s.caches[i] = cache.New(cacheLines, policy)
@@ -262,33 +244,6 @@ func NewSystemAssoc(as *memory.AddressSpace, numClusters, cacheLines, ways int, 
 // the ablation benchmark. Call before simulation starts.
 func (s *System) DisableReplacementHints() { s.disableHints = true }
 
-// SetObserver attaches a protocol-event observer (the sharing
-// profiler). Call before simulation starts; a nil observer keeps the
-// hot paths at a single branch.
-func (s *System) SetObserver(o Observer) { s.obs = o }
-
-// SetFaults attaches a deterministic fault injector (nil detaches).
-// Call before simulation starts.
-func (s *System) SetFaults(in *fault.Injector) { s.inj = in }
-
-// injectFetch consults the fault plan for one directory fetch or
-// ownership request by cluster, returning the extra virtual-time
-// latency (NACK backoffs plus remote-hop jitter) to fold into the
-// miss. Starvation past the liveness cap panics inside the injector.
-func (s *System) injectFetch(line uint64, cluster int, hops Hops, now Clock) Clock {
-	if s.inj == nil {
-		return 0
-	}
-	extra, nacks := s.inj.Fetch(line, cluster, hops != HopLocalClean, now)
-	st := &s.clusterStat[cluster]
-	st.Nacks += uint64(nacks)
-	st.FaultCycles += uint64(extra)
-	return extra
-}
-
-// LineBytes returns the coherence granularity.
-func (s *System) LineBytes() uint64 { return 1 << s.lineShift }
-
 // LineOf returns the line number containing addr.
 func (s *System) LineOf(addr memory.Addr) uint64 { return addr >> s.lineShift }
 
@@ -297,18 +252,6 @@ func (s *System) Cache(cluster int) cache.Store { return s.caches[cluster] }
 
 // Directory returns the directory, for inspection.
 func (s *System) Directory() *directory.Directory { return s.dir }
-
-// ClusterStats returns protocol counters for one cluster.
-func (s *System) ClusterStats(cluster int) Stats { return s.clusterStat[cluster] }
-
-// ResetStats zeroes the per-cluster protocol counters (cache and
-// directory contents are untouched). Used when measurement begins after
-// an application's initialization phase.
-func (s *System) ResetStats() {
-	for i := range s.clusterStat {
-		s.clusterStat[i] = Stats{}
-	}
-}
 
 // Read simulates a read by a processor in cluster at time now. The proc
 // argument exists to satisfy MemoryModel; shared-cache clusters do not
@@ -324,34 +267,7 @@ func (s *System) Read(proc, cluster int, addr memory.Addr, now Clock) Access {
 		}
 		return Access{Class: Hit}
 	}
-
-	home := s.as.HomeOf(addr)
-	e := s.dir.Lookup(line)
-	var hops Hops
-	if e.State == directory.Exclusive {
-		owner := e.Owner()
-		if owner == cluster {
-			panic(fmt.Sprintf("coherence: cluster %d misses on line %#x it owns exclusively", cluster, line))
-		}
-		// Cache-to-cache transfer: the owner keeps a shared copy.
-		s.caches[owner].Downgrade(line)
-		s.dir.Downgrade(line)
-		switch {
-		case cluster == home:
-			hops = HopLocalDirty
-		case owner == home:
-			hops = HopRemoteClean // two hops: the home itself holds the dirty data
-		default:
-			hops = HopRemoteDirty
-		}
-	} else {
-		if cluster == home {
-			hops = HopLocalClean
-		} else {
-			hops = HopRemoteClean
-		}
-	}
-	lat := s.lat.of(hops) + s.injectFetch(line, cluster, hops, now)
+	hops, lat := s.fetch(line, cluster, addr, false, now)
 	s.dir.AddSharer(line, cluster)
 	s.insert(cluster, line, cache.Shared, now, now+lat)
 	return Access{Class: ReadMiss, Hops: hops, Stall: lat}
@@ -372,45 +288,21 @@ func (s *System) Write(proc, cluster int, addr memory.Addr, now Clock) Access {
 				return Access{Class: WriteMerge}
 			}
 			// Write to an in-flight read fill: upgrade the fill.
-			ack := s.invalidateOthers(line, cluster, proc, now)
+			ack := s.invalidate(line, cluster, proc, now)
 			l.FillState = cache.Exclusive
-			s.dir.SetExclusive(line, cluster)
 			return Access{Class: Upgrade, Stall: ack}
 		}
 		switch l.State {
 		case cache.Exclusive:
 			return Access{Class: Hit}
 		case cache.Shared:
-			ack := s.invalidateOthers(line, cluster, proc, now)
+			ack := s.invalidate(line, cluster, proc, now)
 			l.State = cache.Exclusive
-			s.dir.SetExclusive(line, cluster)
 			return Access{Class: Upgrade, Stall: ack}
 		}
 	}
-
-	home := s.as.HomeOf(addr)
-	e := s.dir.Lookup(line)
-	var hops Hops
-	if e.State == directory.Exclusive {
-		owner := e.Owner()
-		switch {
-		case cluster == home:
-			hops = HopLocalDirty
-		case owner == home:
-			hops = HopRemoteClean
-		default:
-			hops = HopRemoteDirty
-		}
-	} else {
-		if cluster == home {
-			hops = HopLocalClean
-		} else {
-			hops = HopRemoteClean
-		}
-	}
-	lat := s.lat.of(hops) + s.injectFetch(line, cluster, hops, now)
-	ack := s.invalidateOthers(line, cluster, proc, now)
-	s.dir.SetExclusive(line, cluster)
+	hops, lat := s.fetch(line, cluster, addr, true, now)
+	ack := s.invalidate(line, cluster, proc, now)
 	s.insert(cluster, line, cache.Exclusive, now, now+lat)
 	// Stall carries the fetch latency for the blocking-writes ablation;
 	// with the paper's store-buffer assumption the processor ignores it.
@@ -439,49 +331,27 @@ func (s *System) insert(cluster int, line uint64, fill cache.State, now, readyAt
 	}
 }
 
-// invalidateOthers removes every copy of line outside cluster, updating
-// the directory and the invalidation counters. proc is the writing
-// processor and now the write's issue time, for the observer. The
-// return value is the writer's wait for the slowest injected straggler
-// acknowledgement (0 without fault injection) — acks are gathered in
-// parallel, so the waits overlap rather than add.
-func (s *System) invalidateOthers(line uint64, cluster, proc int, now Clock) Clock {
-	var ackDelay Clock
-	mask := s.dir.ClearAll(line)
-	mask &^= 1 << uint(cluster)
-	for mask != 0 {
-		j := bits.TrailingZeros64(mask)
-		mask &^= 1 << uint(j)
-		lost := s.caches[j].Invalidate(line)
-		s.clusterStat[j].InvalidationsReceived++
-		s.clusterStat[cluster].InvalidationsSent++
-		if lost && s.obs != nil {
-			s.obs.Invalidated(line, proc, cluster, j, now)
-		}
-		if s.inj != nil {
-			if d := s.inj.AckDelay(line, j, now); d > 0 {
-				s.clusterStat[j].AckDelays++
-				if d > ackDelay {
-					ackDelay = d
-				}
-			}
-		}
-	}
-	// The writer waits only for the slowest straggler; charge it that.
-	s.clusterStat[cluster].FaultCycles += uint64(ackDelay)
-	return ackDelay
-}
+// downgrade and drop give the directory protocol the cluster's shared
+// cache (clusterCopies).
+func (s *System) downgrade(cluster int, line uint64) { s.caches[cluster].Downgrade(line) }
+
+func (s *System) drop(cluster int, line uint64) bool { return s.caches[cluster].Invalidate(line) }
 
 func (s *System) checkAccess(cluster int, addr memory.Addr) {
 	if cluster < 0 || cluster >= s.numClusters {
-		panic(fmt.Sprintf("coherence: access from invalid cluster %d", cluster))
+		s.badCluster(cluster)
 	}
 	if !s.as.Mapped(addr) {
-		if r, ok := s.as.RegionOf(addr); ok {
-			panic(fmt.Sprintf("coherence: access to %#x inside padding of region %q", addr, r.Name))
-		}
-		panic(fmt.Sprintf("coherence: access to unallocated address %#x", addr))
+		s.unmapped(addr)
 	}
+}
+
+// badCluster panics for an access from a cluster the machine lacks. Like
+// unmapped it stays out of line, keeping the access check small.
+//
+//go:noinline
+func (s *System) badCluster(cluster int) {
+	panic(fmt.Sprintf("coherence: access from invalid cluster %d", cluster))
 }
 
 // CheckLine audits one line's directory/cache agreement at time now:
@@ -493,9 +363,12 @@ func (s *System) checkAccess(cluster int, addr memory.Addr) {
 // Lookup), so the audit never perturbs simulation state.
 func (s *System) CheckLine(addr memory.Addr, now Clock) error {
 	line := s.LineOf(addr)
-	e := s.dir.Lookup(line)
-	for cl := 0; cl < s.numClusters; cl++ {
-		l := s.caches[cl].Peek(line)
+	e, err := s.entry(line)
+	if err != nil {
+		return err
+	}
+	for cl, c := range s.caches {
+		l := c.Peek(line)
 		if e.Has(cl) != (l != nil) {
 			if s.disableHints && e.Has(cl) && l == nil {
 				continue // stale sharer bit from a silent clean drop
@@ -525,68 +398,19 @@ func (s *System) CheckLine(addr memory.Addr, now Clock) error {
 			}
 		}
 	}
-	if e.State == directory.Exclusive && e.NumSharers() != 1 {
-		return fmt.Errorf("line %#x: EXCLUSIVE with %d sharers", line, e.NumSharers())
-	}
 	return nil
 }
 
 // CheckInvariants audits the agreement between caches and directory at
-// time now. Used by integration tests after every run.
+// time now: CheckLine on every line the directory knows, then the
+// reverse view, that every resident line is known to the directory.
+// Like CheckLine it changes no state. Used by integration tests after
+// every run and by the sanitizer's periodic and final audits.
 func (s *System) CheckInvariants(now Clock) error {
-	// Directory view: for each entry, the sharer set must exactly match
-	// the caches that hold the line, and an EXCLUSIVE entry must have one
-	// owner whose cached copy is (or will settle) EXCLUSIVE.
-	var err error
-	s.dir.ForEach(func(line uint64, e directory.Entry) {
-		if err != nil {
-			return
-		}
-		for cl := 0; cl < s.numClusters; cl++ {
-			l := s.caches[cl].Lookup(line, now)
-			if e.Has(cl) != (l != nil) {
-				// Without replacement hints a directory bit may outlive
-				// the cached copy, but never the other way around.
-				if !(s.disableHints && e.Has(cl) && l == nil) {
-					err = fmt.Errorf("line %#x: directory bit for cluster %d is %v but cache residency is %v",
-						line, cl, e.Has(cl), l != nil)
-					return
-				}
-			}
-			if l == nil {
-				continue
-			}
-			st := l.State
-			if l.Pending {
-				st = l.FillState
-			}
-			switch e.State {
-			case directory.Exclusive:
-				if st != cache.Exclusive {
-					err = fmt.Errorf("line %#x: directory EXCLUSIVE but cluster %d caches it %v", line, cl, st)
-				}
-			case directory.Shared:
-				if st != cache.Shared {
-					err = fmt.Errorf("line %#x: directory SHARED but cluster %d caches it %v", line, cl, st)
-				}
-			}
-		}
-		if e.State == directory.Exclusive && e.NumSharers() != 1 {
-			err = fmt.Errorf("line %#x: EXCLUSIVE with %d sharers", line, e.NumSharers())
-		}
-	})
-	if err != nil {
-		return err
-	}
-	// Cache view: every resident line must be known to the directory.
-	for cl := 0; cl < s.numClusters; cl++ {
-		cl := cl
-		s.caches[cl].ForEach(func(l *cache.Line) {
-			if err != nil {
-				return
-			}
-			e := s.dir.Lookup(l.Tag)
-			if !e.Has(cl) {
+	err := s.checkLines(now, s.CheckLine)
+	for cl, c := range s.caches {
+		c.ForEach(func(l *cache.Line) {
+			if err == nil && !s.dir.Lookup(l.Tag).Has(cl) {
 				err = fmt.Errorf("cluster %d caches line %#x unknown to the directory", cl, l.Tag)
 			}
 		})

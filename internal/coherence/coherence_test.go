@@ -319,3 +319,31 @@ func TestHopsAndClassStrings(t *testing.T) {
 		t.Error("Hops.String wrong")
 	}
 }
+
+// TestAuditsLeavePendingFills checks that the full audit of either
+// organisation changes no state: a read fill ready at cycle 30 and
+// audited at cycle 100 is still pending, in state INVALID, afterwards.
+func TestAuditsLeavePendingFills(t *testing.T) {
+	s, base := sys(t, 0)
+	m, mbase := memSys(t, 0)
+	for _, c := range []struct {
+		name  string
+		model MemoryModel
+		addr  memory.Addr
+		cache cache.Store
+	}{
+		{"shared-cache", s, base, s.Cache(0)},
+		{"shared-memory", m, mbase, m.l1[0]},
+	} {
+		if a := c.model.Read(0, 0, c.addr, 0); a.Class != ReadMiss || a.Stall != 30 {
+			t.Fatalf("%s: cold read = %+v, want a 30-cycle read miss", c.name, a)
+		}
+		if err := c.model.CheckInvariants(100); err != nil {
+			t.Fatalf("%s: audit: %v", c.name, err)
+		}
+		l := c.cache.Peek(c.addr >> 6)
+		if l == nil || !l.Pending || l.State != cache.Invalid {
+			t.Errorf("%s: after the audit the fill is %+v, want pending in state INVALID", c.name, l)
+		}
+	}
+}

@@ -2,11 +2,8 @@ package coherence
 
 import (
 	"fmt"
-	"math/bits"
 
 	"clustersim/internal/cache"
-	"clustersim/internal/directory"
-	"clustersim/internal/fault"
 	"clustersim/internal/memory"
 )
 
@@ -29,20 +26,15 @@ const DefaultBusCycles Clock = 15
 // paper's: there is no destructive interference between processors
 // (private caches), working sets are duplicated rather than overlapped,
 // and communication savings appear as cheap intra-cluster bus transfers
-// rather than outright hits.
+// rather than outright hits. Between clusters both organisations run the
+// same directory protocol, and only that traffic is exposed to faults;
+// the snoopy bus is reliable.
 type MemClusterSystem struct {
-	as          *memory.AddressSpace
-	dir         *directory.Directory // cluster-granularity sharer sets
-	l1          []cache.Store        // per processor
+	protocol
+	l1          []cache.Store // per processor
 	attraction  []map[uint64]cache.State
 	clusterSize int
-	lat         Latencies
 	bus         Clock
-	lineShift   uint
-	numClusters int
-	clusterStat []Stats
-	obs         Observer
-	inj         *fault.Injector
 }
 
 // NewMemClusterSystem builds a shared-main-memory-cluster system.
@@ -50,35 +42,24 @@ type MemClusterSystem struct {
 // clusterSize processors share each attraction memory.
 func NewMemClusterSystem(as *memory.AddressSpace, numClusters, clusterSize, l1Lines, ways int,
 	lineBytes uint64, lat Latencies, bus Clock, policy cache.ReplacePolicy) (*MemClusterSystem, error) {
-	if numClusters != as.NumClusters() {
-		return nil, fmt.Errorf("coherence: %d clusters but address space has %d",
-			numClusters, as.NumClusters())
-	}
 	if clusterSize <= 0 {
 		return nil, fmt.Errorf("coherence: cluster size %d must be positive", clusterSize)
-	}
-	if lineBytes == 0 || lineBytes&(lineBytes-1) != 0 {
-		return nil, fmt.Errorf("coherence: line size %d must be a power of two", lineBytes)
 	}
 	if bus <= 0 {
 		return nil, fmt.Errorf("coherence: bus latency %d must be positive", bus)
 	}
-	dir, err := directory.New(numClusters)
+	p, err := newProtocol(as, numClusters, lineBytes, lat)
 	if err != nil {
 		return nil, err
 	}
 	s := &MemClusterSystem{
-		as:          as,
-		dir:         dir,
+		protocol:    p,
+		l1:          make([]cache.Store, numClusters*clusterSize),
+		attraction:  make([]map[uint64]cache.State, numClusters),
 		clusterSize: clusterSize,
-		lat:         lat,
 		bus:         bus,
-		lineShift:   uint(bits.TrailingZeros64(lineBytes)),
-		numClusters: numClusters,
-		clusterStat: make([]Stats, numClusters),
 	}
-	nProcs := numClusters * clusterSize
-	s.l1 = make([]cache.Store, nProcs)
+	s.copies = s
 	for i := range s.l1 {
 		if ways == 0 {
 			s.l1[i] = cache.New(l1Lines, policy)
@@ -90,51 +71,10 @@ func NewMemClusterSystem(as *memory.AddressSpace, numClusters, clusterSize, l1Li
 		}
 		s.l1[i] = sa
 	}
-	s.attraction = make([]map[uint64]cache.State, numClusters)
 	for i := range s.attraction {
 		s.attraction[i] = make(map[uint64]cache.State)
 	}
 	return s, nil
-}
-
-// LineBytes returns the coherence granularity.
-func (s *MemClusterSystem) LineBytes() uint64 { return 1 << s.lineShift }
-
-// ClusterStats returns one cluster's protocol counters.
-func (s *MemClusterSystem) ClusterStats(cluster int) Stats { return s.clusterStat[cluster] }
-
-// ResetStats zeroes the protocol counters.
-func (s *MemClusterSystem) ResetStats() {
-	for i := range s.clusterStat {
-		s.clusterStat[i] = Stats{}
-	}
-}
-
-// L1 returns a processor's private cache, for inspection.
-func (s *MemClusterSystem) L1(proc int) cache.Store { return s.l1[proc] }
-
-// SetObserver attaches a protocol-event observer. Only cluster-level
-// copy losses are reported: a private-cache eviction or invalidation
-// whose line the attraction memory retains is invisible, because the
-// cluster never lost the data.
-func (s *MemClusterSystem) SetObserver(o Observer) { s.obs = o }
-
-// SetFaults attaches a deterministic fault injector (nil detaches).
-// Only inter-cluster directory traffic is exposed to faults; the
-// intra-cluster snoopy bus is reliable.
-func (s *MemClusterSystem) SetFaults(in *fault.Injector) { s.inj = in }
-
-// injectFetch consults the fault plan for one global fetch or ownership
-// request, as System.injectFetch.
-func (s *MemClusterSystem) injectFetch(line uint64, cluster int, hops Hops, now Clock) Clock {
-	if s.inj == nil {
-		return 0
-	}
-	extra, nacks := s.inj.Fetch(line, cluster, hops != HopLocalClean, now)
-	st := &s.clusterStat[cluster]
-	st.Nacks += uint64(nacks)
-	st.FaultCycles += uint64(extra)
-	return extra
 }
 
 // InCluster reports whether the cluster's attraction memory holds line.
@@ -145,7 +85,7 @@ func (s *MemClusterSystem) InCluster(cluster int, line uint64) bool {
 
 // Read simulates a load by processor proc (in cluster) at time now.
 func (s *MemClusterSystem) Read(proc, cluster int, addr memory.Addr, now Clock) Access {
-	s.check(proc, cluster, addr)
+	s.checkAccess(proc, cluster, addr)
 	line := addr >> s.lineShift
 	l1 := s.l1[proc]
 	if l := l1.Lookup(line, now); l != nil {
@@ -162,32 +102,7 @@ func (s *MemClusterSystem) Read(proc, cluster int, addr memory.Addr, now Clock) 
 		return Access{Class: ReadMiss, Hops: HopIntraCluster, Stall: s.bus}
 	}
 	// Global miss: directory protocol at cluster granularity.
-	home := s.as.HomeOf(addr)
-	e := s.dir.Lookup(line)
-	var hops Hops
-	if e.State == directory.Exclusive {
-		owner := e.Owner()
-		if owner == cluster {
-			panic(fmt.Sprintf("coherence: cluster %d misses on line %#x it owns", cluster, line))
-		}
-		s.downgradeCluster(owner, line)
-		s.dir.Downgrade(line)
-		switch {
-		case cluster == home:
-			hops = HopLocalDirty
-		case owner == home:
-			hops = HopRemoteClean
-		default:
-			hops = HopRemoteDirty
-		}
-	} else {
-		if cluster == home {
-			hops = HopLocalClean
-		} else {
-			hops = HopRemoteClean
-		}
-	}
-	lat := s.lat.of(hops) + s.injectFetch(line, cluster, hops, now)
+	hops, lat := s.fetch(line, cluster, addr, false, now)
 	s.dir.AddSharer(line, cluster)
 	s.attraction[cluster][line] = cache.Shared
 	s.insertL1(proc, cluster, line, cache.Shared, now, now+lat)
@@ -199,7 +114,7 @@ func (s *MemClusterSystem) Read(proc, cluster int, addr memory.Addr, now Clock) 
 // instantaneously. The cluster keeps ownership whenever it already has
 // it — the paper's "invalidations ... stay within the same cluster".
 func (s *MemClusterSystem) Write(proc, cluster int, addr memory.Addr, now Clock) Access {
-	s.check(proc, cluster, addr)
+	s.checkAccess(proc, cluster, addr)
 	line := addr >> s.lineShift
 	l1 := s.l1[proc]
 	if l := l1.Lookup(line, now); l != nil {
@@ -228,29 +143,8 @@ func (s *MemClusterSystem) Write(proc, cluster int, addr memory.Addr, now Clock)
 		return Access{Class: WriteMiss, Hops: HopIntraCluster, Stall: s.bus + ack}
 	}
 	// Global write miss.
-	home := s.as.HomeOf(addr)
-	e := s.dir.Lookup(line)
-	var hops Hops
-	if e.State == directory.Exclusive {
-		owner := e.Owner()
-		switch {
-		case cluster == home:
-			hops = HopLocalDirty
-		case owner == home:
-			hops = HopRemoteClean
-		default:
-			hops = HopRemoteDirty
-		}
-	} else {
-		if cluster == home {
-			hops = HopLocalClean
-		} else {
-			hops = HopRemoteClean
-		}
-	}
-	lat := s.lat.of(hops) + s.injectFetch(line, cluster, hops, now)
-	ack := s.invalidateOtherClusters(line, cluster, proc, now)
-	s.dir.SetExclusive(line, cluster)
+	hops, lat := s.fetch(line, cluster, addr, true, now)
+	ack := s.invalidate(line, cluster, proc, now)
 	s.attraction[cluster][line] = cache.Exclusive
 	s.insertL1(proc, cluster, line, cache.Exclusive, now, now+lat)
 	return Access{Class: WriteMiss, Hops: hops, Stall: lat + ack}
@@ -264,17 +158,13 @@ func (s *MemClusterSystem) Write(proc, cluster int, addr memory.Addr, now Clock)
 // leave the cluster, and the snoopy bus is reliable).
 func (s *MemClusterSystem) makeExclusive(proc, cluster int, line uint64, now Clock) Clock {
 	var ack Clock
-	if st, ok := s.attraction[cluster][line]; !ok || st != cache.Exclusive {
-		ack = s.invalidateOtherClusters(line, cluster, proc, now)
-		s.dir.SetExclusive(line, cluster)
+	if s.attraction[cluster][line] != cache.Exclusive {
+		ack = s.invalidate(line, cluster, proc, now)
 		s.attraction[cluster][line] = cache.Exclusive
 	}
 	base := cluster * s.clusterSize
 	for q := base; q < base+s.clusterSize; q++ {
-		if q == proc {
-			continue
-		}
-		if s.l1[q].Invalidate(line) {
+		if q != proc && s.l1[q].Invalidate(line) {
 			s.clusterStat[cluster].InvalidationsSent++
 			s.clusterStat[cluster].InvalidationsReceived++
 		}
@@ -282,51 +172,30 @@ func (s *MemClusterSystem) makeExclusive(proc, cluster int, line uint64, now Clo
 	return ack
 }
 
-// invalidateOtherClusters removes line from every cluster except the
-// writer's: their attraction memories and all their processors' caches.
-// The write was issued by proc at time now; each victim cluster's loss
-// is reported to the observer. It returns the writer's wait for the
-// slowest injected straggler acknowledgement (0 without fault
-// injection) — acks are gathered in parallel, so waits overlap.
-func (s *MemClusterSystem) invalidateOtherClusters(line uint64, cluster, proc int, now Clock) Clock {
-	var ackDelay Clock
-	mask := s.dir.ClearAll(line)
-	mask &^= 1 << uint(cluster)
-	for mask != 0 {
-		j := bits.TrailingZeros64(mask)
-		mask &^= 1 << uint(j)
-		delete(s.attraction[j], line)
-		base := j * s.clusterSize
-		for q := base; q < base+s.clusterSize; q++ {
-			s.l1[q].Invalidate(line)
-		}
-		s.clusterStat[j].InvalidationsReceived++
-		s.clusterStat[cluster].InvalidationsSent++
-		if s.obs != nil {
-			s.obs.Invalidated(line, proc, cluster, j, now)
-		}
-		if s.inj != nil {
-			if d := s.inj.AckDelay(line, j, now); d > 0 {
-				s.clusterStat[j].AckDelays++
-				if d > ackDelay {
-					ackDelay = d
-				}
-			}
-		}
+// downgrade moves a cluster's exclusive line to shared: the attraction
+// memory keeps a shared copy and any dirty private copy is downgraded
+// in place.
+func (s *MemClusterSystem) downgrade(cluster int, line uint64) {
+	s.attraction[cluster][line] = cache.Shared
+	for _, c := range s.procCaches(cluster) {
+		c.Downgrade(line)
 	}
-	s.clusterStat[cluster].FaultCycles += uint64(ackDelay)
-	return ackDelay
 }
 
-// downgradeCluster moves a cluster's exclusive line to shared: the
-// attraction memory keeps a shared copy and any dirty private copy is
-// downgraded in place.
-func (s *MemClusterSystem) downgradeCluster(cluster int, line uint64) {
-	s.attraction[cluster][line] = cache.Shared
-	base := cluster * s.clusterSize
-	for q := base; q < base+s.clusterSize; q++ {
-		s.l1[q].Downgrade(line)
+// drop removes line from a cluster's attraction memory and all its
+// processors' caches. A set directory bit means the attraction memory
+// held the line, so the cluster always lost a copy.
+func (s *MemClusterSystem) drop(cluster int, line uint64) bool {
+	delete(s.attraction[cluster], line)
+	for _, c := range s.procCaches(cluster) {
+		c.Invalidate(line)
 	}
+	return true
+}
+
+// procCaches returns the private caches of cluster's processors.
+func (s *MemClusterSystem) procCaches(cluster int) []cache.Store {
+	return s.l1[cluster*s.clusterSize : (cluster+1)*s.clusterSize]
 }
 
 // insertL1 installs a fill in a private cache. Evictions stay inside the
@@ -340,95 +209,78 @@ func (s *MemClusterSystem) insertL1(proc, cluster int, line uint64, fill cache.S
 	}
 }
 
-func (s *MemClusterSystem) check(proc, cluster int, addr memory.Addr) {
+func (s *MemClusterSystem) checkAccess(proc, cluster int, addr memory.Addr) {
 	if proc < 0 || proc >= len(s.l1) || proc/s.clusterSize != cluster {
-		panic(fmt.Sprintf("coherence: processor %d is not in cluster %d", proc, cluster))
+		s.badProc(proc, cluster)
 	}
 	if !s.as.Mapped(addr) {
-		panic(fmt.Sprintf("coherence: access to unallocated address %#x", addr))
+		s.unmapped(addr)
 	}
 }
 
+// badProc panics for an access from a processor outside cluster. Like
+// unmapped it stays out of line, keeping the access check small.
+//
+//go:noinline
+func (s *MemClusterSystem) badProc(proc, cluster int) {
+	panic(fmt.Sprintf("coherence: processor %d is not in cluster %d", proc, cluster))
+}
+
 // CheckLine audits one line's directory/attraction/private-cache
-// agreement at time now — the sanitizer's per-transaction spot check.
-// Peek keeps the audit non-mutating.
+// agreement at time now — the sanitizer's per-transaction spot check:
+// a directory bit must mirror the attraction memory's presence, and a
+// private copy must sit in its cluster's attraction memory, EXCLUSIVE
+// only where the cluster is. Peek keeps the audit non-mutating.
 func (s *MemClusterSystem) CheckLine(addr memory.Addr, now Clock) error {
 	line := addr >> s.lineShift
-	e := s.dir.Lookup(line)
-	for cl := 0; cl < s.numClusters; cl++ {
-		if _, present := s.attraction[cl][line]; e.Has(cl) != present {
+	e, err := s.entry(line)
+	if err != nil {
+		return err
+	}
+	for cl, am := range s.attraction {
+		if _, present := am[line]; e.Has(cl) != present {
 			return fmt.Errorf("line %#x: directory bit %v but attraction presence %v in cluster %d",
 				line, e.Has(cl), present, cl)
 		}
 	}
-	if e.State == directory.Exclusive && e.NumSharers() != 1 {
-		return fmt.Errorf("line %#x: EXCLUSIVE with %d sharers", line, e.NumSharers())
-	}
-	for p := range s.l1 {
-		l := s.l1[p].Peek(line)
-		if l == nil {
-			continue
-		}
-		cl := p / s.clusterSize
-		st, ok := s.attraction[cl][line]
-		if !ok {
-			return fmt.Errorf("processor %d caches line %#x absent from cluster %d", p, line, cl)
-		}
-		eff := l.State
-		if l.Pending {
-			eff = l.FillState
-		}
-		if eff == cache.Exclusive && st != cache.Exclusive {
-			return fmt.Errorf("processor %d holds line %#x EXCLUSIVE but cluster %d is %v",
-				p, line, cl, st)
+	for p, c := range s.l1 {
+		if l := c.Peek(line); l != nil {
+			if err := s.checkPrivate(p, l); err != nil {
+				return err
+			}
 		}
 	}
 	return nil
 }
 
-// CheckInvariants audits directory/attraction/private-cache agreement.
-func (s *MemClusterSystem) CheckInvariants(now Clock) error {
-	var err error
-	s.dir.ForEach(func(line uint64, e directory.Entry) {
-		if err != nil {
-			return
-		}
-		for cl := 0; cl < s.numClusters; cl++ {
-			_, present := s.attraction[cl][line]
-			if e.Has(cl) != present {
-				err = fmt.Errorf("line %#x: directory bit %v but attraction presence %v in cluster %d",
-					line, e.Has(cl), present, cl)
-				return
-			}
-		}
-		if e.State == directory.Exclusive && e.NumSharers() != 1 {
-			err = fmt.Errorf("line %#x: EXCLUSIVE with %d sharers", line, e.NumSharers())
-		}
-	})
-	if err != nil {
-		return err
+// checkPrivate audits processor p's private copy l against its
+// cluster's attraction memory.
+func (s *MemClusterSystem) checkPrivate(p int, l *cache.Line) error {
+	cl := p / s.clusterSize
+	st, ok := s.attraction[cl][l.Tag]
+	if !ok {
+		return fmt.Errorf("processor %d caches line %#x absent from cluster %d", p, l.Tag, cl)
 	}
-	// Private caches only hold lines their cluster has, in a compatible
-	// state.
-	for p := range s.l1 {
-		p := p
-		cl := p / s.clusterSize
-		s.l1[p].ForEach(func(l *cache.Line) {
-			if err != nil {
-				return
-			}
-			st, ok := s.attraction[cl][l.Tag]
-			if !ok {
-				err = fmt.Errorf("processor %d caches line %#x absent from cluster %d", p, l.Tag, cl)
-				return
-			}
-			eff := l.State
-			if l.Pending {
-				eff = l.FillState
-			}
-			if eff == cache.Exclusive && st != cache.Exclusive {
-				err = fmt.Errorf("processor %d holds line %#x EXCLUSIVE but cluster %d is %v",
-					p, l.Tag, cl, st)
+	eff := l.State
+	if l.Pending {
+		eff = l.FillState
+	}
+	if eff == cache.Exclusive && st != cache.Exclusive {
+		return fmt.Errorf("processor %d holds line %#x EXCLUSIVE but cluster %d is %v", p, l.Tag, cl, st)
+	}
+	return nil
+}
+
+// CheckInvariants audits directory/attraction/private-cache agreement
+// at time now: CheckLine on every line the directory knows, then the
+// reverse view, that every private copy agrees with its cluster's
+// attraction memory. Like CheckLine it changes no state.
+func (s *MemClusterSystem) CheckInvariants(now Clock) error {
+	err := s.checkLines(now, s.CheckLine)
+	for p, c := range s.l1 {
+		c.ForEach(func(l *cache.Line) {
+			if err == nil {
+				err = s.checkPrivate(p, l)
 			}
 		})
 	}

@@ -11,6 +11,7 @@ import (
 	"clustersim/internal/core"
 	"clustersim/internal/critpath"
 	"clustersim/internal/obs"
+	"clustersim/internal/perf"
 	"clustersim/internal/profile"
 	"clustersim/internal/telemetry"
 )
@@ -21,7 +22,9 @@ import (
 // lines, default 10) or the critical-path report. SampleEvery, when
 // positive, is the telemetry sampling grid in cycles, and OnSample
 // observes each sample as it lands (telemetry.Collector.SetOnSample).
-// Manifest asks for the run manifest, without a host block.
+// Manifest asks for the run manifest, with a host block: the static
+// host identity (perf.ReadHost) and the point's measured wall time
+// (Host.WallNS), without attaching a performance monitor.
 type Artifacts struct {
 	TracePath, ProfilePath, CritpathPath string
 	ProfileTop                           int
@@ -47,9 +50,11 @@ type PointRun struct {
 // for a critpath path. The point is reported to sweep (nil is fine) as
 // (w.Name, cfg.ClusterSize, cfg.CacheKBPerProc) and runs under panic
 // isolation. On success each artifact is stamped with w.Name, size and
-// hash and written atomically, its directory created if missing. A
-// failed point returns a nil run and writes nothing; a run returned
-// with an error finished, but an artifact could not be written.
+// hash and written atomically, its directory created if missing, and
+// the manifest's host block carries the host identity and the point's
+// wall time, so a sweep's manifests say where its time went. A failed
+// point returns a nil run and writes nothing; a run returned with an
+// error finished, but an artifact could not be written.
 func RunPoint(w apps.Runner, cfg core.Config, size apps.Size, hash string, art Artifacts, sweep *obs.Sweep) (*PointRun, error) {
 	var col *telemetry.Collector
 	if art.SampleEvery > 0 || art.TracePath != "" || art.Manifest {
@@ -110,6 +115,9 @@ func RunPoint(w apps.Runner, cfg core.Config, size apps.Size, hash string, art A
 	if art.Manifest {
 		run.Manifest = &telemetry.Manifest{Schema: telemetry.SchemaV1, App: w.Name, Size: sizeName,
 			ConfigHash: hash, Config: cfg, Result: res, Memory: res.MemoryReport(), Telemetry: col.SelfReport()}
+		host := perf.ReadHost()
+		host.WallNS = run.Wall.Nanoseconds()
+		run.Manifest.Host = host
 		if run.Profile != nil {
 			run.Manifest.Profile = run.Profile.Summary()
 		}

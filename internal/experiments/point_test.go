@@ -3,12 +3,15 @@ package experiments
 import (
 	"os"
 	"path/filepath"
+	"runtime"
 	"strings"
 	"testing"
 
 	"clustersim/internal/apps"
+	"clustersim/internal/apps/registry"
 	"clustersim/internal/core"
 	"clustersim/internal/obs"
+	"clustersim/internal/perf"
 	"clustersim/internal/telemetry"
 )
 
@@ -58,5 +61,27 @@ func TestRunPointFailureWritesNothing(t *testing.T) {
 	}
 	for _, e := range left {
 		t.Errorf("a failed point left %s behind", e.Name())
+	}
+}
+
+// TestRunPointManifestHostBlock: a manifest from the per-point runner
+// carries a host block without a monitor attached, naming the Go
+// runtime and the point's measured wall time.
+func TestRunPointManifestHostBlock(t *testing.T) {
+	w, err := registry.Lookup("fft")
+	if err != nil {
+		t.Fatal(err)
+	}
+	opt := journalOpts(t)
+	run, err := RunPoint(w, opt.config(2, 4), opt.Size, "sha256:test", Artifacts{Manifest: true}, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	host, ok := run.Manifest.Host.(perf.Host)
+	if !ok {
+		t.Fatalf("manifest host block = %#v, want a perf.Host", run.Manifest.Host)
+	}
+	if host.GoVersion != runtime.Version() || host.WallNS <= 0 {
+		t.Errorf("host block = %+v, want Go version %s and a positive wall time", host, runtime.Version())
 	}
 }

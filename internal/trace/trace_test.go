@@ -156,10 +156,13 @@ func TestReadRejectsGarbage(t *testing.T) {
 // recorded on, a trace reproduces the run exactly — byte-identical
 // Result JSON — for the synthetic workload and for every registered
 // application. That needs the recorded placements and the start of the
-// measured phase, not just the references. Replay declares its machine
-// race-free, so the engine's dispatch loop performs every reference
-// while the recorded run performed each inline: this is the loop's
-// oracle, on all nine applications, the racy ones included.
+// measured phase, not just the references. Replay calls
+// DeclareFixedStreams, so the engine's dispatch loop performs every
+// replayed reference, whichever way the recorded run performed it: the
+// eight applications that declare themselves race-free ran most of
+// theirs through the loop too, while MP3D and the racy intervals of
+// Barnes, Raytrace and Volrend ran inline. Across all nine, the replay
+// is the run-ahead oracle for those inline references.
 func TestReplayMatchesOriginalConfig(t *testing.T) {
 	check := func(t *testing.T, cfg core.Config, run func(core.Config) (*core.Result, error)) {
 		t.Helper()
