@@ -4,6 +4,7 @@ import (
 	"fmt"
 
 	"clustersim/internal/cache"
+	"clustersim/internal/directory"
 	"clustersim/internal/memory"
 )
 
@@ -20,7 +21,9 @@ const DefaultBusCycles Clock = 15
 // attraction memory, "as in a flat COMA style machine". Misses that find
 // their line anywhere inside the cluster are satisfied over the bus;
 // only lines absent from the whole cluster use the inter-cluster
-// directory protocol with the Table 1 latencies.
+// directory protocol with the Table 1 latencies. The attraction memory
+// never evicts, so the directory is its only record: it holds a line
+// exactly when its cluster's bit is set, EXCLUSIVE when the entry is.
 //
 // The essential contrasts with the shared-cache System are exactly the
 // paper's: there is no destructive interference between processors
@@ -32,7 +35,6 @@ const DefaultBusCycles Clock = 15
 type MemClusterSystem struct {
 	protocol
 	l1          []cache.Store // per processor
-	attraction  []map[uint64]cache.State
 	clusterSize int
 	bus         Clock
 }
@@ -55,7 +57,6 @@ func NewMemClusterSystem(as *memory.AddressSpace, numClusters, clusterSize, l1Li
 	s := &MemClusterSystem{
 		protocol:    p,
 		l1:          make([]cache.Store, numClusters*clusterSize),
-		attraction:  make([]map[uint64]cache.State, numClusters),
 		clusterSize: clusterSize,
 		bus:         bus,
 	}
@@ -71,16 +72,19 @@ func NewMemClusterSystem(as *memory.AddressSpace, numClusters, clusterSize, l1Li
 		}
 		s.l1[i] = sa
 	}
-	for i := range s.attraction {
-		s.attraction[i] = make(map[uint64]cache.State)
-	}
 	return s, nil
 }
 
-// InCluster reports whether the cluster's attraction memory holds line.
+// InCluster reports whether the cluster's attraction memory holds line:
+// whether the directory lists the cluster as a sharer.
 func (s *MemClusterSystem) InCluster(cluster int, line uint64) bool {
-	_, ok := s.attraction[cluster][line]
-	return ok
+	return s.dir.Lookup(line).Has(cluster)
+}
+
+// owns reports whether the cluster holds line EXCLUSIVE.
+func (s *MemClusterSystem) owns(cluster int, line uint64) bool {
+	e := s.dir.Lookup(line)
+	return e.State == directory.Exclusive && e.Has(cluster)
 }
 
 // Read simulates a load by processor proc (in cluster) at time now.
@@ -97,14 +101,13 @@ func (s *MemClusterSystem) Read(proc, cluster int, addr memory.Addr, now Clock) 
 	}
 	// In-cluster: the snoopy bus finds the line in a sibling cache or
 	// the attraction memory — the paper's cache-to-cache sharing.
-	if _, ok := s.attraction[cluster][line]; ok {
+	if s.InCluster(cluster, line) {
 		s.insertL1(proc, cluster, line, cache.Shared, now, now+s.bus)
 		return Access{Class: ReadMiss, Hops: HopIntraCluster, Stall: s.bus}
 	}
 	// Global miss: directory protocol at cluster granularity.
 	hops, lat := s.fetch(line, cluster, addr, false, now)
 	s.dir.AddSharer(line, cluster)
-	s.attraction[cluster][line] = cache.Shared
 	s.insertL1(proc, cluster, line, cache.Shared, now, now+lat)
 	return Access{Class: ReadMiss, Hops: hops, Stall: lat}
 }
@@ -136,7 +139,7 @@ func (s *MemClusterSystem) Write(proc, cluster int, addr memory.Addr, now Clock)
 			return Access{Class: Upgrade, Stall: ack}
 		}
 	}
-	if _, ok := s.attraction[cluster][line]; ok {
+	if s.InCluster(cluster, line) {
 		// In-cluster write miss: bus fetch (hidden) plus ownership.
 		ack := s.makeExclusive(proc, cluster, line, now)
 		s.insertL1(proc, cluster, line, cache.Exclusive, now, now+s.bus)
@@ -145,7 +148,6 @@ func (s *MemClusterSystem) Write(proc, cluster int, addr memory.Addr, now Clock)
 	// Global write miss.
 	hops, lat := s.fetch(line, cluster, addr, true, now)
 	ack := s.invalidate(line, cluster, proc, now)
-	s.attraction[cluster][line] = cache.Exclusive
 	s.insertL1(proc, cluster, line, cache.Exclusive, now, now+lat)
 	return Access{Class: WriteMiss, Hops: hops, Stall: lat + ack}
 }
@@ -158,9 +160,8 @@ func (s *MemClusterSystem) Write(proc, cluster int, addr memory.Addr, now Clock)
 // leave the cluster, and the snoopy bus is reliable).
 func (s *MemClusterSystem) makeExclusive(proc, cluster int, line uint64, now Clock) Clock {
 	var ack Clock
-	if s.attraction[cluster][line] != cache.Exclusive {
+	if !s.owns(cluster, line) {
 		ack = s.invalidate(line, cluster, proc, now)
-		s.attraction[cluster][line] = cache.Exclusive
 	}
 	base := cluster * s.clusterSize
 	for q := base; q < base+s.clusterSize; q++ {
@@ -172,21 +173,19 @@ func (s *MemClusterSystem) makeExclusive(proc, cluster int, line uint64, now Clo
 	return ack
 }
 
-// downgrade moves a cluster's exclusive line to shared: the attraction
-// memory keeps a shared copy and any dirty private copy is downgraded
-// in place.
+// downgrade moves a cluster's exclusive line to shared: any dirty
+// private copy is downgraded in place, and the directory's downgrade
+// leaves the attraction memory a shared copy.
 func (s *MemClusterSystem) downgrade(cluster int, line uint64) {
-	s.attraction[cluster][line] = cache.Shared
 	for _, c := range s.procCaches(cluster) {
 		c.Downgrade(line)
 	}
 }
 
-// drop removes line from a cluster's attraction memory and all its
-// processors' caches. A set directory bit means the attraction memory
-// held the line, so the cluster always lost a copy.
+// drop removes line from all a cluster's processors' caches. The
+// directory bit that invalidate clears was the attraction memory's
+// copy, so the cluster always lost one.
 func (s *MemClusterSystem) drop(cluster int, line uint64) bool {
-	delete(s.attraction[cluster], line)
 	for _, c := range s.procCaches(cluster) {
 		c.Invalidate(line)
 	}
@@ -226,22 +225,15 @@ func (s *MemClusterSystem) badProc(proc, cluster int) {
 	panic(fmt.Sprintf("coherence: processor %d is not in cluster %d", proc, cluster))
 }
 
-// CheckLine audits one line's directory/attraction/private-cache
-// agreement at time now — the sanitizer's per-transaction spot check:
-// a directory bit must mirror the attraction memory's presence, and a
-// private copy must sit in its cluster's attraction memory, EXCLUSIVE
-// only where the cluster is. Peek keeps the audit non-mutating.
+// CheckLine audits one line's directory/private-cache agreement at
+// time now — the sanitizer's per-transaction spot check: an EXCLUSIVE
+// entry has one sharer, and a private copy must sit in its cluster's
+// attraction memory, EXCLUSIVE only where the cluster is. Peek keeps
+// the audit non-mutating.
 func (s *MemClusterSystem) CheckLine(addr memory.Addr, now Clock) error {
 	line := addr >> s.lineShift
-	e, err := s.entry(line)
-	if err != nil {
+	if _, err := s.entry(line); err != nil {
 		return err
-	}
-	for cl, am := range s.attraction {
-		if _, present := am[line]; e.Has(cl) != present {
-			return fmt.Errorf("line %#x: directory bit %v but attraction presence %v in cluster %d",
-				line, e.Has(cl), present, cl)
-		}
 	}
 	for p, c := range s.l1 {
 		if l := c.Peek(line); l != nil {
@@ -254,27 +246,27 @@ func (s *MemClusterSystem) CheckLine(addr memory.Addr, now Clock) error {
 }
 
 // checkPrivate audits processor p's private copy l against its
-// cluster's attraction memory.
+// cluster's directory bit and the line's directory state.
 func (s *MemClusterSystem) checkPrivate(p int, l *cache.Line) error {
 	cl := p / s.clusterSize
-	st, ok := s.attraction[cl][l.Tag]
-	if !ok {
+	e := s.dir.Lookup(l.Tag)
+	if !e.Has(cl) {
 		return fmt.Errorf("processor %d caches line %#x absent from cluster %d", p, l.Tag, cl)
 	}
 	eff := l.State
 	if l.Pending {
 		eff = l.FillState
 	}
-	if eff == cache.Exclusive && st != cache.Exclusive {
-		return fmt.Errorf("processor %d holds line %#x EXCLUSIVE but cluster %d is %v", p, l.Tag, cl, st)
+	if eff == cache.Exclusive && e.State != directory.Exclusive {
+		return fmt.Errorf("processor %d holds line %#x EXCLUSIVE but cluster %d is %v", p, l.Tag, cl, e.State)
 	}
 	return nil
 }
 
-// CheckInvariants audits directory/attraction/private-cache agreement
-// at time now: CheckLine on every line the directory knows, then the
-// reverse view, that every private copy agrees with its cluster's
-// attraction memory. Like CheckLine it changes no state.
+// CheckInvariants audits directory/private-cache agreement at time now:
+// CheckLine on every line the directory knows, then the reverse view,
+// that every private copy agrees with its cluster's directory bit and
+// the line's state. Like CheckLine it changes no state.
 func (s *MemClusterSystem) CheckInvariants(now Clock) error {
 	err := s.checkLines(now, s.CheckLine)
 	for p, c := range s.l1 {

@@ -12,8 +12,8 @@ import (
 // clusterCopies is what the directory protocol needs of an organisation:
 // a way to change the copies of a line that one cluster holds, whatever
 // the cluster keeps inside. System keeps one shared cache per cluster;
-// MemClusterSystem keeps an attraction memory and the private caches on
-// the cluster's bus.
+// MemClusterSystem keeps the private caches on the cluster's bus, and
+// its attraction memory is the directory's bit for the cluster.
 type clusterCopies interface {
 	// downgrade moves cluster's exclusive copy of line to shared, as a
 	// remote read of dirty data leaves it.
