@@ -30,17 +30,12 @@ type Store interface {
 	Len() int
 	// ForEach visits every resident line.
 	ForEach(fn func(*Line))
-	// EvictionCount returns the number of replacement victims so far.
-	EvictionCount() uint64
 }
 
 var (
 	_ Store = (*Cache)(nil)
 	_ Store = (*SetAssoc)(nil)
 )
-
-// EvictionCount returns the number of replacement victims so far.
-func (c *Cache) EvictionCount() uint64 { return c.Evictions }
 
 // SetAssoc is a k-way set-associative cache: capacity/ways sets, each a
 // small fully associative array with the configured replacement policy.
@@ -117,13 +112,4 @@ func (sa *SetAssoc) ForEach(fn func(*Line)) {
 	for _, s := range sa.sets {
 		s.ForEach(fn)
 	}
-}
-
-// EvictionCount returns the number of replacement victims across sets.
-func (sa *SetAssoc) EvictionCount() uint64 {
-	var n uint64
-	for _, s := range sa.sets {
-		n += s.Evictions
-	}
-	return n
 }

@@ -222,9 +222,6 @@ func NewScheduler(n int, quantum Clock) *Scheduler {
 	return s
 }
 
-// NumPE returns the number of processors.
-func (s *Scheduler) NumPE() int { return len(s.pes) }
-
 // PEs returns the processors, indexed by ID. Intended for wiring up the
 // layer above before Run is called.
 func (s *Scheduler) PEs() []*PE { return s.pes }
