@@ -145,7 +145,7 @@ FABRIC_OUT ?= /tmp/clustersim-fabric
 FABRIC_PORT ?= 17600
 FABRIC_OBS ?= 127.0.0.1:19100
 fabric-suite: build
-	$(GO) test -race -run 'TestFabric|TestChaos|TestSimnet|TestWire|TestConn|TestCoordinator|TestDistributedSweepByteIdentical|TestFleet|TestSweepDuplicateCompletionCountsOnce|TestSweepStatus|TestLogMirror' \
+	$(GO) test -race -run 'TestFabric|TestChaos|TestSimnet|TestWire|TestDistributedSweepByteIdentical|TestFleet|TestSweepDuplicateCompletionCountsOnce|TestSweepStatus|TestLogMirror' \
 		./internal/fabric/ ./internal/obs/ ./internal/experiments/
 	@rm -rf $(FABRIC_OUT) && mkdir -p $(FABRIC_OUT)
 	$(GO) build -o $(FABRIC_OUT)/experiments ./cmd/experiments
