@@ -41,6 +41,7 @@ var ExtAssocWays = []int{0, 8, 2, 1}
 // processor, sweeping associativity and cluster size. As associativity
 // falls and more processors share a cache, conflict misses grow.
 func ExtAssociativityData(opt Options) ([]AssocRow, error) {
+	var jobs []job
 	var rows []AssocRow
 	for _, app := range ExtAssocApps {
 		w, err := registry.Lookup(app)
@@ -51,26 +52,26 @@ func ExtAssociativityData(opt Options) ([]AssocRow, error) {
 			for _, cs := range ClusterSizes {
 				cfg := opt.config(cs, 4)
 				cfg.Assoc = ways
-				res, err := w.Run(cfg, opt.Size)
-				if err != nil {
-					return nil, fmt.Errorf("%s ways=%d cluster=%d: %w", app, ways, cs, err)
-				}
-				agg := res.Aggregate()
-				var ev uint64
-				for cl := 0; cl < cfg.NumClusters(); cl++ {
-					// Evictions live on the cache stores; the protocol
-					// counters track hints+writebacks, whose sum equals
-					// victims that notified the directory.
-					st := res.Clusters[cl]
-					ev += st.ReplacementHints + st.Writebacks
-				}
-				rows = append(rows, AssocRow{
-					App: app, Ways: ways, ClusterSize: cs,
-					ExecTime: res.ExecTime, ReadMisses: agg.ReadMisses + agg.Merges,
-					Evictions: ev,
-				})
+				jobs = append(jobs, job{w, cfg, fmt.Sprintf("%s ways=%d cluster=%d", app, ways, cs)})
+				rows = append(rows, AssocRow{App: app, Ways: ways, ClusterSize: cs})
 			}
 		}
+	}
+	results, err := runJobs(jobs, opt.Size)
+	if err != nil {
+		return nil, err
+	}
+	for i, res := range results {
+		agg := res.Aggregate()
+		var ev uint64
+		for cl := 0; cl < jobs[i].cfg.NumClusters(); cl++ {
+			// Evictions live on the cache stores; the protocol
+			// counters track hints+writebacks, whose sum equals
+			// victims that notified the directory.
+			st := res.Clusters[cl]
+			ev += st.ReplacementHints + st.Writebacks
+		}
+		rows[i].ExecTime, rows[i].ReadMisses, rows[i].Evictions = res.ExecTime, agg.ReadMisses+agg.Merges, ev
 	}
 	return rows, nil
 }
@@ -116,6 +117,7 @@ var ExtOrgApps = []string{"ocean", "mp3d", "barnes"}
 // working sets; shared-main-memory clusters avoid interference and turn
 // communication into cheap snoopy-bus transfers.
 func ExtOrganizationsData(opt Options) ([]OrgRow, error) {
+	var jobs []job
 	var rows []OrgRow
 	for _, app := range ExtOrgApps {
 		w, err := registry.Lookup(app)
@@ -126,23 +128,24 @@ func ExtOrganizationsData(opt Options) ([]OrgRow, error) {
 			for _, cs := range ClusterSizes {
 				cfg := opt.config(cs, 4)
 				cfg.Organization = org
-				res, err := w.Run(cfg, opt.Size)
-				if err != nil {
-					return nil, fmt.Errorf("%s %v cluster=%d: %w", app, org, cs, err)
-				}
-				agg := res.Aggregate()
-				served := agg.LocalClean + agg.LocalDirty + agg.RemoteClean +
-					agg.RemoteDirty + agg.IntraCluster
-				frac := 0.0
-				if served > 0 {
-					frac = float64(agg.IntraCluster) / float64(served)
-				}
-				rows = append(rows, OrgRow{
-					App: app, Organization: org, ClusterSize: cs,
-					ExecTime: res.ExecTime, IntraFrac: frac,
-				})
+				jobs = append(jobs, job{w, cfg, fmt.Sprintf("%s %v cluster=%d", app, org, cs)})
+				rows = append(rows, OrgRow{App: app, Organization: org, ClusterSize: cs})
 			}
 		}
+	}
+	results, err := runJobs(jobs, opt.Size)
+	if err != nil {
+		return nil, err
+	}
+	for i, res := range results {
+		agg := res.Aggregate()
+		served := agg.LocalClean + agg.LocalDirty + agg.RemoteClean +
+			agg.RemoteDirty + agg.IntraCluster
+		frac := 0.0
+		if served > 0 {
+			frac = float64(agg.IntraCluster) / float64(served)
+		}
+		rows[i].ExecTime, rows[i].IntraFrac = res.ExecTime, frac
 	}
 	return rows, nil
 }
@@ -189,25 +192,24 @@ func ExtScalingData(opt Options) ([]ScaleRow, error) {
 	if err != nil {
 		return nil, err
 	}
+	var jobs []job
 	var rows []ScaleRow
 	for _, cs := range []int{1, 4} {
-		var base core.Clock
 		for _, procs := range ExtScalingProcs {
 			o := opt
 			o.Procs = procs
-			cfg := o.config(cs, 0)
-			res, err := w.Run(cfg, opt.Size)
-			if err != nil {
-				return nil, fmt.Errorf("ocean procs=%d cluster=%d: %w", procs, cs, err)
-			}
-			if base == 0 {
-				base = res.ExecTime // speedup baseline: smallest machine
-			}
-			rows = append(rows, ScaleRow{
-				Procs: procs, ClusterSize: cs, ExecTime: res.ExecTime,
-				Speedup: float64(base) / float64(res.ExecTime),
-			})
+			jobs = append(jobs, job{w, o.config(cs, 0), fmt.Sprintf("ocean procs=%d cluster=%d", procs, cs)})
+			rows = append(rows, ScaleRow{Procs: procs, ClusterSize: cs})
 		}
+	}
+	results, err := runJobs(jobs, opt.Size)
+	if err != nil {
+		return nil, err
+	}
+	for i, res := range results {
+		// Speedup baseline: the smallest machine at the same cluster size.
+		base := results[i-i%len(ExtScalingProcs)].ExecTime
+		rows[i].ExecTime, rows[i].Speedup = res.ExecTime, float64(base)/float64(res.ExecTime)
 	}
 	return rows, nil
 }

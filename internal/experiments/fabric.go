@@ -16,7 +16,6 @@ package experiments
 
 import (
 	"fmt"
-	"io"
 	"os"
 
 	"clustersim/internal/apps"
@@ -49,10 +48,7 @@ func pointSpec(opt Options, key obs.Point) (fabric.PointSpec, error) {
 // pass's own demand and cannot drift from it. Experiments without a
 // Suite renderer, and unknown names, contribute no points.
 func PlanPoints(names []string, opt Options) ([]fabric.PointSpec, error) {
-	dry := opt
-	dry.Out = io.Discard
-	plan := NewSuite(dry)
-	plan.dry = true
+	plan := newPlanner(opt)
 	for _, name := range names {
 		if e, err := lookupExperiment(name); err == nil && e.render != nil {
 			if err := e.render(plan); err != nil {

@@ -44,6 +44,7 @@ const ExtFaultSeed = 1
 // processor, reporting execution time, absorbed faults and the slowdown
 // against the fault-free baseline.
 func ExtFaultsData(opt Options) ([]FaultRow, error) {
+	var jobs []job
 	var rows []FaultRow
 	for _, app := range ExtFaultApps {
 		w, err := registry.Lookup(app)
@@ -51,7 +52,6 @@ func ExtFaultsData(opt Options) ([]FaultRow, error) {
 			return nil, err
 		}
 		for _, cs := range ExtFaultClusterSizes {
-			var base core.Clock
 			for _, level := range ExtFaultLevels {
 				cfg := opt.config(cs, 4)
 				cfg.Faults = nil // level 0 stays fault-free even under a global -fault-* plan
@@ -63,27 +63,28 @@ func ExtFaultsData(opt Options) ([]FaultRow, error) {
 						PerturbPerMille:  level,
 					}
 				}
-				res, err := w.Run(cfg, opt.Size)
-				if err != nil {
-					return nil, fmt.Errorf("%s faults=%d‰ cluster=%d: %w", app, level, cs, err)
-				}
-				if level == 0 {
-					base = res.ExecTime
-				}
-				var nacks, acks, cycles uint64
-				for cl := range res.Clusters {
-					st := res.Clusters[cl]
-					nacks += st.Nacks
-					acks += st.AckDelays
-					cycles += st.FaultCycles
-				}
-				rows = append(rows, FaultRow{
-					App: app, NackPerMille: level, ClusterSize: cs,
-					ExecTime: res.ExecTime, Nacks: nacks, AckDelays: acks, FaultCycles: cycles,
-					Slowdown: float64(res.ExecTime) / float64(base),
-				})
+				jobs = append(jobs, job{w, cfg, fmt.Sprintf("%s faults=%d‰ cluster=%d", app, level, cs)})
+				rows = append(rows, FaultRow{App: app, NackPerMille: level, ClusterSize: cs})
 			}
 		}
+	}
+	results, err := runJobs(jobs, opt.Size)
+	if err != nil {
+		return nil, err
+	}
+	var base core.Clock
+	for i, res := range results {
+		if rows[i].NackPerMille == 0 {
+			base = res.ExecTime
+		}
+		r := &rows[i]
+		for cl := range res.Clusters {
+			st := res.Clusters[cl]
+			r.Nacks += st.Nacks
+			r.AckDelays += st.AckDelays
+			r.FaultCycles += st.FaultCycles
+		}
+		r.ExecTime, r.Slowdown = res.ExecTime, float64(res.ExecTime)/float64(base)
 	}
 	return rows, nil
 }

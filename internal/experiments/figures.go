@@ -3,6 +3,7 @@ package experiments
 import (
 	"fmt"
 
+	"clustersim/internal/apps"
 	"clustersim/internal/apps/ocean"
 	"clustersim/internal/core"
 )
@@ -14,6 +15,7 @@ var Fig2Apps = []string{"lu", "fft", "ocean", "radix", "raytrace", "volrend", "b
 // caches across cluster sizes 1, 2, 4 and 8, normalized per application
 // to the 1-processor-cluster time.
 func (s *Suite) Fig2Data() ([]Bar, error) {
+	defer prefetch(s, (*Suite).Fig2Data)()
 	var out []Bar
 	for _, app := range Fig2Apps {
 		bars, err := s.barsFor(app, 0)
@@ -50,21 +52,22 @@ func Fig3Data(opt Options) ([]Bar, error) {
 	if small.N < 10 {
 		small.N = 10
 	}
-	run := func(cs int) (*core.Result, error) {
-		return ocean.Run(opt.config(cs, 0), small)
+	w := apps.Runner{Name: "ocean", Run: func(cfg core.Config, _ apps.Size) (*core.Result, error) {
+		return ocean.Run(cfg, small)
+	}}
+	var jobs []job
+	for _, cs := range ClusterSizes {
+		jobs = append(jobs, job{w, opt.config(cs, 0), fmt.Sprintf("ocean-small cluster=%d", cs)})
 	}
-	base, err := run(1)
+	results, err := runJobs(jobs, opt.Size)
 	if err != nil {
 		return nil, err
 	}
+	base := results[0] // ClusterSizes starts at the 1-processor cluster
 	var out []Bar
-	for _, cs := range ClusterSizes {
-		res, err := run(cs)
-		if err != nil {
-			return nil, err
-		}
+	for i, cs := range ClusterSizes {
 		out = append(out, Bar{App: "ocean-small", ClusterSize: cs, CacheKB: 0,
-			NormalizedBar: res.Normalize(base)})
+			NormalizedBar: results[i].Normalize(base)})
 	}
 	return out, nil
 }
@@ -94,6 +97,7 @@ var FiniteFigures = map[int]string{
 // 4, 16 and 32 KB per processor plus infinite, each cache size
 // normalized to its own 1-processor-cluster bar (as in the paper).
 func (s *Suite) FigFiniteData(app string) ([]Bar, error) {
+	defer prefetch(s, func(p *Suite) ([]Bar, error) { return p.FigFiniteData(app) })()
 	var out []Bar
 	for _, kb := range FiniteCachesKB {
 		bars, err := s.barsFor(app, kb)

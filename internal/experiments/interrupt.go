@@ -28,9 +28,10 @@ const (
 var ErrInterrupted = errors.New("experiments: interrupted; resume from the -state directory")
 
 // SignalStop converts SIGINT/SIGTERM into a cooperative stop flag the
-// suite polls between simulation points, so the point in flight
-// finishes and its journal/trace/profile/manifest writes are flushed
-// whole. A second signal exits immediately.
+// suite polls before it starts each simulation point, so the points in
+// flight finish, are journalled, and have their trace/profile/manifest
+// writes flushed whole. A second signal exits immediately. Stopped is
+// safe for concurrent use, as Options.Stop must be.
 type SignalStop struct {
 	stopped atomic.Bool
 	ch      chan os.Signal
@@ -65,7 +66,7 @@ func (s *SignalStop) watch() {
 			return
 		}
 		s.stopped.Store(true)
-		s.printf("experiments: %v: finishing the current point, then flushing; repeat to exit now%s\n",
+		s.printf("experiments: %v: finishing the points in flight, then flushing; repeat to exit now%s\n",
 			sig, s.resumeHint())
 		if sig, ok := <-s.ch; ok {
 			s.printf("experiments: second %v: exiting immediately%s\n", sig, s.resumeHint())
@@ -92,7 +93,7 @@ func (s *SignalStop) resumeHint() string {
 	if s.journalDir == "" {
 		return ""
 	}
-	return fmt.Sprintf(" (completed points are journalled; resume with -state %s)", s.journalDir)
+	return fmt.Sprintf(" (each point is journalled when it finishes; resume with -state %s)", s.journalDir)
 }
 
 func (s *SignalStop) printf(format string, args ...any) {
@@ -121,7 +122,7 @@ func (s *SignalStop) setMessageWriter(w io.Writer) {
 func (s *SignalStop) deliver(sig os.Signal) { s.ch <- sig }
 
 // Stopped reports whether a signal has arrived; the suite polls it
-// between points via Options.Stop.
+// before each point via Options.Stop, from its worker goroutines.
 func (s *SignalStop) Stopped() bool { return s.stopped.Load() }
 
 // Close uninstalls the handler and releases the watcher.

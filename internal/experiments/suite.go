@@ -84,9 +84,12 @@ type Options struct {
 	// making an interrupted suite resumable with byte-identical tables.
 	Journal *Journal
 
-	// Stop, when non-nil, is polled before each fresh simulation; when
-	// it reports true the suite returns ErrInterrupted with all finished
-	// work flushed (see SignalStop).
+	// Stop, when non-nil, is polled before each fresh simulation is
+	// started; once it reports true no further point starts, the points
+	// in flight finish and are journalled, and the suite returns
+	// ErrInterrupted with all finished work flushed (see SignalStop). A
+	// data method polls it from its worker goroutines, so it must be safe
+	// for concurrent use.
 	Stop func() bool
 
 	// StopAfter, when positive, interrupts the suite after that many
@@ -146,6 +149,9 @@ type Suite struct {
 	// point in planned and returns an empty Result instead of simulating.
 	dry     bool
 	planned []obs.Point
+	// ahead holds the points the running data method has looked up and
+	// queued before its render pass reaches them (see prefetch).
+	ahead map[obs.Point]*point
 }
 
 // Fresh is how many points this suite actually simulated.
@@ -167,6 +173,12 @@ func NewSuite(opt Options) *Suite {
 // directories; a failure becomes a journalled failure record and an
 // error, not a suite crash. With PointTimeout a wall-clock watchdog
 // guards the point.
+//
+// Inside a data method (Table3Data, Fig2Data, ...) the point has
+// usually been looked up and started on a worker already (see
+// prefetch); Run then waits for it and commits it exactly as it would
+// commit a point it computed itself, so the progress lines, manifest
+// lines and counters follow the render order.
 func (s *Suite) Run(app string, clusterSize, cacheKB int) (*core.Result, error) {
 	key := obs.Point{App: app, Cluster: clusterSize, CacheKB: cacheKB}
 	if r, ok := s.runs[key]; ok {
@@ -177,72 +189,50 @@ func (s *Suite) Run(app string, clusterSize, cacheKB int) (*core.Result, error) 
 		s.runs[key] = &core.Result{}
 		return s.runs[key], nil
 	}
-	w, err := registry.Lookup(app)
-	if err != nil {
-		return nil, err
-	}
-	cfg := s.Opt.config(clusterSize, cacheKB)
-	sizeName := s.Opt.Size.String()
-	// One hash per point: the journal key, the watchdog's failure record
-	// and every artifact's configHash share it.
-	hash, err := telemetry.HashConfig(cfg)
-	if err != nil {
-		return nil, err
-	}
-	if s.Opt.Journal != nil {
-		res, ok, err := s.Opt.Journal.Load(app, sizeName, clusterSize, cacheKB, hash)
-		if err != nil {
+	pt, ok := s.ahead[key]
+	if !ok {
+		var err error
+		if pt, err = s.lookup(key); err != nil {
 			return nil, err
 		}
-		if ok {
-			if s.Opt.Progress != nil {
-				fmt.Fprintf(s.Opt.Progress, "replayed %s cluster=%d cache=%s from journal: exec %d cycles\n",
-					app, clusterSize, obs.CacheLabel(cacheKB), res.ExecTime)
-			}
-			s.replayed++
-			s.Opt.Obs.JournalLookup(true)
-			s.Opt.Obs.PointReplayed(key, "", int64(res.ExecTime))
-			s.runs[key] = res
-			return res, nil
-		}
-		s.Opt.Obs.JournalLookup(false)
-		if !s.Opt.RetryFailed {
-			if fr, ok, err := s.Opt.Journal.LoadFailure(app, sizeName, clusterSize, cacheKB, hash); err != nil {
-				return nil, err
-			} else if ok {
-				s.Opt.Obs.PointFailed(key, "", "journalled as failed: "+fr.Error)
-				return nil, fmt.Errorf("%s cluster=%d cache=%s: journalled as failed (re-run with -retry-failed to attempt again): %s",
-					app, clusterSize, obs.CacheLabel(cacheKB), fr.Error)
-			}
-		}
 	}
-	if s.Opt.Stop != nil && s.Opt.Stop() {
+	if pt.replay != nil {
+		if s.Opt.Progress != nil {
+			fmt.Fprintf(s.Opt.Progress, "replayed %s cluster=%d cache=%s from journal: exec %d cycles\n",
+				app, clusterSize, obs.CacheLabel(cacheKB), pt.replay.ExecTime)
+		}
+		s.replayed++
+		s.Opt.Obs.PointReplayed(key, "", int64(pt.replay.ExecTime))
+		s.runs[key] = pt.replay
+		return pt.replay, nil
+	}
+	if fr := pt.failed; fr != nil {
+		s.Opt.Obs.PointFailed(key, "", "journalled as failed: "+fr.Error)
+		return nil, fmt.Errorf("%s cluster=%d cache=%s: journalled as failed (re-run with -retry-failed to attempt again): %s",
+			app, clusterSize, obs.CacheLabel(cacheKB), fr.Error)
+	}
+	if pt.done == nil {
+		// Not queued on a worker: a direct caller's point, or one past
+		// StopAfter's budget.
+		if s.Opt.Stop != nil && s.Opt.Stop() {
+			return nil, ErrInterrupted
+		}
+		if s.Opt.StopAfter > 0 && s.fresh >= s.Opt.StopAfter {
+			return nil, ErrInterrupted
+		}
+		pt.run, pt.err = s.compute(pt)
+	} else if <-pt.done; !pt.ran {
+		// The worker loop polled Stop true before it took the point.
 		return nil, ErrInterrupted
 	}
-	if s.Opt.StopAfter > 0 && s.fresh >= s.Opt.StopAfter {
-		return nil, ErrInterrupted
-	}
-	if s.Opt.PointTimeout > 0 {
-		timer := s.armWatchdog(key, sizeName, hash)
-		defer timer.Stop()
-	}
-	run, err := RunPoint(w, cfg, s.Opt.Size, hash, s.Opt.artifacts(key), s.Opt.Obs)
-	if run == nil {
-		pointErr := fmt.Errorf("%s cluster=%d cache=%s: %w", app, clusterSize, obs.CacheLabel(cacheKB), err)
-		if s.Opt.Journal != nil {
-			if jerr := s.Opt.Journal.StoreFailure(FailureRecord{
-				App: app, Size: sizeName, ClusterSize: clusterSize, CacheKB: cacheKB,
-				ConfigHash: hash, Error: err.Error(),
-			}); jerr != nil {
-				return nil, fmt.Errorf("%w (and journalling the failure failed: %v)", pointErr, jerr)
-			}
-		}
-		return nil, pointErr
+	if pt.run == nil {
+		return nil, pt.err
 	}
 	s.fresh++
-	if err != nil {
-		return nil, err
+	if pt.err != nil {
+		return nil, pt.err
 	}
+	run := pt.run
 	if s.Opt.Progress != nil {
 		fmt.Fprintf(s.Opt.Progress, "ran %s cluster=%d cache=%s: exec %d cycles (wall %v)\n",
 			app, clusterSize, obs.CacheLabel(cacheKB), run.Result.ExecTime, run.Wall.Round(time.Millisecond))
@@ -257,16 +247,95 @@ func (s *Suite) Run(app string, clusterSize, cacheKB int) (*core.Result, error) 
 			return nil, err
 		}
 	}
-	if s.Opt.Journal != nil {
-		if err := s.Opt.Journal.Store(PointRecord{
-			App: app, Size: sizeName, ClusterSize: clusterSize, CacheKB: cacheKB,
-			ConfigHash: hash, Result: run.Result,
-		}); err != nil {
+	s.runs[key] = run.Result
+	return run.Result, nil
+}
+
+// point is one Suite point from its journal lookup to its commit.
+type point struct {
+	key  obs.Point
+	w    apps.Runner
+	cfg  core.Config
+	hash string // the journal key, the watchdog's record and every artifact's configHash
+	// What the journal holds for the point, read once per pass: a result
+	// to replay or, unless RetryFailed, a failure to report.
+	replay *core.Result
+	failed *FailureRecord
+	// done is set when the point is queued on the worker loop and closes
+	// once a worker has computed it (ran) or the loop has stopped without
+	// taking it. run and err are the outcome of compute.
+	done chan struct{}
+	ran  bool
+	run  *PointRun
+	err  error
+}
+
+// lookup resolves one point: its runner, machine and config hash, and
+// what the journal holds for it.
+func (s *Suite) lookup(key obs.Point) (*point, error) {
+	w, err := registry.Lookup(key.App)
+	if err != nil {
+		return nil, err
+	}
+	pt := &point{key: key, w: w, cfg: s.Opt.config(key.Cluster, key.CacheKB)}
+	if pt.hash, err = telemetry.HashConfig(pt.cfg); err != nil {
+		return nil, err
+	}
+	j := s.Opt.Journal
+	if j == nil {
+		return pt, nil
+	}
+	sizeName := s.Opt.Size.String()
+	res, ok, err := j.Load(key.App, sizeName, key.Cluster, key.CacheKB, pt.hash)
+	if err != nil {
+		return nil, err
+	}
+	s.Opt.Obs.JournalLookup(ok)
+	if ok {
+		pt.replay = res
+		return pt, nil
+	}
+	if !s.Opt.RetryFailed {
+		if pt.failed, _, err = j.LoadFailure(key.App, sizeName, key.Cluster, key.CacheKB, pt.hash); err != nil {
 			return nil, err
 		}
 	}
-	s.runs[key] = run.Result
-	return run.Result, nil
+	return pt, nil
+}
+
+// compute is the one fresh-point body, run inline by Run or by a worker:
+// the watchdog, RunPoint, then the journal record of the outcome, so a
+// point is journalled the moment it finishes. It reads only the options
+// and pt, never the suite's own state. A failed point returns a nil run;
+// a run returned with an error finished, but an artifact or its journal
+// record could not be written.
+func (s *Suite) compute(pt *point) (*PointRun, error) {
+	key, sizeName := pt.key, s.Opt.Size.String()
+	if s.Opt.PointTimeout > 0 {
+		timer := s.armWatchdog(key, sizeName, pt.hash)
+		defer timer.Stop()
+	}
+	run, err := RunPoint(pt.w, pt.cfg, s.Opt.Size, pt.hash, s.Opt.artifacts(key), s.Opt.Obs)
+	j := s.Opt.Journal
+	if run == nil {
+		pointErr := fmt.Errorf("%s cluster=%d cache=%s: %w", key.App, key.Cluster, obs.CacheLabel(key.CacheKB), err)
+		if j != nil {
+			if jerr := j.StoreFailure(FailureRecord{
+				App: key.App, Size: sizeName, ClusterSize: key.Cluster, CacheKB: key.CacheKB,
+				ConfigHash: pt.hash, Error: err.Error(),
+			}); jerr != nil {
+				return nil, fmt.Errorf("%w (and journalling the failure failed: %v)", pointErr, jerr)
+			}
+		}
+		return nil, pointErr
+	}
+	if err == nil && j != nil {
+		err = j.Store(PointRecord{
+			App: key.App, Size: sizeName, ClusterSize: key.Cluster, CacheKB: key.CacheKB,
+			ConfigHash: pt.hash, Result: run.Result,
+		})
+	}
+	return run, err
 }
 
 // armWatchdog starts the per-point wall-clock watchdog: if the point is
@@ -275,6 +344,7 @@ func (s *Suite) Run(app string, clusterSize, cacheKB int) (*core.Result, error) 
 // failure record is fully precomputed here — the callback runs on a
 // runtime timer goroutine and must not touch suite state.
 func (s *Suite) armWatchdog(key obs.Point, sizeName, hash string) *time.Timer {
+	exit := watchdogExit
 	j := s.Opt.Journal
 	sweep := s.Opt.Obs
 	timeout := s.Opt.PointTimeout
@@ -298,9 +368,14 @@ func (s *Suite) armWatchdog(key obs.Point, sizeName, hash string) *time.Timer {
 				fmt.Fprintf(os.Stderr, "experiments: point journalled as failed; resume from -state %s\n", j.Dir())
 			}
 		}
-		os.Exit(ExitWatchdog)
+		exit(ExitWatchdog)
 	})
 }
+
+// watchdogExit ends the process when a watchdog fires; tests replace it.
+// armWatchdog reads it when it arms, so a replacement applies to the
+// points started after it.
+var watchdogExit = os.Exit
 
 // artifacts names one point's files in the options' artifact
 // directories, e.g. ocean-c4-16k.profile.json.

@@ -53,6 +53,7 @@ var WorkingSetSweepKB = []int{1, 2, 4, 8, 16, 32, 64}
 // the unclustered cache size — the quantitative counterpart of the
 // paper's Table 3.
 func (s *Suite) Table3Data() ([]WorkingSetRow, error) {
+	defer prefetch(s, (*Suite).Table3Data)()
 	var rows []WorkingSetRow
 	for _, wk := range registry.All() {
 		inf, err := s.Run(wk.Name, 1, 0)
@@ -131,6 +132,7 @@ type Table5Row struct {
 // Table5Data measures the Table 5 execution-time expansion factors from
 // each application's unclustered, infinite-cache profile.
 func (s *Suite) Table5Data() ([]Table5Row, error) {
+	defer prefetch(s, (*Suite).Table5Data)()
 	var rows []Table5Row
 	for _, wk := range registry.All() {
 		res, err := s.Run(wk.Name, 1, 0)
@@ -178,6 +180,7 @@ var Table7Apps = []string{"ocean", "lu"}
 // applications at one cache size, combining the simulated times with the
 // shared-cache cost factor.
 func (s *Suite) CostedData(appNames []string, cacheKB int) ([]CostedRow, error) {
+	defer prefetch(s, func(p *Suite) ([]CostedRow, error) { return p.CostedData(appNames, cacheKB) })()
 	var rows []CostedRow
 	for _, app := range appNames {
 		prof, err := s.Run(app, 1, 0)

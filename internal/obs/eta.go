@@ -7,7 +7,9 @@ import (
 
 // ETA is the completed-cost ETA model behind /status: every freshly
 // computed point contributes its wall cost, and the estimate for the
-// remaining work is mean completed cost × points outstanding. Replayed
+// remaining work is mean completed cost × points outstanding, divided by
+// the largest number of points the sweep has seen running at once (a
+// local sweep's workers, a fleet's leases; at least 1). Replayed
 // points are free (journal hits cost microseconds, not simulation
 // time), so they advance completion without skewing the mean. The
 // total is declared when the sweep shape is known and grows lazily
@@ -25,6 +27,7 @@ type ETA struct {
 	done    int // computed + replayed + failed (work no longer outstanding)
 	costNS  int64
 	samples int // computed points contributing to costNS
+	running int // most points seen running at once
 }
 
 // NewETAAt starts the model on the given clock (the sweep's; tests use
@@ -51,6 +54,13 @@ func (e *ETA) Saw() {
 	if e.seen > e.total {
 		e.total = e.seen
 	}
+	e.mu.Unlock()
+}
+
+// Running records that n points are running at once.
+func (e *ETA) Running(n int) {
+	e.mu.Lock()
+	e.running = max(e.running, n)
 	e.mu.Unlock()
 }
 
@@ -101,7 +111,7 @@ func (e *ETA) Estimate() Estimate {
 	if remaining < 0 {
 		remaining = 0
 	}
-	est.RemainingMS = mean * int64(remaining) / int64(time.Millisecond)
+	est.RemainingMS = mean * int64(remaining) / int64(max(e.running, 1)) / int64(time.Millisecond)
 	est.HaveRemaining = true
 	return est
 }

@@ -53,3 +53,25 @@ func TestETATotalGrowsWithSightings(t *testing.T) {
 		t.Errorf("estimate = %+v, want total grown to 3 and nothing remaining", est)
 	}
 }
+
+// Points that run at once finish the sweep sooner: with two points
+// running side by side the projection is half of the one-at-a-time
+// figure. A point's start, not its completion, is what the model
+// counts, so the peak stays after both points settle.
+func TestETADividesByPointsRunningAtOnce(t *testing.T) {
+	now := time.Unix(0, 0)
+	sw := NewSweepAt("eta", nil, nil, func() time.Time { return now })
+	sw.SetTotalPoints(5)
+	a, b := Point{App: "fft", Cluster: 1}, Point{App: "fft", Cluster: 2}
+	sw.PointStarted(a, "", "")
+	sw.PointStarted(b, "", "")
+	sw.PointDone(a, "", 2*time.Second, 1)
+	// One cost sample (2 s), four points outstanding, two at a time.
+	if est := sw.Status().ETA; !est.HaveRemaining || est.MeanPointMS != 2000 || est.RemainingMS != 4*2000/2 {
+		t.Errorf("two running: eta = %+v, want 4 points x 2000ms / 2", est)
+	}
+	sw.PointDone(b, "", 4*time.Second, 1)
+	if est := sw.Status().ETA; est.MeanPointMS != 3000 || est.RemainingMS != 3*3000/2 {
+		t.Errorf("both settled: eta = %+v, want 3 points x 3000ms / 2", est)
+	}
+}
