@@ -81,7 +81,7 @@ func main() {
 
 		traceOut = flag.String("trace", "", "write a Chrome trace-event JSON file (Perfetto)")
 		jsonOut  = flag.Bool("json", false, "print a JSON run manifest instead of the text report")
-		sample   = flag.Int64("sample", 0, "telemetry sampling interval in cycles (0 = off)")
+		sample   = flag.Int64("sample", 0, "sampling interval in cycles of -trace, -json, -progress and -serve (0 = off)")
 		progress = flag.Bool("progress", false, "stream sampling progress to stderr")
 		profOut  = flag.String("profile", "", "write a sharing-profile JSON file and print the flat report")
 		topLines = flag.Int("top", 10, "hot cache lines to rank in the sharing profile")

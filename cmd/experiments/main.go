@@ -69,7 +69,7 @@ func realMain() int {
 		bars     = flag.Bool("bars", false, "render figures as ASCII stacked bars")
 		csvOut   = flag.Bool("csv", false, "emit figure data as CSV rows")
 		progress = flag.Bool("progress", false, "log each completed simulation point to stderr")
-		sample   = flag.Int64("sample", 0, "telemetry sampling interval in cycles (0 = off)")
+		sample   = flag.Int64("sample", 0, "sampling interval in cycles of -trace's counter tracks and -json's series (0 = off)")
 		traceDir = flag.String("trace", "", "write one Chrome trace-event JSON per run into this directory")
 		profDir  = flag.String("profile", "", "write one sharing-profile JSON per run into this directory")
 		profTop  = flag.Int("top", 10, "hot cache lines to rank in each sharing profile")

@@ -5,6 +5,11 @@ import (
 	"sort"
 	"strings"
 	"testing"
+
+	"clustersim/internal/critpath"
+	"clustersim/internal/perf"
+	"clustersim/internal/profile"
+	"clustersim/internal/telemetry"
 )
 
 // TestHashExclusionContract is the runtime twin of simlint's
@@ -60,5 +65,57 @@ func TestHashExclusionContract(t *testing.T) {
 	sort.Strings(got)
 	if len(got) != len(want) {
 		t.Fatalf("exclusion set size mismatch: tags %v vs declared %v", got, want)
+	}
+}
+
+// TestResultHoldsNoInstrument: a run with every instrument attached
+// returns a Result whose config holds none of them, so a kept Result
+// keeps no collector alive. Every pointer- or interface-typed
+// hash-excluded field is nil, the config still validates, and its hash
+// is the attached config's.
+func TestResultHoldsNoInstrument(t *testing.T) {
+	cfg := DefaultConfig()
+	cfg.Procs, cfg.ClusterSize, cfg.CacheKBPerProc = 4, 2, 4
+	cfg.Tracer = &hashingObserver{}
+	cfg.Telemetry, cfg.SampleEvery = telemetry.New(), 100
+	cfg.Profile = profile.New()
+	cfg.Perf = perf.New()
+	cfg.Critpath = critpath.New()
+	m, err := NewMachine(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	data := m.Alloc(4096, "data")
+	bar := m.NewBarrier()
+	res, err := m.Run(func(p *Proc) {
+		p.Read(data + uint64(p.ID())*64)
+		p.Write(data)
+		bar.Wait(p)
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	attached, kept := reflect.ValueOf(cfg), reflect.ValueOf(res.Config)
+	for _, name := range HashExcludedFields {
+		switch f := kept.FieldByName(name); f.Kind() {
+		case reflect.Ptr, reflect.Interface:
+			if attached.FieldByName(name).IsNil() {
+				t.Errorf("the test attaches no Config.%s", name)
+			}
+			if !f.IsNil() {
+				t.Errorf("Result.Config.%s still holds the run's instrument", name)
+			}
+		}
+	}
+	if err := res.Config.Validate(); err != nil {
+		t.Errorf("Result.Config no longer validates: %v", err)
+	}
+	want, err := telemetry.HashConfig(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got, err := telemetry.HashConfig(res.Config); err != nil || got != want {
+		t.Errorf("Result.Config hash = %s (%v), want the attached config's %s", got, err, want)
 	}
 }

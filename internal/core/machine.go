@@ -245,8 +245,11 @@ func (m *Machine) Run(kernel func(*Proc)) (*Result, error) {
 	if m.obs != nil {
 		m.obs.End(clocks)
 	}
+	// A Result holds no instrument (see Result.Config).
+	cfg := m.cfg
+	cfg.Tracer, cfg.Telemetry, cfg.Profile, cfg.Perf, cfg.Critpath, cfg.SampleEvery = nil, nil, nil, nil, nil, 0
 	res := &Result{
-		Config:      m.cfg,
+		Config:      cfg,
 		Procs:       append([]stats.Proc(nil), m.stats...),
 		Finish:      make([]Clock, m.cfg.Procs),
 		Clusters:    make([]coherence.Stats, m.cfg.NumClusters()),

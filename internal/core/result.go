@@ -12,6 +12,9 @@ import (
 
 // Result is the outcome of one simulation run.
 type Result struct {
+	// Config is the configuration that ran, less its instruments: the
+	// observer fields and SampleEvery are zero, so a kept Result keeps
+	// no collector alive. Both are outside the JSON and the config hash.
 	Config    Config
 	ExecTime  Clock // completion time of the slowest processor
 	Procs     []stats.Proc

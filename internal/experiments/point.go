@@ -20,11 +20,13 @@ import (
 // zero value attaches no instrument. Each path, when set, receives one
 // artifact file: the Chrome trace, the sharing profile (ProfileTop hot
 // lines, default 10) or the critical-path report. SampleEvery, when
-// positive, is the telemetry sampling grid in cycles, and OnSample
-// observes each sample as it lands (telemetry.Collector.SetOnSample).
-// Manifest asks for the run manifest, with a host block: the static
-// host identity (perf.ReadHost) and the point's measured wall time
-// (Host.WallNS), without attaching a performance monitor.
+// positive, is the telemetry sampling grid in cycles of the trace's
+// counter tracks, the manifest's series and OnSample, which observes
+// each sample as it lands (telemetry.Collector.SetOnSample); on its own
+// it records nothing. Manifest asks for the run manifest, with a host
+// block: the static host identity (perf.ReadHost) and the point's
+// measured wall time (Host.WallNS), without attaching a performance
+// monitor.
 type Artifacts struct {
 	TracePath, ProfilePath, CritpathPath string
 	ProfileTop                           int
@@ -45,19 +47,22 @@ type PointRun struct {
 
 // RunPoint runs one point with the instruments art asks for; it is the
 // fresh-point body of Suite.Run and the whole of a clustersim run. A
-// telemetry collector is attached for sampling, a trace or a manifest,
-// a sharing profiler for a profile path and the critical-path analyzer
-// for a critpath path. The point is reported to sweep (nil is fine) as
-// (w.Name, cfg.ClusterSize, cfg.CacheKBPerProc) and runs under panic
-// isolation. On success each artifact is stamped with w.Name, size and
-// hash and written atomically, its directory created if missing, and
-// the manifest's host block carries the host identity and the point's
-// wall time, so a sweep's manifests say where its time went. A failed
+// telemetry collector is attached only when an output reads it: a
+// trace, a manifest, or a sampling grid with an OnSample. A sharing
+// profiler is attached for a profile path and the critical-path
+// analyzer for a critpath path. The instruments live only as long as
+// the call: the returned Result and manifest hold none of them. The
+// point is reported to sweep (nil is fine) as (w.Name,
+// cfg.ClusterSize, cfg.CacheKBPerProc) and runs under panic isolation.
+// On success each artifact is stamped with w.Name, size and hash and
+// written atomically, its directory created if missing, and the
+// manifest's host block carries the host identity and the point's wall
+// time, so a sweep's manifests say where its time went. A failed
 // point returns a nil run and writes nothing; a run returned with an
 // error finished, but an artifact could not be written.
 func RunPoint(w apps.Runner, cfg core.Config, size apps.Size, hash string, art Artifacts, sweep *obs.Sweep) (*PointRun, error) {
 	var col *telemetry.Collector
-	if art.SampleEvery > 0 || art.TracePath != "" || art.Manifest {
+	if art.TracePath != "" || art.Manifest || art.SampleEvery > 0 && art.OnSample != nil {
 		col = telemetry.New()
 		col.SetOnSample(art.OnSample)
 		cfg.Telemetry, cfg.SampleEvery = col, art.SampleEvery
@@ -114,7 +119,7 @@ func RunPoint(w apps.Runner, cfg core.Config, size apps.Size, hash string, art A
 	}
 	if art.Manifest {
 		run.Manifest = &telemetry.Manifest{Schema: telemetry.SchemaV1, App: w.Name, Size: sizeName,
-			ConfigHash: hash, Config: cfg, Result: res, Memory: res.MemoryReport(), Telemetry: col.SelfReport()}
+			ConfigHash: hash, Config: res.Config, Result: res, Memory: res.MemoryReport(), Telemetry: col.SelfReport()}
 		host := perf.ReadHost()
 		host.WallNS = run.Wall.Nanoseconds()
 		run.Manifest.Host = host

@@ -52,9 +52,9 @@ type Options struct {
 	// Progress, when non-nil, receives one line per completed
 	// simulation point (typically os.Stderr).
 	Progress io.Writer
-	// SampleEvery, when positive, attaches a telemetry collector to
-	// every run and samples per-cluster counter deltas on that
-	// simulated-cycle grid.
+	// SampleEvery, when positive, is the simulated-cycle grid on which
+	// each point's trace (TraceDir) and manifest (ManifestOut) sample
+	// per-cluster counter deltas; on its own it records nothing.
 	SampleEvery int64
 	// TraceDir, when set, writes one Chrome trace-event JSON file per
 	// simulated point into the directory (created if missing).

@@ -268,8 +268,8 @@ func (c *Collector) Compute(pe int, start, cycles Clock) { c.Slice(pe, SliceComp
 
 // End implements core.Observer: every track is closed and, when
 // sampling, the final partial interval is snapshotted. The collector
-// then lets go of the machine, which a kept Result's Config would
-// otherwise hold alive through it.
+// then lets go of the machine, so a caller that keeps the collector to
+// export it does not keep the machine's caches and directory alive.
 func (c *Collector) End(clocks []Clock) {
 	for pe := range c.pes {
 		c.ClosePE(pe)
