@@ -2,6 +2,8 @@ package profile
 
 import (
 	"bytes"
+	"reflect"
+	"sort"
 	"testing"
 
 	"clustersim/internal/cache"
@@ -267,4 +269,100 @@ func TestStartPanicsOnReuse(t *testing.T) {
 		}
 	}()
 	attach(t, c, c.as)
+}
+
+// A region allocated after the collector's first reference (an
+// undeclared machine may allocate during Run) is attributed and
+// classified like any other: the line table grows to reach it, and the
+// lines it already held keep their presence and last writers.
+func TestRegionAllocatedAfterFirstReference(t *testing.T) {
+	c, grid, _ := newCollector(t)
+	line := grid >> 6
+	c.Ref(0, 0, false, grid, 1, readMiss(30), 30)
+	c.Ref(4, 1, true, grid+8, 2, writeMiss(), 0)
+	c.Invalidated(line, 4, 1, 0, 2)
+
+	late := c.as.Alloc(8*4096, "late")
+	c.Ref(0, 0, false, late+5*4096, 3, readMiss(30), 30)
+	// Cluster 0 lost the grid line to cluster 1's write of word 1.
+	c.Ref(0, 0, false, grid+8, 4, readMiss(100), 100)
+
+	r := c.Report(10)
+	got := map[string]ClassCounts{}
+	for _, reg := range r.Regions {
+		got[reg.Name] = reg.Misses
+	}
+	want := map[string]ClassCounts{
+		"grid": {Cold: 2, TrueSharing: 1},
+		"late": {Cold: 1},
+	}
+	if len(got) != len(want) || got["grid"] != want["grid"] || got["late"] != want["late"] {
+		t.Errorf("region misses = %+v, want %+v", got, want)
+	}
+	var found bool
+	for _, l := range r.HotLines {
+		if l.Region == "late" {
+			found = true
+			if l.Offset != 5*4096 || l.Misses != (ClassCounts{Cold: 1}) {
+				t.Errorf("late line = %+v, want offset %#x and one cold miss", l, 5*4096)
+			}
+		}
+	}
+	if !found {
+		t.Errorf("hot lines %+v miss the late region's line", r.HotLines)
+	}
+}
+
+// Hot lines rank by misses, then by line number: of 12 lines with equal
+// misses, referenced out of address order over two pages, the 10 lowest
+// are listed in order, and a line with more misses ranks first.
+func TestHotLinesTopNOrder(t *testing.T) {
+	c, grid, _ := newCollector(t)
+	var lines []uint64
+	for k := uint64(0); k < 12; k++ {
+		off := (k * 67 % 125) * 64 // 125 distinct lines of grid, two pages
+		c.Ref(0, 0, false, grid+off, Clock(k), readMiss(30), 30)
+		lines = append(lines, (grid+off)>>6)
+	}
+	sort.Slice(lines, func(i, j int) bool { return lines[i] < lines[j] })
+	ranked := func(r *Report) []uint64 {
+		var out []uint64
+		for _, l := range r.HotLines {
+			out = append(out, l.Line)
+		}
+		return out
+	}
+	if got := ranked(c.Report(10)); !reflect.DeepEqual(got, lines[:10]) {
+		t.Errorf("equal misses: hot lines %v, want the 10 lowest %v", got, lines[:10])
+	}
+	c.Ref(4, 1, false, lines[11]<<6, 20, readMiss(30), 30)
+	want := append([]uint64{lines[11]}, lines[:9]...)
+	if got := ranked(c.Report(10)); !reflect.DeepEqual(got, want) {
+		t.Errorf("one line with 2 misses: hot lines %v, want %v", got, want)
+	}
+}
+
+// Reset zeroes each line's counters and its invalidator→victim pairs,
+// but keeps presence and last writers: a line invalidated before the
+// reset is listed afterwards with only its post-reset miss.
+func TestResetZeroesLineCounters(t *testing.T) {
+	c, grid, _ := newCollector(t)
+	line := grid >> 6
+	c.Ref(0, 0, false, grid, 1, readMiss(30), 30)
+	c.Ref(4, 1, true, grid+8, 2, writeMiss(), 0)
+	c.Invalidated(line, 4, 1, 0, 2)
+	if hot := c.Report(10).HotLines; len(hot) != 1 || hot[0].Invalidations != 1 || len(hot[0].Pairs) != 1 {
+		t.Fatalf("before reset: hot lines %+v, want one line with an invalidation and its pair", hot)
+	}
+
+	c.Reset(0, 0)
+	if hot := c.Report(10).HotLines; len(hot) != 0 {
+		t.Errorf("after reset: hot lines %+v, want none", hot)
+	}
+	c.Ref(0, 0, false, grid+8, 10, readMiss(100), 100)
+	hot := c.Report(10).HotLines
+	want := LineReport{Line: line, Addr: grid, Region: "grid", Misses: ClassCounts{TrueSharing: 1}, StallCycles: 100}
+	if len(hot) != 1 || !reflect.DeepEqual(hot[0], want) {
+		t.Errorf("after reset: hot lines %+v, want %+v", hot, want)
+	}
 }

@@ -4,6 +4,7 @@ import (
 	"encoding/json"
 	"fmt"
 	"io"
+	"slices"
 	"sort"
 )
 
@@ -175,52 +176,66 @@ func (c *Collector) pagesOf(base, size uint64) uint64 {
 	return (base+size-1)/pb - base/pb + 1
 }
 
-// hotLines ranks the top-n lines by classified misses.
+// hotLines ranks the top-n lines by classified misses, ties broken by
+// line number. It visits the pages in address order, so a line that
+// ties one already ranked ranks after it: the ranking is selected in
+// one pass, and a report is built only for the n lines it keeps.
 func (c *Collector) hotLines(n int) []LineReport {
 	if n <= 0 {
 		return nil
 	}
-	var out []LineReport
-	for num, st := range c.lines {
-		if st.misses.Total() == 0 {
+	type hot struct {
+		line, misses uint64
+		counts       lineCounts
+	}
+	var top []hot
+	for p, pg := range c.pages {
+		if pg == nil {
 			continue
 		}
-		addr := num << c.lineShift
+		for j, lc := range pg.counts {
+			m := lc.misses.Total()
+			if m == 0 || len(top) == n && m <= top[n-1].misses {
+				continue
+			}
+			i := sort.Search(len(top), func(i int) bool { return top[i].misses < m })
+			top = slices.Insert(top, i, hot{c.firstLine + uint64(p)<<c.pageShift + uint64(j), m, lc})
+			top = top[:min(len(top), n)]
+		}
+	}
+	out := make([]LineReport, len(top))
+	rank := make(map[uint64]int, len(top))
+	for i, h := range top {
+		addr := h.line << c.lineShift
 		name, off := "(unattributed)", uint64(0)
 		if reg, ok := c.as.RegionOf(addr); ok {
 			name, off = reg.Name, addr-reg.Base
 		}
-		out = append(out, LineReport{ //simlint:allow maprange — fully sorted below
-			Line:          num,
+		out[i] = LineReport{
+			Line:          h.line,
 			Addr:          addr,
 			Region:        name,
 			Offset:        off,
-			Misses:        st.misses,
-			StallCycles:   st.stall,
-			Invalidations: st.invals,
-			Pairs:         sortPairs(st.pairs),
-		})
-	}
-	sort.Slice(out, func(i, j int) bool {
-		if am, bm := out[i].Misses.Total(), out[j].Misses.Total(); am != bm {
-			return am > bm
+			Misses:        h.counts.misses,
+			StallCycles:   h.counts.stall,
+			Invalidations: h.counts.invals,
 		}
-		return out[i].Line < out[j].Line
-	})
-	if len(out) > n {
-		out = out[:n]
+		rank[h.line] = i
+	}
+	for k, count := range c.pairs {
+		if i, ok := rank[k.line]; ok {
+			out[i].Pairs = append(out[i].Pairs, PairCount{WriterPE: int(k.writerPE), VictimCluster: int(k.victim), Count: count}) //simlint:allow maprange — fully sorted below
+		}
+	}
+	for i := range out {
+		out[i].Pairs = sortPairs(out[i].Pairs)
 	}
 	return out
 }
 
-func sortPairs(pairs map[pairKey]uint64) []PairCount {
-	if len(pairs) == 0 {
-		return nil
-	}
-	out := make([]PairCount, 0, len(pairs))
-	for k, n := range pairs { //simlint:allow maprange — fully sorted below
-		out = append(out, PairCount{WriterPE: int(k.writerPE), VictimCluster: int(k.victim), Count: n})
-	}
+// sortPairs orders one line's pairs by count, then writer, then victim,
+// and keeps the first maxPairsPerLine.
+func sortPairs(out []PairCount) []PairCount {
 	sort.Slice(out, func(i, j int) bool {
 		if out[i].Count != out[j].Count {
 			return out[i].Count > out[j].Count
@@ -230,10 +245,7 @@ func sortPairs(pairs map[pairKey]uint64) []PairCount {
 		}
 		return out[i].VictimCluster < out[j].VictimCluster
 	})
-	if len(out) > maxPairsPerLine {
-		out = out[:maxPairsPerLine]
-	}
-	return out
+	return out[:min(len(out), maxPairsPerLine)]
 }
 
 // Summary is the compact per-region miss-class block embedded in
