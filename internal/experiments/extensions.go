@@ -57,7 +57,7 @@ func ExtAssociativityData(opt Options) ([]AssocRow, error) {
 			}
 		}
 	}
-	results, err := runJobs(jobs, opt.Size)
+	results, err := runJobs(jobs, opt)
 	if err != nil {
 		return nil, err
 	}
@@ -133,7 +133,7 @@ func ExtOrganizationsData(opt Options) ([]OrgRow, error) {
 			}
 		}
 	}
-	results, err := runJobs(jobs, opt.Size)
+	results, err := runJobs(jobs, opt)
 	if err != nil {
 		return nil, err
 	}
@@ -202,7 +202,7 @@ func ExtScalingData(opt Options) ([]ScaleRow, error) {
 			rows = append(rows, ScaleRow{Procs: procs, ClusterSize: cs})
 		}
 	}
-	results, err := runJobs(jobs, opt.Size)
+	results, err := runJobs(jobs, opt)
 	if err != nil {
 		return nil, err
 	}

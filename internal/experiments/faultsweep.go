@@ -68,7 +68,7 @@ func ExtFaultsData(opt Options) ([]FaultRow, error) {
 			}
 		}
 	}
-	results, err := runJobs(jobs, opt.Size)
+	results, err := runJobs(jobs, opt)
 	if err != nil {
 		return nil, err
 	}

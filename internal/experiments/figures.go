@@ -59,7 +59,7 @@ func Fig3Data(opt Options) ([]Bar, error) {
 	for _, cs := range ClusterSizes {
 		jobs = append(jobs, job{w, opt.config(cs, 0), fmt.Sprintf("ocean-small cluster=%d", cs)})
 	}
-	results, err := runJobs(jobs, opt.Size)
+	results, err := runJobs(jobs, opt)
 	if err != nil {
 		return nil, err
 	}

@@ -248,6 +248,32 @@ func TestParallelStopPolls(t *testing.T) {
 	requireSame(t, "Stop on the third poll", outs[0], outs[1])
 }
 
+// TestRunJobsStopPolls: an experiment that bypasses Suite.Run polls
+// Stop before each job, as a data method does, so a Stop that turns true
+// on its third poll starts exactly two of ExtAssociativityData's jobs
+// both ways. It waits for them, returns ErrInterrupted and no rows, and
+// leaves no goroutine behind.
+func TestRunJobsStopPolls(t *testing.T) {
+	for _, procs := range []int{1, 4} {
+		func() {
+			defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(procs))
+			var polls atomic.Int32
+			opt := Options{Procs: 8, Size: apps.SizeTest, Stop: func() bool { return polls.Add(1) >= 3 }}
+			start := runtime.NumGoroutine()
+			rows, err := ExtAssociativityData(opt)
+			if !errors.Is(err, ErrInterrupted) || rows != nil {
+				t.Errorf("GOMAXPROCS=%d: %d rows, err %v; want none and ErrInterrupted", procs, len(rows), err)
+			}
+			// Each start follows one poll, and the loop stops polling once
+			// Stop is true: three polls are two jobs started.
+			if n := polls.Load(); n != 3 {
+				t.Errorf("GOMAXPROCS=%d: Stop polled %d times, want 3", procs, n)
+			}
+			waitFor(t, "the jobs' goroutines to exit", func() bool { return runtime.NumGoroutine() <= start })
+		}()
+	}
+}
+
 // TestParallelJournalledFailure: a failure record on a mid-plan point
 // stops the render pass there both ways, with the same error, and
 // nothing past it is started.
