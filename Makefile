@@ -2,7 +2,7 @@
 
 GO ?= go
 
-.PHONY: all build vet lint simlint sarif sanitize-suite parallel-check profile-suite profile-golden critpath-suite critpath-golden fault-suite resume-suite obs-suite fabric-suite test test-short race bench bench-go bench-gate bench-baseline experiments repro-check paper examples clean
+.PHONY: all build vet lint simlint sarif loc sanitize-suite parallel-check profile-suite profile-golden critpath-suite critpath-golden fault-suite resume-suite obs-suite fabric-suite test test-short race bench bench-go bench-gate bench-baseline experiments repro-check paper examples clean
 
 all: build lint test
 
@@ -31,6 +31,19 @@ sarif:
 	@mkdir -p $(SARIF_OUT)
 	$(GO) run ./cmd/simlint -tests -sarif $(SARIF_OUT)/simlint.sarif ./... || true
 	@echo "sarif: wrote $(SARIF_OUT)/simlint.sarif"
+
+# Non-test Go lines of the three sizes ROADMAP tracks: the simulation
+# core, the tooling around it (cmd/tracetool and the internal lint,
+# experiments, fabric, obs, critpath, telemetry, profile, perf and bench
+# packages), and all Go outside repobench/. It reports; it gates
+# nothing.
+LOC_CORE = internal/engine internal/memory internal/cache internal/directory internal/coherence internal/core
+LOC_TOOLING = internal/lint internal/experiments internal/fabric internal/obs internal/critpath \
+	internal/telemetry internal/profile internal/perf internal/bench cmd/tracetool
+loc:
+	@printf '%-24s' 'simulation core:'; find $(LOC_CORE) -name '*.go' ! -name '*_test.go' -print0 | xargs -0 cat | wc -l
+	@printf '%-24s' 'tooling:'; find $(LOC_TOOLING) -name '*.go' ! -name '*_test.go' -print0 | xargs -0 cat | wc -l
+	@printf '%-24s' 'outside repobench/:'; find . -path ./repobench -prune -o -name '*.go' ! -name '*_test.go' -print0 | xargs -0 cat | wc -l
 
 # Short reproduction sweep with the runtime sanitizer attached: every
 # coherence transaction is cross-validated against the directory, so a
@@ -97,9 +110,11 @@ fault-suite: build
 
 # Interrupt/resume smoke test: a journalled run stopped after 3 points
 # (exit code 3) must, when resumed from the same -state dir, emit
-# tables byte-identical to an uninterrupted run. The binary is built
-# and invoked directly because `go run` folds any non-zero program
-# exit into its own exit code 1, hiding the distinct interrupt code.
+# tables byte-identical to an uninterrupted run, and -stop-after must
+# stop an experiment that bypasses the suite (fig3) too. The binary is
+# built and invoked directly because `go run` folds any non-zero
+# program exit into its own exit code 1, hiding the distinct interrupt
+# code.
 RESUME_OUT ?= /tmp/clustersim-resume
 resume-suite: build
 	@rm -rf $(RESUME_OUT) && mkdir -p $(RESUME_OUT)
@@ -112,7 +127,12 @@ resume-suite: build
 		cat $(RESUME_OUT)/interrupt.log; exit 1; fi
 	$(RESUME_OUT)/experiments -procs 16 -size test -state $(RESUME_OUT)/state fig2 > $(RESUME_OUT)/resumed.txt
 	diff -u $(RESUME_OUT)/clean.txt $(RESUME_OUT)/resumed.txt
-	@echo "resume-suite: resumed tables byte-identical to uninterrupted run"
+	@$(RESUME_OUT)/experiments -procs 16 -size test -stop-after 2 fig3 \
+		> /dev/null 2>$(RESUME_OUT)/fig3.log; \
+	code=$$?; if [ $$code -ne 3 ]; then \
+		echo "resume-suite: fig3 -stop-after 2: expected interrupted exit code 3, got $$code"; \
+		cat $(RESUME_OUT)/fig3.log; exit 1; fi
+	@echo "resume-suite: resumed tables byte-identical to uninterrupted run; fig3 stopped after 2 points"
 
 # Live-observability smoke test: run a journal-free fig2 sweep with the
 # metrics/status endpoints served (-serve) and the structured run-event

@@ -152,7 +152,6 @@ func realMain() int {
 	opt.CritpathDir = *critDir
 	opt.PointTimeout = *timeout
 	opt.RetryFailed = *retry
-	opt.StopAfter = *stopN
 	if *progress {
 		opt.Progress = os.Stderr
 	}
@@ -192,7 +191,7 @@ func realMain() int {
 	opt.Size = sz
 	stop := experiments.NewSignalStop()
 	defer stop.Close()
-	opt.Stop = stop.Stopped
+	opt.Stop = experiments.StopAfter(*stopN, stop.Stopped)
 	if opt.Journal != nil {
 		stop.SetJournalDir(opt.Journal.Dir())
 	}

@@ -1,20 +1,25 @@
-// Package cache models the shared cluster caches of the simulated
-// machine. Following the paper's methodology the caches are fully
-// associative with LRU replacement ("we do not want to include the effect
-// of conflict misses that are due to limited associativity"), with 64-byte
-// lines by default, and either finite (sized per processor) or infinite.
+// Package cache models the cluster caches of the simulated machine.
+// Following the paper's methodology the main study's caches are fully
+// associative with LRU replacement ("we do not want to include the
+// effect of conflict misses that are due to limited associativity"),
+// with 64-byte lines by default, and either finite (sized per processor)
+// or infinite. The destructive interference the paper defers to future
+// work is studied with k-way caches (NewSetAssoc); a fully associative
+// cache is the one-set case of the same type.
 //
 // A line can be INVALID (absent), SHARED, or EXCLUSIVE. Lines being
 // filled by an outstanding READ or WRITE miss are additionally pending
 // until the fill's ready time; a read that finds a pending line is a
 // MERGE miss and blocks until the data returns.
 //
-// Resident lines are found by line number through a table the package
-// owns (lineTable): open addressing over a power-of-two slice of *Line,
+// Resident lines are found by line number through one table per cache
+// (lineTable): open addressing over a power-of-two slice of *Line,
 // Fibonacci hashing of the tag and linear probing against the resident
-// line's Tag, doubled at half load, with backward-shift deletion. An
-// LRU list threads the same lines, so iteration (ForEach) and victim
-// choice follow recency, never the table's layout.
+// line's Tag, doubled at half load, with backward-shift deletion. Each
+// set threads its lines on a recency list, so iteration (ForEach) and
+// victim choice follow recency, never the table's layout. An infinite
+// cache never evicts, so its hits leave its one list alone and it keeps
+// insertion order.
 package cache
 
 import (
@@ -69,36 +74,66 @@ type Line struct {
 	ReadyAt   Clock
 	FillState State
 
-	prev, next *Line // LRU list, most recent at head
+	prev, next *Line // its set's recency list, most recent at head
 }
 
-// Cache is one cluster's fully associative cache.
+// set is one set's recency list and its count of resident lines.
+type set struct {
+	head, tail *Line
+	n          int
+}
+
+// Cache is one cluster's cache: sets of ways lines each, a fully
+// associative cache being one set. A line's set is the low bits of its
+// line number, as in a physical cache, so lines that are far apart in
+// the address space can conflict.
 type Cache struct {
-	capacity int // lines; 0 means infinite
-	policy   ReplacePolicy
-	lines    lineTable
-	head     *Line // most recently used
-	tail     *Line // least recently used
-	free     *Line // recycled Line structs
+	ways  int  // lines per set; 0 means infinite (one unbounded set)
+	lru   bool // Touch reorders: LRU replacement in a finite cache
+	lines lineTable
+	sets  []set
+	mask  uint64 // len(sets)-1: a line's set is Tag & mask
+	free  *Line  // recycled Line structs
 
 	// Evictions counts replacement victims; for sanity checks.
 	Evictions uint64
 }
 
-// New creates a cache holding capacityLines lines (0 = infinite).
+// New creates a fully associative cache holding capacityLines lines
+// (0 = infinite).
 func New(capacityLines int, policy ReplacePolicy) *Cache {
 	if capacityLines < 0 {
 		panic("cache: negative capacity")
 	}
-	return &Cache{
-		capacity: capacityLines,
-		policy:   policy,
-		lines:    newLineTable(capacityLines),
-	}
+	return newCache(1, capacityLines, policy)
 }
 
-// Capacity returns the line capacity (0 = infinite).
-func (c *Cache) Capacity() int { return c.capacity }
+// NewSetAssoc builds a cache of capacityLines lines organised as
+// ways-associative sets. capacityLines must be a positive multiple of
+// ways and the set count must be a power of two.
+func NewSetAssoc(capacityLines, ways int, policy ReplacePolicy) (*Cache, error) {
+	if capacityLines <= 0 {
+		return nil, fmt.Errorf("cache: set-associative cache needs a finite capacity")
+	}
+	if ways <= 0 || capacityLines%ways != 0 {
+		return nil, fmt.Errorf("cache: %d lines not divisible into %d-way sets", capacityLines, ways)
+	}
+	nsets := capacityLines / ways
+	if nsets&(nsets-1) != 0 {
+		return nil, fmt.Errorf("cache: %d sets is not a power of two", nsets)
+	}
+	return newCache(nsets, ways, policy), nil
+}
+
+func newCache(nsets, ways int, policy ReplacePolicy) *Cache {
+	return &Cache{
+		ways:  ways,
+		lru:   policy == LRU && ways != 0,
+		lines: newLineTable(nsets * ways),
+		sets:  make([]set, nsets),
+		mask:  uint64(nsets - 1),
+	}
+}
 
 // Len returns the number of resident lines.
 func (c *Cache) Len() int { return c.lines.n }
@@ -124,33 +159,30 @@ func (c *Cache) Lookup(tag uint64, now Clock) *Line {
 // use FillState for its effective coherence state.
 func (c *Cache) Peek(tag uint64) *Line { return c.lines.get(tag) }
 
-// Touch marks the line most recently used.
+// Touch marks the line most recently used in its set. Under FIFO the
+// order is insertion order only, and an infinite cache never evicts, so
+// neither reorders.
 func (c *Cache) Touch(l *Line) {
-	if c.policy == FIFO {
-		return // FIFO order is insertion order only
+	if c.lru {
+		c.sets[l.Tag&c.mask].moveToFront(l)
 	}
-	if c.head == l {
-		return
-	}
-	c.unlink(l)
-	c.pushFront(l)
 }
 
 // Insert installs a pending fill for tag, issued at now, that completes
-// at readyAt in fillState. If the cache is full it evicts a victim first
-// and returns it (with its pre-eviction tag and state) so the caller can
-// send a writeback or replacement hint to the directory. Inserting a tag
-// that is already resident panics — callers must Lookup first.
+// at readyAt in fillState. If tag's set is full it evicts a victim from
+// the set first and returns it (with its pre-eviction tag and state) so
+// the caller can send a writeback or replacement hint to the directory.
+// Inserting a tag that is already resident panics — callers must Lookup
+// first.
 func (c *Cache) Insert(tag uint64, fillState State, now, readyAt Clock) (victim Line, evicted bool) {
 	if c.lines.get(tag) != nil {
 		panic(fmt.Sprintf("cache: duplicate insert of line %#x", tag))
 	}
-	if c.capacity != 0 && c.lines.n >= c.capacity {
-		v := c.chooseVictim(now)
-		if v != nil {
-			victim = *v
-			evicted = true
-			c.remove(v)
+	s := &c.sets[tag&c.mask]
+	if c.ways != 0 && s.n >= c.ways {
+		if v := s.chooseVictim(now); v != nil {
+			victim, evicted = *v, true
+			c.remove(s, v)
 			c.Evictions++
 		}
 	}
@@ -161,7 +193,8 @@ func (c *Cache) Insert(tag uint64, fillState State, now, readyAt Clock) (victim 
 	l.ReadyAt = readyAt
 	l.FillState = fillState
 	c.lines.put(l)
-	c.pushFront(l)
+	s.pushFront(l)
+	s.n++
 	return victim, evicted
 }
 
@@ -173,7 +206,7 @@ func (c *Cache) Invalidate(tag uint64) bool {
 	if l == nil {
 		return false
 	}
-	c.remove(l)
+	c.remove(&c.sets[tag&c.mask], l)
 	return true
 }
 
@@ -194,32 +227,20 @@ func (c *Cache) Downgrade(tag uint64) {
 	}
 }
 
-// chooseVictim returns the least recently used non-pending line at time
-// now, settling expired fills along the way. It returns nil if every
-// resident line's fill is still in flight (the caller then over-commits
-// by one line; with realistic miss latencies this is vanishingly rare).
-func (c *Cache) chooseVictim(now Clock) *Line {
-	for l := c.tail; l != nil; l = l.prev {
-		if l.Pending && now >= l.ReadyAt {
-			l.Pending = false
-			l.State = l.FillState
-		}
-		if !l.Pending {
-			return l
-		}
-	}
-	return nil
-}
-
-// ForEach visits every resident line; for invariant auditing in tests.
+// ForEach visits every resident line, the sets in index order and each
+// from most to least recent (an infinite cache's lines newest inserted
+// first); for invariant audits and tests.
 func (c *Cache) ForEach(fn func(*Line)) {
-	for l := c.head; l != nil; l = l.next {
-		fn(l)
+	for i := range c.sets {
+		for l := c.sets[i].head; l != nil; l = l.next {
+			fn(l)
+		}
 	}
 }
 
-func (c *Cache) remove(l *Line) {
-	c.unlink(l)
+func (c *Cache) remove(s *set, l *Line) {
+	s.unlink(l)
+	s.n--
 	c.lines.delete(l)
 	l.prev, l.next = nil, c.free
 	c.free = l
@@ -235,28 +256,56 @@ func (c *Cache) newLine() *Line {
 	return &Line{}
 }
 
-func (c *Cache) pushFront(l *Line) {
-	l.prev = nil
-	l.next = c.head
-	if c.head != nil {
-		c.head.prev = l
+// chooseVictim returns the set's least recently used line that is not
+// pending at time now, settling expired fills along the way. It returns
+// nil if every line of the set is still being filled; the caller then
+// over-commits the set by one line, and the set stays over until a line
+// of it is invalidated. That is not rare in small sets: direct-mapped
+// and 2-way caches, and Table 3's 16- and 32-line fully associative
+// ones (the FOUND on over-committed sets in CHANGES.md has the counts).
+func (s *set) chooseVictim(now Clock) *Line {
+	for l := s.tail; l != nil; l = l.prev {
+		if l.Pending && now >= l.ReadyAt {
+			l.Pending = false
+			l.State = l.FillState
+		}
+		if !l.Pending {
+			return l
+		}
 	}
-	c.head = l
-	if c.tail == nil {
-		c.tail = l
+	return nil
+}
+
+// moveToFront makes l, a line of s, its most recent.
+func (s *set) moveToFront(l *Line) {
+	if s.head != l {
+		s.unlink(l)
+		s.pushFront(l)
 	}
 }
 
-func (c *Cache) unlink(l *Line) {
+func (s *set) pushFront(l *Line) {
+	l.prev = nil
+	l.next = s.head
+	if s.head != nil {
+		s.head.prev = l
+	}
+	s.head = l
+	if s.tail == nil {
+		s.tail = l
+	}
+}
+
+func (s *set) unlink(l *Line) {
 	if l.prev != nil {
 		l.prev.next = l.next
-	} else if c.head == l {
-		c.head = l.next
+	} else if s.head == l {
+		s.head = l.next
 	}
 	if l.next != nil {
 		l.next.prev = l.prev
-	} else if c.tail == l {
-		c.tail = l.prev
+	} else if s.tail == l {
+		s.tail = l.prev
 	}
 	l.prev, l.next = nil, nil
 }

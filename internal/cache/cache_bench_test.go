@@ -31,3 +31,17 @@ func BenchmarkInsertEvict(b *testing.B) {
 		c.Insert(64+uint64(i), Shared, Clock(i), Clock(i))
 	}
 }
+
+// BenchmarkInsertEvict2Way is BenchmarkInsertEvict on a 2-way cache of
+// the same size, 128 sets of 2 lines, as ext-assoc runs it: each op
+// evicts the LRU line of the new line's set.
+func BenchmarkInsertEvict2Way(b *testing.B) {
+	const lines = 256
+	c, err := NewSetAssoc(lines, 2, LRU)
+	if err != nil {
+		b.Fatal(err)
+	}
+	for i := 0; i < b.N; i++ {
+		c.Insert(64+uint64(i), Shared, Clock(i), Clock(i))
+	}
+}

@@ -23,8 +23,8 @@ func TestNewSetAssocValidation(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if sa.Ways() != 4 || sa.Sets() != 16 {
-		t.Fatalf("geometry %d ways × %d sets", sa.Ways(), sa.Sets())
+	if sa.ways != 4 || len(sa.sets) != 16 {
+		t.Fatalf("geometry %d ways × %d sets", sa.ways, len(sa.sets))
 	}
 }
 
@@ -62,8 +62,9 @@ func TestDirectMappedIsOneWay(t *testing.T) {
 	}
 }
 
-// TestFullyAssociativeEquivalence: a SetAssoc with one set must behave
-// exactly like the fully associative Cache under a random workload.
+// TestFullyAssociativeEquivalence: a set-associative cache with one set
+// must behave exactly like the fully associative one under a random
+// workload.
 func TestFullyAssociativeEquivalence(t *testing.T) {
 	const capacity = 8
 	fa := New(capacity, LRU)
@@ -96,7 +97,7 @@ func TestFullyAssociativeEquivalence(t *testing.T) {
 // interference property the paper's future work targets: under a strided
 // reference stream, a direct-mapped cache of the same size misses more.
 func TestConflictMissesExceedFullyAssociative(t *testing.T) {
-	misses := func(st Store) int {
+	misses := func(st *Cache) int {
 		n := 0
 		for step := 0; step < 2000; step++ {
 			tag := uint64((step % 4) * 16) // 4 tags, all in one set

@@ -7,13 +7,13 @@ import (
 	"testing"
 )
 
-// model is an independent oracle for a Store: every resident line's
+// model is an independent oracle for a Cache: every resident line's
 // expected fields in a map keyed by tag, and each set's recency order
-// (a fully associative Cache is one set).
+// (a fully associative cache is one set).
 type model struct {
 	ways  int    // lines per set; 0 = unbounded
 	mask  uint64 // set index = tag & mask
-	lru   bool   // Touch reorders (false: FIFO)
+	lru   bool   // Touch reorders (false: FIFO, or an infinite cache)
 	lines map[uint64]*Line
 	order [][]uint64 // per set, most recent first
 }
@@ -22,7 +22,7 @@ func newModel(sets, ways int, policy ReplacePolicy) *model {
 	return &model{
 		ways:  ways,
 		mask:  uint64(sets - 1),
-		lru:   policy == LRU,
+		lru:   policy == LRU && ways != 0,
 		lines: map[uint64]*Line{},
 		order: make([][]uint64, sets),
 	}
@@ -91,7 +91,7 @@ func (m *model) downgrade(tag uint64) {
 	}
 }
 
-// same reports whether the store's line carries the model's fields.
+// same reports whether the cache's line carries the model's fields.
 func same(got, want *Line) bool {
 	return got.Tag == want.Tag && got.State == want.State && got.Pending == want.Pending &&
 		got.ReadyAt == want.ReadyAt && got.FillState == want.FillState
@@ -99,7 +99,7 @@ func same(got, want *Line) bool {
 
 // check compares st with the model: Len, a Peek of every tag in the
 // universe (resident or not), and ForEach's order, set by set.
-func (m *model) check(st Store, universe []uint64) error {
+func (m *model) check(st *Cache, universe []uint64) error {
 	if st.Len() != len(m.lines) {
 		return fmt.Errorf("Len %d, want %d", st.Len(), len(m.lines))
 	}
@@ -130,35 +130,35 @@ func (m *model) check(st Store, universe []uint64) error {
 // whenever a set is full — and checks every step against the model.
 // Tag universes are dense (a bump allocator's line numbers), strided
 // (matrix columns), and crowded onto the last slots of the table so
-// probe runs wrap around to slot 0; capacities are infinite, 1, 7 and
-// 256, plus two set-associative shapes.
+// probe runs wrap around to slot 0; capacities are infinite (whose
+// ForEach order is insertion order, newest first), 1, 7 and 256, plus
+// three set-associative shapes, one of them direct-mapped.
 func TestLineTableOracle(t *testing.T) {
 	type shape struct {
 		name       string
-		sets, ways int // sets > 1 builds a SetAssoc; ways 0 = infinite
+		sets, ways int // ways 0 = infinite
 	}
 	shapes := []shape{
 		{"infinite", 1, 0}, {"cap1", 1, 1}, {"cap7", 1, 7}, {"cap256", 1, 256},
-		{"4x8way", 4, 8}, {"16x2way", 16, 2},
+		{"4x8way", 4, 8}, {"16x2way", 16, 2}, {"32x1way", 32, 1},
 	}
-	newStore := func(sh shape, policy ReplacePolicy) (Store, *Cache) {
+	build := func(sh shape, policy ReplacePolicy) *Cache {
 		if sh.sets == 1 {
-			c := New(sh.ways, policy)
-			return c, c
+			return New(sh.ways, policy)
 		}
-		sa, err := NewSetAssoc(sh.sets*sh.ways, sh.ways, policy)
+		c, err := NewSetAssoc(sh.sets*sh.ways, sh.ways, policy)
 		if err != nil {
 			t.Fatal(err)
 		}
-		return sa, sa.sets[0]
+		return c
 	}
-	// wrapping returns n tags of set 0 whose home is one of the last two
-	// slots of first's table as built.
-	wrapping := func(first *Cache, sets uint64, n int) []uint64 {
+	// wrapping returns n tags whose home is one of the last two slots of
+	// c's table as built.
+	wrapping := func(c *Cache, n int) []uint64 {
 		var tags []uint64
-		last := len(first.lines.slots) - 2
-		for tag := uint64(0); len(tags) < n; tag += sets {
-			if first.lines.home(tag) >= last {
+		last := len(c.lines.slots) - 2
+		for tag := uint64(0); len(tags) < n; tag++ {
+			if c.lines.home(tag) >= last {
 				tags = append(tags, tag)
 			}
 		}
@@ -185,12 +185,12 @@ func TestLineTableOracle(t *testing.T) {
 					}
 					return tags
 				}},
-				{"wrapping", func(first *Cache) []uint64 { return wrapping(first, uint64(sh.sets), 300) }},
+				{"wrapping", func(c *Cache) []uint64 { return wrapping(c, 300) }},
 			}
 			for _, u := range universes {
 				uname := u.name
-				st, first := newStore(sh, policy)
-				tags := u.tags(first)
+				st := build(sh, policy)
+				tags := u.tags(st)
 				m := newModel(sh.sets, sh.ways, policy)
 				now := Clock(0)
 				for step := 0; step < 3000; step++ {

@@ -199,7 +199,7 @@ type Stats struct {
 // cluster, kept coherent between clusters by the directory protocol.
 type System struct {
 	protocol
-	caches []cache.Store
+	caches []*cache.Cache
 
 	// disableHints suppresses replacement hints (ablation): the
 	// directory keeps stale sharer bits for silently dropped clean
@@ -224,18 +224,14 @@ func NewSystemAssoc(as *memory.AddressSpace, numClusters, cacheLines, ways int, 
 	if err != nil {
 		return nil, err
 	}
-	s := &System{protocol: p, caches: make([]cache.Store, numClusters)}
+	s := &System{protocol: p, caches: make([]*cache.Cache, numClusters)}
 	s.copies = s
 	for i := range s.caches {
 		if ways == 0 {
 			s.caches[i] = cache.New(cacheLines, policy)
-			continue
-		}
-		sa, err := cache.NewSetAssoc(cacheLines, ways, policy)
-		if err != nil {
+		} else if s.caches[i], err = cache.NewSetAssoc(cacheLines, ways, policy); err != nil {
 			return nil, err
 		}
-		s.caches[i] = sa
 	}
 	return s, nil
 }
@@ -248,7 +244,7 @@ func (s *System) DisableReplacementHints() { s.disableHints = true }
 func (s *System) LineOf(addr memory.Addr) uint64 { return addr >> s.lineShift }
 
 // Cache returns cluster's cache, for inspection.
-func (s *System) Cache(cluster int) cache.Store { return s.caches[cluster] }
+func (s *System) Cache(cluster int) *cache.Cache { return s.caches[cluster] }
 
 // Directory returns the directory, for inspection.
 func (s *System) Directory() *directory.Directory { return s.dir }

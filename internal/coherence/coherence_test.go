@@ -330,7 +330,7 @@ func TestAuditsLeavePendingFills(t *testing.T) {
 		name  string
 		model MemoryModel
 		addr  memory.Addr
-		cache cache.Store
+		cache *cache.Cache
 	}{
 		{"shared-cache", s, base, s.Cache(0)},
 		{"shared-memory", m, mbase, m.l1[0]},

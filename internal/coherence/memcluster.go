@@ -34,7 +34,7 @@ const DefaultBusCycles Clock = 15
 // the snoopy bus is reliable.
 type MemClusterSystem struct {
 	protocol
-	l1          []cache.Store // per processor
+	l1          []*cache.Cache // per processor
 	clusterSize int
 	bus         Clock
 }
@@ -56,7 +56,7 @@ func NewMemClusterSystem(as *memory.AddressSpace, numClusters, clusterSize, l1Li
 	}
 	s := &MemClusterSystem{
 		protocol:    p,
-		l1:          make([]cache.Store, numClusters*clusterSize),
+		l1:          make([]*cache.Cache, numClusters*clusterSize),
 		clusterSize: clusterSize,
 		bus:         bus,
 	}
@@ -64,13 +64,9 @@ func NewMemClusterSystem(as *memory.AddressSpace, numClusters, clusterSize, l1Li
 	for i := range s.l1 {
 		if ways == 0 {
 			s.l1[i] = cache.New(l1Lines, policy)
-			continue
-		}
-		sa, err := cache.NewSetAssoc(l1Lines, ways, policy)
-		if err != nil {
+		} else if s.l1[i], err = cache.NewSetAssoc(l1Lines, ways, policy); err != nil {
 			return nil, err
 		}
-		s.l1[i] = sa
 	}
 	return s, nil
 }
@@ -193,7 +189,7 @@ func (s *MemClusterSystem) drop(cluster int, line uint64) bool {
 }
 
 // procCaches returns the private caches of cluster's processors.
-func (s *MemClusterSystem) procCaches(cluster int) []cache.Store {
+func (s *MemClusterSystem) procCaches(cluster int) []*cache.Cache {
 	return s.l1[cluster*s.clusterSize : (cluster+1)*s.clusterSize]
 }
 

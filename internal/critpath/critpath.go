@@ -141,21 +141,16 @@ type Analyzer struct {
 	base       []stats.Breakdown
 	phases     []phase
 
-	syncs    []SyncObject // indexed by sync ID
-	barriers map[int]*barrierAccum
-	locks    map[int]*lockAccum
+	syncs    []SyncObject    // indexed by sync ID
+	barriers []*barrierAccum // indexed by sync ID; nil unless a barrier
+	locks    []*lockAccum    // indexed by sync ID; nil unless a lock
 
 	execTime Clock
 	finish   []Clock
 }
 
 // New creates an empty analyzer.
-func New() *Analyzer {
-	return &Analyzer{
-		barriers: make(map[int]*barrierAccum),
-		locks:    make(map[int]*lockAccum),
-	}
-}
+func New() *Analyzer { return &Analyzer{} }
 
 // Attach implements core.Observer: the analyzer sizes itself for the
 // machine, before any synchronisation object exists, and keeps its
@@ -181,6 +176,8 @@ func (a *Analyzer) OnPhase(fn func(name string, at Clock)) { a.onPhase = fn }
 func (a *Analyzer) DefineSync(id int, kind stats.SyncKind, name string, participants int) {
 	for len(a.syncs) <= id {
 		a.syncs = append(a.syncs, SyncObject{ID: len(a.syncs)})
+		a.barriers = append(a.barriers, nil)
+		a.locks = append(a.locks, nil)
 	}
 	a.syncs[id] = SyncObject{ID: id, Kind: kind, Name: name, Participants: participants}
 	switch kind {
@@ -263,10 +260,14 @@ func (a *Analyzer) Reset(_ int, at Clock) {
 		a.base[i] = stats.Breakdown{}
 	}
 	for _, b := range a.barriers {
-		b.reset()
+		if b != nil {
+			b.reset()
+		}
 	}
 	for _, l := range a.locks {
-		l.reset(0)
+		if l != nil {
+			l.reset(0)
+		}
 	}
 }
 
@@ -409,7 +410,7 @@ func (a *Analyzer) Finish(execTime Clock, finish []Clock, final []stats.Breakdow
 	// A lock still held at run end (a kernel bug core tolerates) has
 	// its open hold charged through the end of the run.
 	for _, l := range a.locks {
-		if l.holder >= 0 {
+		if l != nil && l.holder >= 0 {
 			a.closeHold(l, a.origin+execTime)
 			l.holder = -1
 		}

@@ -188,23 +188,14 @@ func (a *Analyzer) Report(topLocks int) *Report {
 // barrierReports lists every barrier with at least one episode, in
 // sync-ID order.
 func (a *Analyzer) barrierReports() []BarrierReport {
-	ids := make([]int, 0, len(a.barriers))
-	for id := range a.barriers { //simlint:allow maprange — fully sorted below
-		ids = append(ids, id)
-	}
-	sort.Ints(ids)
 	var out []BarrierReport
-	for _, id := range ids {
-		b := a.barriers[id]
-		if b.episodes == 0 {
+	for id, b := range a.barriers {
+		if b == nil || b.episodes == 0 {
 			continue
 		}
 		br := BarrierReport{
-			Name: a.syncName(id), ID: id,
+			Name: a.syncName(id), ID: id, Participants: a.syncs[id].Participants,
 			Episodes: b.episodes, WaitCycles: b.waitCycles, MaxWait: b.maxWait,
-		}
-		if id < len(a.syncs) {
-			br.Participants = a.syncs[id].Participants
 		}
 		for pe, n := range b.lastBy {
 			if n > 0 {
@@ -222,10 +213,10 @@ func (a *Analyzer) barrierReports() []BarrierReport {
 func (a *Analyzer) lockReports(n int) ([]LockReport, int) {
 	var out []LockReport
 	for id, l := range a.locks {
-		if l.acquisitions == 0 {
+		if l == nil || l.acquisitions == 0 {
 			continue
 		}
-		out = append(out, LockReport{ //simlint:allow maprange — fully sorted below
+		out = append(out, LockReport{
 			Name: a.syncName(id), ID: id,
 			Acquisitions: l.acquisitions, Contended: l.contended,
 			HoldCycles: l.holdCycles, MaxHold: l.maxHold,

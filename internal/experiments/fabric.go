@@ -109,7 +109,7 @@ func FabricRunner(opt Options) fabric.Runner {
 	// The worker's own Stop hook decides between points. Inside one, an
 	// interrupt would come back as a point failure the coordinator
 	// journals.
-	opt.Stop, opt.StopAfter = nil, 0
+	opt.Stop = nil
 	return func(spec fabric.PointSpec) (*core.Result, bool, error) {
 		size, err := apps.ParseSize(spec.Size)
 		if err != nil {

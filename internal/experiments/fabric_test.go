@@ -216,14 +216,14 @@ func TestFabricRunnerHonoursJournalledFailure(t *testing.T) {
 }
 
 // TestFabricRunnerIgnoresStop: the worker's own Stop hook decides
-// between points, so the runner clears Stop and StopAfter and an
-// interrupt cannot come back as a point failure.
+// between points, so the runner clears Stop and an interrupt cannot
+// come back as a point failure.
 func TestFabricRunnerIgnoresStop(t *testing.T) {
 	spec, err := pointSpec(fabricOpt(), obs.Point{App: "lu", Cluster: 2})
 	if err != nil {
 		t.Fatal(err)
 	}
-	run := FabricRunner(Options{Stop: func() bool { return true }, StopAfter: 1})
+	run := FabricRunner(Options{Stop: func() bool { return true }})
 	if _, _, err := run(spec); err != nil {
 		t.Fatalf("runner with a stop requested: %v", err)
 	}

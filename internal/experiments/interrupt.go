@@ -130,3 +130,19 @@ func (s *SignalStop) Close() {
 	signal.Stop(s.ch)
 	close(s.ch)
 }
+
+// StopAfter returns a Stop hook that reports true once stop does (nil
+// never does) or once n fresh simulations have started: a deterministic
+// stand-in for an operator interrupt, used by the resume smoke test. A
+// suite polls its hook before each start and starts only on false, so
+// the hook counts its false reports. n <= 0 sets no budget. The hook is
+// safe for concurrent use.
+func StopAfter(n int, stop func() bool) func() bool {
+	if n <= 0 {
+		return stop
+	}
+	var started atomic.Int64
+	return func() bool {
+		return stop != nil && stop() || started.Add(1) > int64(n)
+	}
+}

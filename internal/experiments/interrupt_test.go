@@ -3,6 +3,7 @@ package experiments
 import (
 	"strings"
 	"sync"
+	"sync/atomic"
 	"syscall"
 	"testing"
 	"time"
@@ -99,5 +100,41 @@ func waitFor(t *testing.T, what string, cond func() bool) {
 			t.Fatalf("timed out waiting for %s", what)
 		}
 		time.Sleep(time.Millisecond) //simlint:allow wallclock — test polling
+	}
+}
+
+// TestStopAfterHook: the hook lets exactly n polls through however many
+// goroutines poll it at once, reports true once its inner stop does,
+// and without a budget is the inner stop itself.
+func TestStopAfterHook(t *testing.T) {
+	hook := StopAfter(5, nil)
+	var started atomic.Int32
+	var wg sync.WaitGroup
+	wg.Add(4)
+	for range 4 {
+		go func() { //simlint:allow goroutine — test harness
+			defer wg.Done()
+			for range 10 {
+				if !hook() {
+					started.Add(1)
+				}
+			}
+		}()
+	}
+	wg.Wait()
+	if n := started.Load(); n != 5 {
+		t.Errorf("%d of 40 polls let a start through, want 5", n)
+	}
+	var stopped atomic.Bool
+	hook = StopAfter(100, stopped.Load)
+	if hook() {
+		t.Error("hook stopped before its inner stop or budget did")
+	}
+	stopped.Store(true)
+	if !hook() {
+		t.Error("hook ignored its inner stop")
+	}
+	if StopAfter(0, nil) != nil {
+		t.Error("StopAfter(0, nil) is not the nil hook")
 	}
 }

@@ -108,7 +108,7 @@ func TestSuiteResumeByteIdentical(t *testing.T) {
 	}
 	interrupted := journalOpts(t)
 	interrupted.Journal = j
-	interrupted.StopAfter = 3
+	interrupted.Stop = StopAfter(3, nil)
 	if _, err := render(NewSuite(interrupted)); !errors.Is(err, ErrInterrupted) {
 		t.Fatalf("want ErrInterrupted after 3 points, got %v", err)
 	}

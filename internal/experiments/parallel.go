@@ -75,10 +75,10 @@ func fanOut(n int, stop func() bool, job func(i int, taken bool)) (cancel, wait 
 // render pass's own demand in its own order. Memoized points are
 // dropped. Every other point is looked up in the journal once, and the
 // lookup travels with it to Run. The fresh ones are queued on the
-// worker loop in plan order, up to StopAfter's remaining budget and no
-// further than a journalled failure or a lookup error, where the render
-// pass will stop. end cancels what no worker has taken and waits for
-// the points in flight, so no goroutine outlives the data method.
+// worker loop in plan order, no further than a journalled failure or a
+// lookup error, where the render pass will stop. end cancels what no
+// worker has taken and waits for the points in flight, so no goroutine
+// outlives the data method.
 func prefetch[T any](s *Suite, data func(*Suite) (T, error)) (end func()) {
 	if s.dry || s.ahead != nil {
 		return func() {}
@@ -103,9 +103,6 @@ func prefetch[T any](s *Suite, data func(*Suite) (T, error)) (end func()) {
 		}
 		if pt.replay != nil {
 			continue
-		}
-		if s.Opt.StopAfter > 0 && len(queue) >= s.Opt.StopAfter-s.fresh {
-			break
 		}
 		pt.done = make(chan struct{})
 		queue = append(queue, pt)

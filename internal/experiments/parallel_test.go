@@ -171,14 +171,14 @@ func TestParallelMatchesSerial(t *testing.T) {
 	}
 }
 
-// TestParallelStopAfter: a StopAfter budget caps what a data method
+// TestParallelStopAfter: a StopAfter hook caps what a data method
 // starts, so both ways leave exactly the same StopAfter journal records,
 // and resuming renders the uninterrupted tables.
 func TestParallelStopAfter(t *testing.T) {
 	clean := renderAt(t, 1, Options{Procs: 8, Size: apps.SizeTest}, t.TempDir(), table7Body)
-	opt := Options{Procs: 8, Size: apps.SizeTest, StopAfter: 5}
 	var outs [2]sweepOutput
 	for i, procs := range []int{1, 4} {
+		opt := Options{Procs: 8, Size: apps.SizeTest, Stop: StopAfter(5, nil)}
 		dir := t.TempDir()
 		outs[i] = renderAt(t, procs, opt, dir, table7Body)
 		if !errors.Is(outs[i].err, ErrInterrupted) || len(outs[i].journal) != 5 {

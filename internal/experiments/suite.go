@@ -87,15 +87,10 @@ type Options struct {
 	// Stop, when non-nil, is polled before each fresh simulation is
 	// started; once it reports true no further point starts, the points
 	// in flight finish and are journalled, and the suite returns
-	// ErrInterrupted with all finished work flushed (see SignalStop). A
-	// data method polls it from its worker goroutines, so it must be safe
-	// for concurrent use.
+	// ErrInterrupted with all finished work flushed (see SignalStop and
+	// StopAfter). A data method polls it from its worker goroutines, so
+	// it must be safe for concurrent use.
 	Stop func() bool
-
-	// StopAfter, when positive, interrupts the suite after that many
-	// freshly simulated (not replayed) points — a deterministic stand-in
-	// for an operator interrupt, used by the resume smoke test.
-	StopAfter int
 
 	// PointTimeout, when positive, arms a wall-clock watchdog around
 	// each simulated point: a point that wedges past the timeout is
@@ -143,7 +138,7 @@ func (o Options) config(clusterSize, cacheKB int) core.Config {
 type Suite struct {
 	Opt      Options
 	runs     map[obs.Point]*core.Result
-	fresh    int // points actually simulated (not replayed), for StopAfter
+	fresh    int // points actually simulated (not replayed)
 	replayed int // points served from the journal
 	// dry makes Run a planning pass (PlanPoints): it records each new
 	// point in planned and returns an empty Result instead of simulating.
@@ -212,12 +207,8 @@ func (s *Suite) Run(app string, clusterSize, cacheKB int) (*core.Result, error) 
 			app, clusterSize, obs.CacheLabel(cacheKB), fr.Error)
 	}
 	if pt.done == nil {
-		// Not queued on a worker: a direct caller's point, or one past
-		// StopAfter's budget.
+		// Not queued on a worker: a direct caller's point.
 		if s.Opt.Stop != nil && s.Opt.Stop() {
-			return nil, ErrInterrupted
-		}
-		if s.Opt.StopAfter > 0 && s.fresh >= s.Opt.StopAfter {
 			return nil, ErrInterrupted
 		}
 		pt.run, pt.err = s.compute(pt)
