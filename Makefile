@@ -32,16 +32,17 @@ sarif:
 	$(GO) run ./cmd/simlint -tests -sarif $(SARIF_OUT)/simlint.sarif ./... || true
 	@echo "sarif: wrote $(SARIF_OUT)/simlint.sarif"
 
-# Non-test Go lines of the three sizes ROADMAP tracks: the simulation
-# core, the tooling around it (cmd/tracetool and the internal lint,
-# experiments, fabric, obs, critpath, telemetry, profile, perf and bench
-# packages), and all Go outside repobench/. It reports; it gates
-# nothing.
+# Non-test Go lines of the four sizes ROADMAP tracks: the simulation
+# core, the applications (internal/apps and its packages), the tooling
+# around them (cmd/tracetool and the internal lint, experiments, fabric,
+# obs, critpath, telemetry, profile, perf and bench packages), and all
+# Go outside repobench/. It reports; it gates nothing.
 LOC_CORE = internal/engine internal/memory internal/cache internal/directory internal/coherence internal/core
 LOC_TOOLING = internal/lint internal/experiments internal/fabric internal/obs internal/critpath \
 	internal/telemetry internal/profile internal/perf internal/bench cmd/tracetool
 loc:
 	@printf '%-24s' 'simulation core:'; find $(LOC_CORE) -name '*.go' ! -name '*_test.go' -print0 | xargs -0 cat | wc -l
+	@printf '%-24s' 'applications:'; find internal/apps -name '*.go' ! -name '*_test.go' -print0 | xargs -0 cat | wc -l
 	@printf '%-24s' 'tooling:'; find $(LOC_TOOLING) -name '*.go' ! -name '*_test.go' -print0 | xargs -0 cat | wc -l
 	@printf '%-24s' 'outside repobench/:'; find . -path ./repobench -prune -o -name '*.go' ! -name '*_test.go' -print0 | xargs -0 cat | wc -l
 

@@ -115,48 +115,16 @@ func usageError() error {
 func benchCmd(args []string, out io.Writer) error {
 	fs := flag.NewFlagSet("bench", flag.ContinueOnError)
 	tol := fs.Float64("tolerance", 0.05, "accepted fractional growth of allocations when diffing")
-	if err := fs.Parse(args); err != nil {
-		return err
-	}
-	switch fs.NArg() {
-	case 1:
-		r, err := readBench(fs.Arg(0))
-		if err != nil {
-			return err
-		}
-		bench.WriteTable(out, r)
-		return nil
-	case 2:
-		base, err := readBench(fs.Arg(0))
-		if err != nil {
-			return err
-		}
-		cur, err := readBench(fs.Arg(1))
-		if err != nil {
-			return err
-		}
-		deltas, regressions := bench.Compare(base, cur, bench.Tolerance{Allocs: *tol})
-		bench.WriteDiff(out, base, cur, deltas, regressions)
-		if regressions > 0 {
-			return fmt.Errorf("bench: %d regression(s)", regressions)
-		}
-		return nil
-	default:
-		return fmt.Errorf("bench: want one BENCH.json (render) or two (diff base cur), got %d args", fs.NArg())
-	}
-}
-
-func readBench(path string) (*bench.Report, error) {
-	f, err := os.Open(path)
-	if err != nil {
-		return nil, err
-	}
-	defer f.Close()
-	r, err := bench.ReadReport(f)
-	if err != nil {
-		return nil, fmt.Errorf("%s: %w", path, err)
-	}
-	return r, nil
+	return renderOrDiff(fs, args, "one BENCH.json (render) or two (diff base cur)", bench.ReadReport,
+		func(r *bench.Report) { bench.WriteTable(out, r) },
+		func(base, cur *bench.Report) error {
+			deltas, regressions := bench.Compare(base, cur, bench.Tolerance{Allocs: *tol})
+			bench.WriteDiff(out, base, cur, deltas, regressions)
+			if regressions > 0 {
+				return fmt.Errorf("bench: %d regression(s)", regressions)
+			}
+			return nil
+		})
 }
 
 // profileCmd renders one sharing profile as the flat table, or diffs
@@ -166,47 +134,14 @@ func readBench(path string) (*bench.Report, error) {
 func profileCmd(args []string, out io.Writer) error {
 	fs := flag.NewFlagSet("profile", flag.ContinueOnError)
 	top := fs.Int("top", 0, "re-rank to the top N hot lines (0 = keep the file's ranking)")
-	if err := fs.Parse(args); err != nil {
-		return err
-	}
-	switch fs.NArg() {
-	case 1:
-		r, err := readProfile(fs.Arg(0))
-		if err != nil {
-			return err
-		}
-		if *top > 0 && len(r.HotLines) > *top {
-			r.HotLines = r.HotLines[:*top]
-		}
-		profile.WriteFlat(out, r)
-		return nil
-	case 2:
-		old, err := readProfile(fs.Arg(0))
-		if err != nil {
-			return err
-		}
-		cur, err := readProfile(fs.Arg(1))
-		if err != nil {
-			return err
-		}
-		profile.WriteDiff(out, old, cur)
-		return nil
-	default:
-		return fmt.Errorf("profile: want one profile.json (render) or two (diff old new), got %d args", fs.NArg())
-	}
-}
-
-func readProfile(path string) (*profile.Report, error) {
-	f, err := os.Open(path)
-	if err != nil {
-		return nil, err
-	}
-	defer f.Close()
-	r, err := profile.ReadReport(f)
-	if err != nil {
-		return nil, fmt.Errorf("%s: %w", path, err)
-	}
-	return r, nil
+	return renderOrDiff(fs, args, "one profile.json (render) or two (diff old new)", profile.ReadReport,
+		func(r *profile.Report) {
+			if *top > 0 && len(r.HotLines) > *top {
+				r.HotLines = r.HotLines[:*top]
+			}
+			profile.WriteFlat(out, r)
+		},
+		func(old, cur *profile.Report) error { profile.WriteDiff(out, old, cur); return nil })
 }
 
 // critpathCmd renders one critical-path analysis as the flat report, or
@@ -215,40 +150,51 @@ func readProfile(path string) (*profile.Report, error) {
 //	tracetool critpath <critpath.json> [new.json]
 func critpathCmd(args []string, out io.Writer) error {
 	fs := flag.NewFlagSet("critpath", flag.ContinueOnError)
+	return renderOrDiff(fs, args, "one critpath.json (render) or two (diff old new)", critpath.ReadReport,
+		func(r *critpath.Report) { critpath.WriteFlat(out, r) },
+		func(old, cur *critpath.Report) error { critpath.WriteDiff(out, old, cur); return nil })
+}
+
+// renderOrDiff parses fs from args, then reads one report file and
+// renders it or reads two and diffs them; want says what the
+// arguments must be.
+func renderOrDiff[R any](fs *flag.FlagSet, args []string, want string, read func(io.Reader) (*R, error),
+	render func(*R), diff func(old, cur *R) error) error {
 	if err := fs.Parse(args); err != nil {
 		return err
 	}
 	switch fs.NArg() {
 	case 1:
-		r, err := readCritpath(fs.Arg(0))
+		r, err := readReport(fs.Arg(0), read)
 		if err != nil {
 			return err
 		}
-		critpath.WriteFlat(out, r)
+		render(r)
 		return nil
 	case 2:
-		old, err := readCritpath(fs.Arg(0))
+		old, err := readReport(fs.Arg(0), read)
 		if err != nil {
 			return err
 		}
-		cur, err := readCritpath(fs.Arg(1))
+		cur, err := readReport(fs.Arg(1), read)
 		if err != nil {
 			return err
 		}
-		critpath.WriteDiff(out, old, cur)
-		return nil
+		return diff(old, cur)
 	default:
-		return fmt.Errorf("critpath: want one critpath.json (render) or two (diff old new), got %d args", fs.NArg())
+		return fmt.Errorf("%s: want %s, got %d args", fs.Name(), want, fs.NArg())
 	}
 }
 
-func readCritpath(path string) (*critpath.Report, error) {
+// readReport opens path and decodes it with read, naming the file in a
+// decode error.
+func readReport[R any](path string, read func(io.Reader) (*R, error)) (*R, error) {
 	f, err := os.Open(path)
 	if err != nil {
 		return nil, err
 	}
 	defer f.Close()
-	r, err := critpath.ReadReport(f)
+	r, err := read(f)
 	if err != nil {
 		return nil, fmt.Errorf("%s: %w", path, err)
 	}

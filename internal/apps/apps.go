@@ -1,13 +1,16 @@
 // Package apps provides the common scaffolding for the paper's nine
-// applications: typed arrays that couple real Go data with simulated
-// shared-memory references, a workload registry, and problem-size
-// classes. Each application package implements the real algorithm —
-// the simulator consumes the resulting reference stream, so correctness
-// of the computation is testable and the access patterns are authentic.
+// applications: a generic shared array that couples real Go data with
+// simulated shared-memory references, the task queues and tiled image
+// the graphics codes render through, a workload registry, and
+// problem-size classes. Each application package implements the real
+// algorithm — the simulator consumes the resulting reference stream, so
+// correctness of the computation is testable and the access patterns
+// are authentic.
 package apps
 
 import (
 	"fmt"
+	"unsafe"
 
 	"clustersim/internal/core"
 )
@@ -66,124 +69,43 @@ type Runner struct {
 	Run func(cfg core.Config, size Size) (*core.Result, error)
 }
 
-// --- typed simulated arrays -------------------------------------------
+// --- shared arrays ----------------------------------------------------
 
-// F64 is a shared array of float64 backed by both real Go storage and a
-// simulated address range.
-type F64 struct {
+// Array is a shared array of T backed by both real Go storage and a
+// simulated address range, one element every unsafe.Sizeof(T) bytes.
+// The size is computed, not stored: it is a constant in each
+// instantiation, so an index is scaled by a shift, where a size field
+// would cost a multiply on every reference.
+type Array[T any] struct {
 	Base core.Addr
-	Data []float64
+	Data []T
 }
 
-// NewF64 allocates a shared float64 array.
-func NewF64(m *core.Machine, n int, name string) *F64 {
-	return &F64{Base: m.Alloc(uint64(n)*8, name), Data: make([]float64, n)}
+// NewArray allocates a shared array of n elements.
+func NewArray[T any](m *core.Machine, n int, name string) *Array[T] {
+	a := &Array[T]{Data: make([]T, n)}
+	a.Base = m.Alloc(uint64(n)*uint64(unsafe.Sizeof(a.Data[0])), name)
+	return a
 }
 
 // Addr returns the simulated address of element i.
-func (a *F64) Addr(i int) core.Addr { return a.Base + uint64(i)*8 }
+func (a *Array[T]) Addr(i int) core.Addr {
+	return a.Base + uint64(i)*uint64(unsafe.Sizeof(a.Data[0]))
+}
 
-// Get loads element i through the simulator.
-func (a *F64) Get(p *core.Proc, i int) float64 {
-	p.Read(a.Addr(i))
+// Get loads element i through the simulator. Get and Set spell out
+// Addr's expression: calling Addr would put them at the inliner's
+// budget.
+func (a *Array[T]) Get(p *core.Proc, i int) T {
+	p.Read(a.Base + uint64(i)*uint64(unsafe.Sizeof(a.Data[0])))
 	return a.Data[i]
 }
 
 // Set stores element i through the simulator.
-func (a *F64) Set(p *core.Proc, i int, v float64) {
-	p.Write(a.Addr(i))
+func (a *Array[T]) Set(p *core.Proc, i int, v T) {
+	p.Write(a.Base + uint64(i)*uint64(unsafe.Sizeof(a.Data[0])))
 	a.Data[i] = v
 }
-
-// Len returns the element count.
-func (a *F64) Len() int { return len(a.Data) }
-
-// I64 is a shared array of int64.
-type I64 struct {
-	Base core.Addr
-	Data []int64
-}
-
-// NewI64 allocates a shared int64 array.
-func NewI64(m *core.Machine, n int, name string) *I64 {
-	return &I64{Base: m.Alloc(uint64(n)*8, name), Data: make([]int64, n)}
-}
-
-// Addr returns the simulated address of element i.
-func (a *I64) Addr(i int) core.Addr { return a.Base + uint64(i)*8 }
-
-// Get loads element i through the simulator.
-func (a *I64) Get(p *core.Proc, i int) int64 {
-	p.Read(a.Addr(i))
-	return a.Data[i]
-}
-
-// Set stores element i through the simulator.
-func (a *I64) Set(p *core.Proc, i int, v int64) {
-	p.Write(a.Addr(i))
-	a.Data[i] = v
-}
-
-// Len returns the element count.
-func (a *I64) Len() int { return len(a.Data) }
-
-// C128 is a shared array of complex128 (16 bytes per element).
-type C128 struct {
-	Base core.Addr
-	Data []complex128
-}
-
-// NewC128 allocates a shared complex array.
-func NewC128(m *core.Machine, n int, name string) *C128 {
-	return &C128{Base: m.Alloc(uint64(n)*16, name), Data: make([]complex128, n)}
-}
-
-// Addr returns the simulated address of element i.
-func (a *C128) Addr(i int) core.Addr { return a.Base + uint64(i)*16 }
-
-// Get loads element i through the simulator.
-func (a *C128) Get(p *core.Proc, i int) complex128 {
-	p.Read(a.Addr(i))
-	return a.Data[i]
-}
-
-// Set stores element i through the simulator.
-func (a *C128) Set(p *core.Proc, i int, v complex128) {
-	p.Write(a.Addr(i))
-	a.Data[i] = v
-}
-
-// Len returns the element count.
-func (a *C128) Len() int { return len(a.Data) }
-
-// U8 is a shared array of bytes (volume data, images).
-type U8 struct {
-	Base core.Addr
-	Data []uint8
-}
-
-// NewU8 allocates a shared byte array.
-func NewU8(m *core.Machine, n int, name string) *U8 {
-	return &U8{Base: m.Alloc(uint64(n), name), Data: make([]uint8, n)}
-}
-
-// Addr returns the simulated address of element i.
-func (a *U8) Addr(i int) core.Addr { return a.Base + uint64(i) }
-
-// Get loads element i through the simulator.
-func (a *U8) Get(p *core.Proc, i int) uint8 {
-	p.Read(a.Addr(i))
-	return a.Data[i]
-}
-
-// Set stores element i through the simulator.
-func (a *U8) Set(p *core.Proc, i int, v uint8) {
-	p.Write(a.Addr(i))
-	a.Data[i] = v
-}
-
-// Len returns the element count.
-func (a *U8) Len() int { return len(a.Data) }
 
 // Recs is a shared array of fixed-stride records (array-of-structs
 // layout, as the SPLASH codes use for bodies, cells and particles).
@@ -247,13 +169,6 @@ func ProcGrid(procs int) (pr, pc int) {
 		}
 	}
 	return pr, procs / pr
-}
-
-func min(a, b int) int {
-	if a < b {
-		return a
-	}
-	return b
 }
 
 // Morton3 interleaves the low 10 bits of x, y, z into a 30-bit Morton

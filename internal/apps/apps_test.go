@@ -21,10 +21,10 @@ func testMachine(t *testing.T) *core.Machine {
 
 func TestTypedArraysRoundTrip(t *testing.T) {
 	m := testMachine(t)
-	f := NewF64(m, 16, "f")
-	i := NewI64(m, 16, "i")
-	c := NewC128(m, 16, "c")
-	u := NewU8(m, 16, "u")
+	f := NewArray[float64](m, 16, "f")
+	i := NewArray[int64](m, 16, "i")
+	c := NewArray[complex128](m, 16, "c")
+	u := NewArray[uint8](m, 16, "u")
 	_, err := m.Run(func(p *core.Proc) {
 		if p.ID() != 0 {
 			return
@@ -40,22 +40,22 @@ func TestTypedArraysRoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if f.Len() != 16 || i.Len() != 16 || c.Len() != 16 || u.Len() != 16 {
+	if len(f.Data) != 16 || len(i.Data) != 16 || len(c.Data) != 16 || len(u.Data) != 16 {
 		t.Error("lengths wrong")
 	}
 }
 
 func TestArrayAddressStrides(t *testing.T) {
 	m := testMachine(t)
-	f := NewF64(m, 4, "f")
+	f := NewArray[float64](m, 4, "f")
 	if f.Addr(1)-f.Addr(0) != 8 {
 		t.Error("f64 stride")
 	}
-	c := NewC128(m, 4, "c")
+	c := NewArray[complex128](m, 4, "c")
 	if c.Addr(1)-c.Addr(0) != 16 {
 		t.Error("c128 stride")
 	}
-	u := NewU8(m, 4, "u")
+	u := NewArray[uint8](m, 4, "u")
 	if u.Addr(1)-u.Addr(0) != 1 {
 		t.Error("u8 stride")
 	}

@@ -77,10 +77,10 @@ func Run(cfg core.Config, pr Params) (*core.Result, error) {
 	// Race-free: between two barriers a processor reads only what it wrote
 	// itself or what was written before the first of them.
 	m.DeclareRaceFree()
-	a := apps.NewC128(m, n, "data-matrix")
-	b := apps.NewC128(m, n, "transpose-matrix")
-	roots := apps.NewC128(m, r, "roots") // shared read-only roots of unity for row FFTs
-	input := make([]complex128, n)       // plain copy for verification
+	a := apps.NewArray[complex128](m, n, "data-matrix")
+	b := apps.NewArray[complex128](m, n, "transpose-matrix")
+	roots := apps.NewArray[complex128](m, r, "roots") // shared read-only roots of unity for row FFTs
+	input := make([]complex128, n)                    // plain copy for verification
 
 	bar := m.NewBarrierN("fft.main", cfg.Procs)
 	res, err := m.Run(func(p *core.Proc) {
@@ -143,7 +143,7 @@ func Run(cfg core.Config, pr Params) (*core.Result, error) {
 // transpose writes dst rows [lo,hi) from the corresponding columns of
 // src, blocked so each B×B tile of a remote processor's rows is read
 // with spatial locality — the paper's blocked all-to-all.
-func transpose(p *core.Proc, dst, src *apps.C128, r, lo, hi int) {
+func transpose(p *core.Proc, dst, src *apps.Array[complex128], r, lo, hi int) {
 	for jb := 0; jb < r; jb += transBlock {
 		for i := lo; i < hi; i++ {
 			for j := jb; j < jb+transBlock && j < r; j++ {
@@ -156,7 +156,7 @@ func transpose(p *core.Proc, dst, src *apps.C128, r, lo, hi int) {
 
 // rowFFT performs an in-place iterative radix-2 FFT on row elements
 // [base, base+r) of arr, reading twiddles from the shared roots array.
-func rowFFT(p *core.Proc, arr, roots *apps.C128, base, r int) {
+func rowFFT(p *core.Proc, arr, roots *apps.Array[complex128], base, r int) {
 	// Bit reversal permutation.
 	for i, j := 0, 0; i < r; i++ {
 		if i < j {

@@ -114,8 +114,8 @@ func TestRowFFTMatchesDFT(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	arr := apps.NewC128(m, r, "row")
-	roots := apps.NewC128(m, r, "roots")
+	arr := apps.NewArray[complex128](m, r, "row")
+	roots := apps.NewArray[complex128](m, r, "roots")
 	input := make([]complex128, r)
 	_, err = m.Run(func(p *core.Proc) {
 		rng := rand.New(rand.NewSource(5))
@@ -153,8 +153,8 @@ func TestTransposeExact(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	src := apps.NewC128(m, r*r, "src")
-	dst := apps.NewC128(m, r*r, "dst")
+	src := apps.NewArray[complex128](m, r*r, "src")
+	dst := apps.NewArray[complex128](m, r*r, "dst")
 	bar := m.NewBarrier()
 	_, err = m.Run(func(p *core.Proc) {
 		lo, hi := apps.Chunk(r, p.ID(), 2)

@@ -70,8 +70,8 @@ type quad struct {
 	terms int
 	binom [][]float64
 
-	mpole *apps.C128 // [box][term]
-	local *apps.C128
+	mpole *apps.Array[complex128] // [box][term]
+	local *apps.Array[complex128]
 	brec  apps.Recs
 
 	pos    []complex128
@@ -149,8 +149,8 @@ func run(cfg core.Config, pr Params) (*core.Result, *quad, error) {
 	}
 	q.nBoxes = off
 	q.binom = pascal(2*pr.Terms + 2)
-	q.mpole = apps.NewC128(m, q.nBoxes*(pr.Terms+1), "multipoles")
-	q.local = apps.NewC128(m, q.nBoxes*(pr.Terms+1), "locals")
+	q.mpole = apps.NewArray[complex128](m, q.nBoxes*(pr.Terms+1), "multipoles")
+	q.local = apps.NewArray[complex128](m, q.nBoxes*(pr.Terms+1), "locals")
 	q.brec = apps.NewRecs(m, n, bStride, "bodies")
 	q.pos = make([]complex128, n)
 	q.charge = make([]float64, n)

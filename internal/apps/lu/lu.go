@@ -57,7 +57,7 @@ func Workload() apps.Runner {
 // matrix wraps the block-contiguous shared array: block (I,J) occupies
 // B*B consecutive elements starting at ((I*nb)+J)*B*B.
 type matrix struct {
-	a  *apps.F64
+	a  *apps.Array[float64]
 	nb int
 	b  int
 }
@@ -81,7 +81,7 @@ func Run(cfg core.Config, pr Params) (*core.Result, error) {
 	m.DeclareRaceFree()
 	n, b := pr.N, pr.Block
 	nb := n / b
-	mat := matrix{a: apps.NewF64(m, n*n, "matrix"), nb: nb, b: b}
+	mat := matrix{a: apps.NewArray[float64](m, n*n, "matrix"), nb: nb, b: b}
 	orig := make([]float64, n*n) // plain copy for verification
 	gr, gc := apps.ProcGrid(cfg.Procs)
 	owner := func(I, J int) int { return (I%gr)*gc + (J % gc) }

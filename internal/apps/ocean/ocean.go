@@ -137,11 +137,11 @@ func (l *layout) idx(gi, gj int) int {
 // grid is one distributed 2D array.
 type grid struct {
 	lay *layout
-	f   *apps.F64
+	f   *apps.Array[float64]
 }
 
 func newGrid(m *core.Machine, lay *layout, name string) *grid {
-	g := &grid{lay: lay, f: apps.NewF64(m, lay.total, name)}
+	g := &grid{lay: lay, f: apps.NewArray[float64](m, lay.total, name)}
 	// Place each processor's block at its cluster (SPLASH Ocean's 4D
 	// arrays); the paper notes some applications place data explicitly.
 	for pid := 0; pid < lay.pr*lay.pc; pid++ {
@@ -223,7 +223,7 @@ func Run(cfg core.Config, pr Params) (*core.Result, error) {
 		f[lvl] = newGrid(m, lay, fmt.Sprintf("f%d", lvl))
 		res[lvl] = newGrid(m, lay, fmt.Sprintf("res%d", lvl))
 	}
-	errSum := apps.NewF64(m, 1, "errsum") // reduction variable
+	errSum := apps.NewArray[float64](m, 1, "errsum") // reduction variable
 	lock := m.NewLock("errsum")
 	bar := m.NewBarrierN("ocean.main", cfg.Procs)
 	var initialResidual float64 // plain-Go instrumentation, no simulated refs

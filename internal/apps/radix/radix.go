@@ -69,19 +69,19 @@ func Run(cfg core.Config, pr Params) (*core.Result, error) {
 	m.DeclareRaceFree()
 	P := cfg.Procs
 	R := pr.Radix
-	src := apps.NewI64(m, pr.Keys, "keysA")
-	dst := apps.NewI64(m, pr.Keys, "keysB")
+	src := apps.NewArray[int64](m, pr.Keys, "keysA")
+	dst := apps.NewArray[int64](m, pr.Keys, "keysB")
 	// Shared histogram matrix histo[p][d] and rank matrix rank[p][d];
 	// each processor's row is placed at its cluster, as SPLASH places
 	// per-process data, but rows are read globally in the combine phase.
-	histo := apps.NewI64(m, P*R, "histograms")
-	rank := apps.NewI64(m, P*R, "ranks")
+	histo := apps.NewArray[int64](m, P*R, "histograms")
+	rank := apps.NewArray[int64](m, P*R, "ranks")
 	for q := 0; q < P; q++ {
 		m.Place(histo.Addr(q*R), uint64(R)*8, q)
 		m.Place(rank.Addr(q*R), uint64(R)*8, q)
 	}
-	digitBase := apps.NewI64(m, R, "digitBase")
-	colSum := apps.NewI64(m, R, "colSum")
+	digitBase := apps.NewArray[int64](m, R, "digitBase")
+	colSum := apps.NewArray[int64](m, R, "colSum")
 
 	inSum := make([]int64, P) // per-processor plain-Go input checksums
 	inXor := make([]int64, P)

@@ -90,8 +90,8 @@ type scene struct {
 	cellList  []int32
 
 	srec   apps.Recs
-	starts *apps.I64
-	list   *apps.I64
+	starts *apps.Array[int64]
+	list   *apps.Array[int64]
 	light  vec
 }
 
@@ -344,40 +344,6 @@ func (sc *scene) shade(p *core.Proc, i int, point, dir vec, depth int) float64 {
 	return col
 }
 
-// pixelBlock is one stealable unit of rendering work.
-type pixelBlock struct{ x0, y0, x1, y1 int }
-
-const taskBlock = 4 // pixels per block edge
-
-// pixelBlocks splits the image into taskBlock² blocks, enumerated tile
-// by tile so processor p's initial queue range [lo[p], hi[p]) covers its
-// own tile.
-func pixelBlocks(procs, width, height int) (blocks []pixelBlock, lo, hi []int) {
-	gr, gc := apps.ProcGrid(procs)
-	lo = make([]int, procs)
-	hi = make([]int, procs)
-	for id := 0; id < procs; id++ {
-		tr, tc := id/gc, id%gc
-		ylo, yhi := apps.Chunk(height, tr, gr)
-		xlo, xhi := apps.Chunk(width, tc, gc)
-		lo[id] = len(blocks)
-		for by := ylo; by < yhi; by += taskBlock {
-			for bx := xlo; bx < xhi; bx += taskBlock {
-				b := pixelBlock{x0: bx, y0: by, x1: bx + taskBlock, y1: by + taskBlock}
-				if b.x1 > xhi {
-					b.x1 = xhi
-				}
-				if b.y1 > yhi {
-					b.y1 = yhi
-				}
-				blocks = append(blocks, b)
-			}
-		}
-		hi[id] = len(blocks)
-	}
-	return blocks, lo, hi
-}
-
 // Run renders the scene in parallel and verifies pixel-exactly against a
 // serial render with the same code.
 func Run(cfg core.Config, pr Params) (*core.Result, error) {
@@ -402,27 +368,24 @@ func Run(cfg core.Config, pr Params) (*core.Result, error) {
 		cellList:  list,
 		light:     vec{5, 5, 8},
 		srec:      apps.NewRecs(m, len(spheres), sStride, "spheres"),
-		starts:    apps.NewI64(m, len(starts), "cellStarts"),
-		list:      apps.NewI64(m, len(list)+1, "cellList"),
+		starts:    apps.NewArray[int64](m, len(starts), "cellStarts"),
+		list:      apps.NewArray[int64](m, len(list)+1, "cellList"),
 	}
-	img := apps.NewI64(m, pr.Width*pr.Height, "image")
-	camera := func(px, py int) (vec, vec) {
-		// Orthographic camera looking down -z.
+	// Each processor starts on its own Ocean-style tile of the image;
+	// uneven ray costs are then balanced by stealing.
+	img := apps.NewImage(m, pr.Width, pr.Height, "rt")
+	// render traces pixel (px, py) with an orthographic camera looking
+	// down -z; with p nil it is the serial verification render.
+	render := func(p *core.Proc, px, py int) int64 {
 		x := bounds[0][0] + (float64(px)+0.5)/float64(pr.Width)*(bounds[1][0]-bounds[0][0])
 		y := bounds[0][1] + (float64(py)+0.5)/float64(pr.Height)*(bounds[1][1]-bounds[0][1])
-		return vec{x, y, bounds[1][2] + 1}, vec{0.12, 0.07, -1}.norm()
+		org, dir := vec{x, y, bounds[1][2] + 1}, vec{0.12, 0.07, -1}.norm()
+		return int64(sc.trace(p, org, dir, pr.MaxDepth) * 255)
 	}
-
-	// Pixel blocks, enumerated tile-by-tile so each processor's initial
-	// queue range is its own Ocean-style tile; uneven ray costs are then
-	// balanced by stealing, as in the SPLASH code.
-	blocks, lo, hi := pixelBlocks(cfg.Procs, pr.Width, pr.Height)
-	queues := apps.NewTaskQueues(m, "rt")
 	bar := m.NewBarrierN("raytrace.main", cfg.Procs)
 	res, err := m.Run(func(p *core.Proc) {
-		id := p.ID()
 		// Initialization: processor 0 publishes the scene database.
-		if id == 0 {
+		if p.ID() == 0 {
 			for i := range spheres {
 				for d := 0; d < 3; d++ {
 					sc.srec.Write(p, i, uint64(sCenter+8*d))
@@ -438,38 +401,16 @@ func Run(cfg core.Config, pr Params) (*core.Result, error) {
 				sc.list.Set(p, i, int64(list[i]))
 			}
 		}
-		queues.Init(p, lo[id], hi[id])
+		img.Init(p)
 		apps.Begin(p, bar)
-
-		for {
-			task, ok := queues.Next(p)
-			if !ok {
-				break
-			}
-			b := blocks[task]
-			for py := b.y0; py < b.y1; py++ {
-				for px := b.x0; px < b.x1; px++ {
-					org, dir := camera(px, py)
-					col := sc.trace(p, org, dir, pr.MaxDepth)
-					img.Set(p, py*pr.Width+px, int64(col*255))
-				}
-			}
-		}
+		img.Render(p, render)
 		bar.Wait(p)
 	})
 	if err != nil {
 		return nil, err
 	}
-	// Serial verification render: identical code, no references.
-	for py := 0; py < pr.Height; py++ {
-		for px := 0; px < pr.Width; px++ {
-			org, dir := camera(px, py)
-			want := int64(sc.trace(nil, org, dir, pr.MaxDepth) * 255)
-			if got := img.Data[py*pr.Width+px]; got != want {
-				return nil, fmt.Errorf("raytrace: pixel (%d,%d) = %d, serial render says %d",
-					px, py, got, want)
-			}
-		}
+	if err := img.Check("raytrace", render); err != nil {
+		return nil, err
 	}
 	return res, nil
 }

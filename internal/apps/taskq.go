@@ -17,7 +17,7 @@ import (
 type TaskQueues struct {
 	nprocs int
 	locks  []*core.Lock
-	state  *I64 // [p*2] = next, [p*2+1] = limit
+	state  *Array[int64] // [p*2] = next, [p*2+1] = limit
 }
 
 // NewTaskQueues creates one queue per processor, with each queue's
@@ -27,7 +27,7 @@ func NewTaskQueues(m *core.Machine, name string) *TaskQueues {
 	q := &TaskQueues{
 		nprocs: n,
 		locks:  make([]*core.Lock, n),
-		state:  NewI64(m, 2*n, name+".queues"),
+		state:  NewArray[int64](m, 2*n, name+".queues"),
 	}
 	for p := 0; p < n; p++ {
 		q.locks[p] = m.NewLock(fmt.Sprintf("%s.q%d", name, p))
@@ -93,4 +93,92 @@ func (q *TaskQueues) next(p *core.Proc) (task int, ok bool) {
 		q.locks[v].Release(p)
 	}
 	return 0, false
+}
+
+// Image is the shared image the graphics codes (Raytrace, Volrend)
+// render, one word per pixel, row-major, in stealable blocks of at most
+// taskBlock×taskBlock pixels. The blocks are enumerated tile by tile
+// over the processor grid (ProcGrid, as in Ocean), so each processor's
+// initial queue range is its own tile; uneven per-pixel costs are then
+// balanced by stealing, as in the SPLASH codes.
+type Image struct {
+	width, height int
+	pixels        *Array[int64]
+	blocks        []pixelBlock
+	lo, hi        []int // processor p's initial queue range is [lo[p], hi[p])
+	queues        *TaskQueues
+}
+
+// pixelBlock is one stealable unit of rendering work: the pixels
+// [x0,x1)×[y0,y1).
+type pixelBlock struct{ x0, y0, x1, y1 int }
+
+const taskBlock = 4 // pixels per block edge
+
+// NewImage allocates a width×height image named "image", then the task
+// queues that hand out its blocks, named name (see NewTaskQueues).
+func NewImage(m *core.Machine, width, height int, name string) *Image {
+	im := &Image{width: width, height: height, pixels: NewArray[int64](m, width*height, "image")}
+	im.blocks, im.lo, im.hi = tileBlocks(m.Config().Procs, width, height)
+	im.queues = NewTaskQueues(m, name)
+	return im
+}
+
+// tileBlocks splits a width×height image into blocks, tile by tile, and
+// returns each processor's range of them.
+func tileBlocks(procs, width, height int) (blocks []pixelBlock, lo, hi []int) {
+	gr, gc := ProcGrid(procs)
+	lo = make([]int, procs)
+	hi = make([]int, procs)
+	for id := 0; id < procs; id++ {
+		ylo, yhi := Chunk(height, id/gc, gr)
+		xlo, xhi := Chunk(width, id%gc, gc)
+		lo[id] = len(blocks)
+		for by := ylo; by < yhi; by += taskBlock {
+			for bx := xlo; bx < xhi; bx += taskBlock {
+				blocks = append(blocks, pixelBlock{x0: bx, y0: by,
+					x1: min(bx+taskBlock, xhi), y1: min(by+taskBlock, yhi)})
+			}
+		}
+		hi[id] = len(blocks)
+	}
+	return blocks, lo, hi
+}
+
+// Init gives processor p the blocks of its own tile; every processor
+// calls it for itself before the measured phase, as TaskQueues.Init.
+func (im *Image) Init(p *core.Proc) {
+	im.queues.Init(p, im.lo[p.ID()], im.hi[p.ID()])
+}
+
+// Render takes blocks, its own and then stolen ones, until none is
+// left, and stores pixel(p, x, y) at each pixel of each block.
+func (im *Image) Render(p *core.Proc, pixel func(p *core.Proc, x, y int) int64) {
+	for {
+		task, ok := im.queues.Next(p)
+		if !ok {
+			return
+		}
+		b := im.blocks[task]
+		for y := b.y0; y < b.y1; y++ {
+			for x := b.x0; x < b.x1; x++ {
+				im.pixels.Set(p, y*im.width+x, pixel(p, x, y))
+			}
+		}
+	}
+}
+
+// Check compares every rendered pixel, row by row, with pixel(nil, x,
+// y), the serial render, which issues no references; the first
+// mismatch is an error prefixed with app.
+func (im *Image) Check(app string, pixel func(p *core.Proc, x, y int) int64) error {
+	for y := 0; y < im.height; y++ {
+		for x := 0; x < im.width; x++ {
+			want := pixel(nil, x, y)
+			if got := im.pixels.Data[y*im.width+x]; got != want {
+				return fmt.Errorf("%s: pixel (%d,%d) = %d, serial render says %d", app, x, y, got, want)
+			}
+		}
+	}
+	return nil
 }

@@ -146,3 +146,97 @@ func TestTaskQueuesDeterministic(t *testing.T) {
 		}
 	}
 }
+
+// TestImageBlocksTileTheProcGrid: the image's blocks cover every pixel
+// exactly once, none is wider or taller than taskBlock, and processor
+// p's initial queue range holds exactly the blocks of its ProcGrid tile
+// (none when the tile is empty), the ranges following one another in
+// processor order. Widths and heights include values that are not
+// multiples of the block edge, and images narrower than the grid.
+func TestImageBlocksTileTheProcGrid(t *testing.T) {
+	sizes := [][2]int{{16, 16}, {13, 7}, {30, 33}, {5, 66}, {64, 64}, {3, 9}}
+	for _, procs := range []int{1, 2, 4, 16, 64} {
+		gr, gc := ProcGrid(procs)
+		for _, wh := range sizes {
+			w, h := wh[0], wh[1]
+			im := NewImage(taskMachine(t, procs), w, h, "img")
+			covered := make([]int, w*h)
+			next := 0
+			for id := 0; id < procs; id++ {
+				lo, hi := im.lo[id], im.hi[id]
+				if lo != next || hi < lo {
+					t.Fatalf("%d procs, %d×%d: processor %d's range [%d,%d) does not start at %d",
+						procs, w, h, id, lo, hi, next)
+				}
+				next = hi
+				ylo, yhi := Chunk(h, id/gc, gr)
+				xlo, xhi := Chunk(w, id%gc, gc)
+				area := 0
+				for _, b := range im.blocks[lo:hi] {
+					if b.x0 < xlo || b.x1 > xhi || b.y0 < ylo || b.y1 > yhi {
+						t.Fatalf("%d procs, %d×%d: block %+v of processor %d lies outside its tile [%d,%d)×[%d,%d)",
+							procs, w, h, b, id, xlo, xhi, ylo, yhi)
+					}
+					if b.x1 <= b.x0 || b.y1 <= b.y0 || b.x1-b.x0 > taskBlock || b.y1-b.y0 > taskBlock {
+						t.Fatalf("%d procs, %d×%d: block %+v is empty or larger than %d×%d",
+							procs, w, h, b, taskBlock, taskBlock)
+					}
+					for y := b.y0; y < b.y1; y++ {
+						for x := b.x0; x < b.x1; x++ {
+							covered[y*w+x]++
+						}
+					}
+					area += (b.x1 - b.x0) * (b.y1 - b.y0)
+				}
+				if tile := (xhi - xlo) * (yhi - ylo); area != tile {
+					t.Fatalf("%d procs, %d×%d: processor %d's blocks cover %d pixels of its %d-pixel tile",
+						procs, w, h, id, area, tile)
+				}
+			}
+			if next != len(im.blocks) {
+				t.Fatalf("%d procs, %d×%d: ranges end at %d of %d blocks", procs, w, h, next, len(im.blocks))
+			}
+			for i, n := range covered {
+				if n != 1 {
+					t.Fatalf("%d procs, %d×%d: pixel (%d,%d) lies in %d blocks", procs, w, h, i%w, i/w, n)
+				}
+			}
+		}
+	}
+}
+
+// TestImageRendersAndChecks: every pixel rendered through the queues
+// holds its value, Check accepts the same render and names the first
+// differing pixel of another.
+func TestImageRendersAndChecks(t *testing.T) {
+	m := taskMachine(t, 4)
+	im := NewImage(m, 13, 7, "img")
+	bar := m.NewBarrier()
+	pixel := func(p *core.Proc, x, y int) int64 {
+		if p != nil {
+			p.Compute(core.Clock(1 + x*y%5))
+		}
+		return int64(100*y + x)
+	}
+	_, err := m.Run(func(p *core.Proc) {
+		im.Init(p)
+		bar.Wait(p)
+		im.Render(p, pixel)
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := im.Check("test", pixel); err != nil {
+		t.Fatal(err)
+	}
+	off := func(p *core.Proc, x, y int) int64 {
+		if x == 5 && y == 2 {
+			return -1
+		}
+		return pixel(p, x, y)
+	}
+	want := "test: pixel (5,2) = 205, serial render says -1"
+	if err := im.Check("test", off); err == nil || err.Error() != want {
+		t.Errorf("Check of a differing render = %v, want %q", err, want)
+	}
+}

@@ -76,7 +76,7 @@ type volume struct {
 	minv   []uint8
 	maxv   []uint8
 
-	vox  *apps.U8
+	vox  *apps.Array[uint8]
 	tree apps.Recs
 }
 
@@ -295,39 +295,6 @@ func clampF(f float64) float64 {
 	return f
 }
 
-// pixelBlock is one stealable unit of rendering work.
-type pixelBlock struct{ x0, y0, x1, y1 int }
-
-const taskBlock = 4 // pixels per block edge
-
-// pixelBlocks splits the image into taskBlock² blocks, enumerated tile
-// by tile so processor p's initial queue range covers its own tile.
-func pixelBlocks(procs, width, height int) (blocks []pixelBlock, lo, hi []int) {
-	gr, gc := apps.ProcGrid(procs)
-	lo = make([]int, procs)
-	hi = make([]int, procs)
-	for id := 0; id < procs; id++ {
-		tr, tc := id/gc, id%gc
-		ylo, yhi := apps.Chunk(height, tr, gr)
-		xlo, xhi := apps.Chunk(width, tc, gc)
-		lo[id] = len(blocks)
-		for by := ylo; by < yhi; by += taskBlock {
-			for bx := xlo; bx < xhi; bx += taskBlock {
-				b := pixelBlock{x0: bx, y0: by, x1: bx + taskBlock, y1: by + taskBlock}
-				if b.x1 > xhi {
-					b.x1 = xhi
-				}
-				if b.y1 > yhi {
-					b.y1 = yhi
-				}
-				blocks = append(blocks, b)
-			}
-		}
-		hi[id] = len(blocks)
-	}
-	return blocks, lo, hi
-}
-
 // Run renders the volume in parallel and verifies pixel-exactly against
 // a serial render.
 func Run(cfg core.Config, pr Params) (*core.Result, error) {
@@ -346,14 +313,12 @@ func Run(cfg core.Config, pr Params) (*core.Result, error) {
 	m.DeclareRaceFree()
 	v := &volume{edge: e, data: buildVolume(e)}
 	v.buildOctree()
-	v.vox = apps.NewU8(m, e*e*e, "volume")
+	v.vox = apps.NewArray[uint8](m, e*e*e, "volume")
 	v.tree = apps.NewRecs(m, len(v.minv), oStride, "octree")
-	img := apps.NewI64(m, pr.Width*pr.Height, "image")
-
-	// Stealable pixel blocks, tile-enumerated as in Raytrace: the SPLASH
-	// Volrend balances its very uneven per-ray costs the same way.
-	blocks, lo, hi := pixelBlocks(cfg.Procs, pr.Width, pr.Height)
-	queues := apps.NewTaskQueues(m, "vr")
+	// Stealable pixel blocks, as in Raytrace: the SPLASH Volrend
+	// balances its very uneven per-ray costs the same way.
+	img := apps.NewImage(m, pr.Width, pr.Height, "vr")
+	render := func(p *core.Proc, px, py int) int64 { return v.render(p, px, py, pr.Width, pr.Height) }
 	bar := m.NewBarrierN("volrend.main", cfg.Procs)
 	res, err := m.Run(func(p *core.Proc) {
 		id := p.ID()
@@ -369,34 +334,16 @@ func Run(cfg core.Config, pr Params) (*core.Result, error) {
 				v.tree.Write(p, i, oMax)
 			}
 		}
-		queues.Init(p, lo[id], hi[id])
+		img.Init(p)
 		apps.Begin(p, bar)
-
-		for {
-			task, ok := queues.Next(p)
-			if !ok {
-				break
-			}
-			b := blocks[task]
-			for py := b.y0; py < b.y1; py++ {
-				for px := b.x0; px < b.x1; px++ {
-					img.Set(p, py*pr.Width+px, v.render(p, px, py, pr.Width, pr.Height))
-				}
-			}
-		}
+		img.Render(p, render)
 		bar.Wait(p)
 	})
 	if err != nil {
 		return nil, err
 	}
-	for py := 0; py < pr.Height; py++ {
-		for px := 0; px < pr.Width; px++ {
-			want := v.render(nil, px, py, pr.Width, pr.Height)
-			if got := img.Data[py*pr.Width+px]; got != want {
-				return nil, fmt.Errorf("volrend: pixel (%d,%d) = %d, serial render says %d",
-					px, py, got, want)
-			}
-		}
+	if err := img.Check("volrend", render); err != nil {
+		return nil, err
 	}
 	return res, nil
 }

@@ -48,12 +48,13 @@ type PointRun struct {
 // RunPoint runs one point with the instruments art asks for; it is the
 // fresh-point body of Suite.Run and the whole of a clustersim run. A
 // telemetry collector is attached only when an output reads it: a
-// trace, a manifest, or a sampling grid with an OnSample. A sharing
-// profiler is attached for a profile path and the critical-path
-// analyzer for a critpath path. The instruments live only as long as
-// the call: the returned Result and manifest hold none of them. The
-// point is reported to sweep (nil is fine) as (w.Name,
-// cfg.ClusterSize, cfg.CacheKBPerProc) and runs under panic isolation.
+// trace, a manifest, or a sampling grid with an OnSample; it stores the
+// timeline's slices only for a trace. A sharing profiler is attached
+// for a profile path and the critical-path analyzer for a critpath
+// path. The instruments live only as long as the call: the returned
+// Result and manifest hold none of them. The point is reported to
+// sweep (nil is fine) as (w.Name, cfg.ClusterSize, cfg.CacheKBPerProc)
+// and runs under panic isolation.
 // On success each artifact is stamped with w.Name, size and hash and
 // written atomically, its directory created if missing, and the
 // manifest's host block carries the host identity and the point's wall
@@ -65,6 +66,10 @@ func RunPoint(w apps.Runner, cfg core.Config, size apps.Size, hash string, art A
 	if art.TracePath != "" || art.Manifest || art.SampleEvery > 0 && art.OnSample != nil {
 		col = telemetry.New()
 		col.SetOnSample(art.OnSample)
+		if art.TracePath == "" {
+			// Only the trace draws the timeline; a manifest counts its slices.
+			col.CountSlicesOnly()
+		}
 		cfg.Telemetry, cfg.SampleEvery = col, art.SampleEvery
 	}
 	if art.ProfilePath != "" {

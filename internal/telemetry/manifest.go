@@ -97,7 +97,7 @@ func (c *Collector) SelfReport() *SelfReport {
 		r.MissClasses = t
 	}
 	for pe := range c.pes {
-		r.Slices += len(c.pes[pe].slices)
+		r.Slices += c.pes[pe].n
 	}
 	for _, s := range c.samples {
 		t := s.Total()

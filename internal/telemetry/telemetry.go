@@ -116,9 +116,13 @@ func (s SchedMetrics) MeanReadyDepth() float64 {
 }
 
 // peTrack accumulates one processor's timeline, coalescing adjacent
-// same-kind spans.
+// same-kind spans. It counts every slice it closes and sums their
+// durations per kind; unless countOnly, it also keeps the slices.
 type peTrack struct {
 	slices           []Slice
+	n                int
+	totals           [numSliceKinds]Clock
+	countOnly        bool
 	curKind          SliceKind
 	curStart, curEnd Clock
 	open             bool
@@ -138,7 +142,11 @@ func (t *peTrack) add(kind SliceKind, start, dur Clock) {
 
 func (t *peTrack) flush() {
 	if t.open {
-		t.slices = append(t.slices, Slice{Kind: t.curKind, Start: t.curStart, Dur: t.curEnd - t.curStart})
+		t.n++
+		t.totals[t.curKind] += t.curEnd - t.curStart
+		if !t.countOnly {
+			t.slices = append(t.slices, Slice{Kind: t.curKind, Start: t.curStart, Dur: t.curEnd - t.curStart})
+		}
 		t.open = false
 	}
 }
@@ -174,7 +182,8 @@ type Collector struct {
 	// SetOnSample.
 	onSample func(at Clock, total ClusterSample)
 
-	started bool
+	countOnly bool // see CountSlicesOnly
+	started   bool
 }
 
 // New creates an empty collector.
@@ -190,6 +199,13 @@ func (c *Collector) SetOnSample(fn func(at Clock, total ClusterSample)) {
 	c.onSample = fn
 }
 
+// CountSlicesOnly makes the collector count each processor's slices
+// and sum their durations per kind without storing the slices, for a
+// run whose timeline no trace will draw: SelfReport and SliceTotals
+// are unchanged, while Slices returns nil and a Chrome trace has no
+// processor slices. Call it before the run.
+func (c *Collector) CountSlicesOnly() { c.countOnly = true }
+
 // Attach implements core.Observer: it sizes the collector for the
 // machine and keeps what the interval sampler reads.
 func (c *Collector) Attach(as *memory.AddressSpace, sys coherence.MemoryModel, procs []stats.Proc) {
@@ -199,6 +215,9 @@ func (c *Collector) Attach(as *memory.AddressSpace, sys coherence.MemoryModel, p
 	c.started = true
 	c.sys, c.view = sys, procs
 	c.pes = make([]peTrack, len(procs))
+	for pe := range c.pes {
+		c.pes[pe].countOnly = c.countOnly
+	}
 	c.clusters = as.NumClusters()
 	c.missCounts = make([][int(coherence.WriteMerge) + 1][int(coherence.HopIntraCluster) + 1]uint64, c.clusters)
 	c.prev = make([]ClusterSample, c.clusters)
@@ -299,7 +318,8 @@ func (c *Collector) Handoff(from, to int, fromTime, toTime Clock, readyDepth int
 	}
 }
 
-// Slices returns processor pe's timeline (call after the run).
+// Slices returns processor pe's timeline (call after the run); nil on
+// a collector that only counts (CountSlicesOnly).
 func (c *Collector) Slices(pe int) []Slice { return c.pes[pe].slices }
 
 // NumPEs returns the number of processor tracks.
@@ -354,10 +374,4 @@ func (c *Collector) CoherenceEvents() uint64 {
 // SliceTotals sums one processor's slice durations per kind, indexed by
 // SliceKind. Because slices tile the timeline, the four entries sum to
 // the processor's final virtual time.
-func (c *Collector) SliceTotals(pe int) [4]Clock {
-	var out [4]Clock
-	for _, s := range c.pes[pe].slices {
-		out[s.Kind] += s.Dur
-	}
-	return out
-}
+func (c *Collector) SliceTotals(pe int) [4]Clock { return c.pes[pe].totals }

@@ -230,3 +230,35 @@ func TestReadManifestRejectsUnknownSchema(t *testing.T) {
 		t.Fatalf("err = %v", err)
 	}
 }
+
+// TestCountSlicesOnly: a collector that only counts stores no slice but
+// reports the same slice count and per-kind totals as one that keeps
+// its timeline.
+func TestCountSlicesOnly(t *testing.T) {
+	feed := func(c *Collector) {
+		attach(c, 2, 1)
+		for pe := 0; pe < 2; pe++ {
+			c.Slice(pe, SliceCompute, 0, 10)
+			c.Slice(pe, SliceCompute, 10, 5)
+			c.Slice(pe, SliceLoadStall, 15, 30+Clock(pe))
+			c.SyncWait(pe, 0, 45+Clock(pe), 60)
+			c.Slice(pe, SliceCompute, 60, 2)
+		}
+		c.End([]Clock{62, 62})
+	}
+	kept, counted := New(), New()
+	counted.CountSlicesOnly()
+	feed(kept)
+	feed(counted)
+	for pe := 0; pe < 2; pe++ {
+		if got := counted.Slices(pe); got != nil {
+			t.Errorf("pe %d: counting collector kept slices %+v", pe, got)
+		}
+		if got, want := counted.SliceTotals(pe), kept.SliceTotals(pe); got != want {
+			t.Errorf("pe %d: totals %v, want %v", pe, got, want)
+		}
+	}
+	if got, want := counted.SelfReport().Slices, kept.SelfReport().Slices; got != want || want != 8 {
+		t.Errorf("slice count %d, want %d (8)", got, want)
+	}
+}
